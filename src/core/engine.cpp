@@ -1,6 +1,7 @@
 #include "core/spaden.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 #include "kernels/sharded.hpp"
@@ -11,10 +12,9 @@ struct SpmvEngine::Impl {
   mat::Csr matrix;  // kept for first-run verification
   EngineOptions options;
   kern::Method method;
-  sim::Device device;
-  std::unique_ptr<kern::SpmvKernel> kernel;       // single-device path
-  std::unique_ptr<sim::DeviceGroup> group;        // num_devices > 1 only
-  std::unique_ptr<kern::ShardedSpmv> sharded;     // num_devices > 1 only
+  sim::DeviceGroup group;                      // every device launched on, 1 included
+  std::unique_ptr<kern::SpmvKernel> kernel;    // num_devices == 1 only
+  std::unique_ptr<kern::ShardedSpmv> sharded;  // num_devices > 1 only
   PrepInfo prep;
   std::unique_ptr<Telemetry> telemetry;  // null unless options.telemetry
   bool verified = false;
@@ -24,40 +24,34 @@ struct SpmvEngine::Impl {
   SpmvResult multiply_sharded(const std::vector<float>& x, std::vector<float>& y,
                               std::uint64_t x_generation);
 
+  /// The single-device path's device (the group's only member).
+  sim::Device& device() { return group.device(0); }
+
   Impl(const mat::Csr& a, EngineOptions opts)
       : matrix(a),
         options(std::move(opts)),
         method(options.method.value_or(auto_select(a))),
-        device(options.device),
-        kernel(options.num_devices > 1 ? nullptr : kern::make_kernel(method)) {
-    if (options.num_devices > 1) {
-      group = std::make_unique<sim::DeviceGroup>(options.device, options.num_devices);
-      if (options.sim_threads > 0) {
-        group->set_sim_threads(options.sim_threads);
-      }
-      group->set_sanitize(options.sanitize);
-      group->set_profile(options.profile);
-      group->set_sched(options.sched);
-      group->set_shared_l2(options.shared_l2);
-      sharded = std::make_unique<kern::ShardedSpmv>(*group, method);
-    }
+        group(options.device, options.num_devices) {
     if (options.sim_threads > 0) {
-      device.set_sim_threads(options.sim_threads);
+      group.set_sim_threads(options.sim_threads);
     }
-    device.set_sanitize(options.sanitize);
-    device.set_profile(options.profile);
-    device.set_sched(options.sched);
-    device.set_shared_l2(options.shared_l2);
+    group.set_sanitize(options.sanitize);
+    group.set_profile(options.profile);
+    group.set_sched(options.sched);
+    group.set_shared_l2(options.shared_l2);
+    if (group.size() > 1) {
+      sharded = std::make_unique<kern::ShardedSpmv>(group, method);
+    } else {
+      kernel = kern::make_kernel(method);
+    }
     if (options.telemetry) {
       telemetry = std::make_unique<Telemetry>();
       telemetry->set_label("method", std::string(kern::method_name(method)));
-      telemetry->set_label("device", device.spec().name);
-      if (group != nullptr) {
-        telemetry->set_label("devices", std::to_string(group->size()));
-        group->set_launch_log(true);
-      } else {
-        device.set_launch_log(true);
+      telemetry->set_label("device", group.spec().name);
+      if (group.size() > 1) {
+        telemetry->set_label("devices", std::to_string(group.size()));
       }
+      group.set_launch_log(true);
     }
 
     // The convert span is PrepInfo's single source of truth: prep.seconds
@@ -67,7 +61,7 @@ struct SpmvEngine::Impl {
     if (sharded != nullptr) {
       sharded->prepare(matrix);
     } else {
-      kernel->prepare(device, matrix);
+      kernel->prepare(device(), matrix);
     }
     prep.seconds = convert_span.close();
     prep.ns_per_nnz = matrix.nnz() == 0
@@ -125,8 +119,8 @@ SpmvResult SpmvEngine::Impl::multiply_sharded(const std::vector<float>& x,
   }
   const kern::GroupResult launch = sharded->multiply(x, y, x_generation);
   if (tel != nullptr) {
-    for (int d = 0; d < group->size(); ++d) {
-      const sim::Device& dev = group->device(d);
+    for (int d = 0; d < group.size(); ++d) {
+      const sim::Device& dev = group.device(d);
       const std::vector<sim::ProfileReport>& profiles = dev.profile_log();
       tel->record_launches(dev.launch_log(), profiles.empty() ? nullptr : &profiles, d);
     }
@@ -137,8 +131,8 @@ SpmvResult SpmvEngine::Impl::multiply_sharded(const std::vector<float>& x,
   result.gflops = launch.modeled_seconds > 0 ? launch.gflops(matrix.nnz()) : 0.0;
   result.stats = launch.stats;
   result.time = launch.time;
-  for (int d = 0; d < group->size(); ++d) {
-    const sim::Device& dev = group->device(d);
+  for (int d = 0; d < group.size(); ++d) {
+    const sim::Device& dev = group.device(d);
     result.sanitizer.merge(dev.sanitizer_log());
     result.profiles.insert(result.profiles.end(), dev.profile_log().begin(),
                            dev.profile_log().end());
@@ -182,41 +176,44 @@ SpmvResult SpmvEngine::multiply(const std::vector<float>& x, std::vector<float>&
     return impl_->multiply_sharded(x, y, x_generation);
   }
   Telemetry* tel = impl_->telemetry.get();
+  sim::Device& device = impl_->device();
   ScopedSpan multiply_span(tel, "multiply");
   if (impl_->options.verify_first_run && !impl_->verified) {
     ScopedSpan span(tel, "verify");
-    (void)kern::verify_kernel(*impl_->kernel, impl_->device, impl_->matrix);
+    (void)kern::verify_kernel(*impl_->kernel, device, impl_->matrix);
     impl_->verified = true;
   }
-  // Upload-skip: a nonzero generation matching the cached one promises the
-  // same x contents, so the device copy is already current. The skip keeps
-  // the whole upload span out of the trace (tests pin that).
-  const bool x_current = x_generation != 0 && x_generation == impl_->x_cache_gen;
+  // Upload-skip: the device copy is current when the nonzero generation
+  // matches the cached one AND x equals the cached host copy. The tag alone
+  // is no proof (two servers on one registry both number requests from 0),
+  // and the O(ncols) compare costs less than the upload it saves. The skip
+  // keeps the whole upload span out of the trace (tests pin that).
+  const bool x_current = x_generation != 0 && x_generation == impl_->x_cache_gen &&
+                         std::as_const(impl_->x_cache).host() == x;
   if (!x_current) {
     ScopedSpan upload_span(tel, "upload");
-    impl_->x_cache = impl_->device.memory().upload(x, "x");
+    impl_->x_cache = device.memory().upload(x, "x");
     impl_->x_cache_gen = x_generation;
     upload_span.close();
   }
-  auto y_buf = impl_->device.memory().alloc<float>(impl_->matrix.nrows, "y");
+  auto y_buf = device.memory().alloc<float>(impl_->matrix.nrows, "y");
   // The device logs accumulate across launches; clearing here scopes the
   // reports to this multiply even for kernels that launch more than once.
-  impl_->device.clear_sanitizer_log();
-  impl_->device.clear_profile_log();
+  device.clear_sanitizer_log();
+  device.clear_profile_log();
   if (tel != nullptr) {
-    impl_->device.clear_launch_log();
+    device.clear_launch_log();
   }
   // One logical multiply = one batch id, so multi-launch kernels group
   // under a single span in the stitched trace.
-  impl_->device.set_batch_id(impl_->device.alloc_batch_id());
+  device.set_batch_id(device.alloc_batch_id());
   const sim::LaunchResult launch =
-      impl_->kernel->run(impl_->device, impl_->x_cache.cspan(), y_buf.span());
+      impl_->kernel->run(device, impl_->x_cache.cspan(), y_buf.span());
   if (tel != nullptr) {
     // Launch spans go in here, before the download span opens, so the
     // stitched timeline keeps chronological order within the multiply.
-    const std::vector<sim::ProfileReport>& profiles = impl_->device.profile_log();
-    tel->record_launches(impl_->device.launch_log(),
-                         profiles.empty() ? nullptr : &profiles);
+    const std::vector<sim::ProfileReport>& profiles = device.profile_log();
+    tel->record_launches(device.launch_log(), profiles.empty() ? nullptr : &profiles);
   }
   ScopedSpan download_span(tel, "download");
   y = y_buf.host();
@@ -227,8 +224,8 @@ SpmvResult SpmvEngine::multiply(const std::vector<float>& x, std::vector<float>&
   result.gflops = launch.gflops(impl_->matrix.nnz());
   result.stats = launch.stats;
   result.time = launch.time;
-  result.sanitizer = impl_->device.sanitizer_log();
-  result.profiles = impl_->device.profile_log();
+  result.sanitizer = device.sanitizer_log();
+  result.profiles = device.profile_log();
   if (tel != nullptr) {
     met::MetricsRegistry& reg = tel->metrics();
     reg.counter("spaden_multiplies_total", tel->labels(), "Engine multiply calls").inc();
@@ -250,16 +247,17 @@ SpmvResult SpmvEngine::multiply_batch(const std::vector<const std::vector<float>
   SPADEN_REQUIRE(impl_->sharded == nullptr,
                  "multiply_batch runs on a single device (num_devices == 1); "
                  "got %d devices",
-                 impl_->group != nullptr ? impl_->group->size() : impl_->options.num_devices);
+                 impl_->group.size());
   for (const std::vector<float>* x : xs) {
     SPADEN_REQUIRE(x != nullptr && x->size() == impl_->matrix.ncols,
                    "batch x size != ncols %u", impl_->matrix.ncols);
   }
   Telemetry* tel = impl_->telemetry.get();
+  sim::Device& device = impl_->device();
   ScopedSpan batch_span(tel, "multiply_batch");
   if (impl_->options.verify_first_run && !impl_->verified) {
     ScopedSpan span(tel, "verify");
-    (void)kern::verify_kernel(*impl_->kernel, impl_->device, impl_->matrix);
+    (void)kern::verify_kernel(*impl_->kernel, device, impl_->matrix);
     impl_->verified = true;
   }
   ScopedSpan upload_span(tel, "upload");
@@ -272,21 +270,20 @@ SpmvResult SpmvEngine::multiply_batch(const std::vector<const std::vector<float>
     std::copy(xs[c]->begin(), xs[c]->end(),
               x_stack.begin() + static_cast<std::ptrdiff_t>(c * ncols));
   }
-  auto x_buf = impl_->device.memory().upload(x_stack, "batch.x");
+  auto x_buf = device.memory().upload(x_stack, "batch.x");
   upload_span.close();
-  auto y_buf = impl_->device.memory().alloc<float>(static_cast<std::size_t>(k) * nrows,
-                                                   "batch.y");
-  impl_->device.clear_sanitizer_log();
-  impl_->device.clear_profile_log();
+  auto y_buf =
+      device.memory().alloc<float>(static_cast<std::size_t>(k) * nrows, "batch.y");
+  device.clear_sanitizer_log();
+  device.clear_profile_log();
   if (tel != nullptr) {
-    impl_->device.clear_launch_log();
+    device.clear_launch_log();
   }
   const sim::LaunchResult launch =
-      impl_->kernel->run_multi(impl_->device, x_buf.cspan(), y_buf.span(), k);
+      impl_->kernel->run_multi(device, x_buf.cspan(), y_buf.span(), k);
   if (tel != nullptr) {
-    const std::vector<sim::ProfileReport>& profiles = impl_->device.profile_log();
-    tel->record_launches(impl_->device.launch_log(),
-                         profiles.empty() ? nullptr : &profiles);
+    const std::vector<sim::ProfileReport>& profiles = device.profile_log();
+    tel->record_launches(device.launch_log(), profiles.empty() ? nullptr : &profiles);
   }
   ScopedSpan download_span(tel, "download");
   const std::vector<float>& y_host = y_buf.host();
@@ -303,8 +300,8 @@ SpmvResult SpmvEngine::multiply_batch(const std::vector<const std::vector<float>
                   result.modeled_seconds / 1e9;
   result.stats = launch.stats;
   result.time = launch.time;
-  result.sanitizer = impl_->device.sanitizer_log();
-  result.profiles = impl_->device.profile_log();
+  result.sanitizer = device.sanitizer_log();
+  result.profiles = device.profile_log();
   if (tel != nullptr) {
     met::MetricsRegistry& reg = tel->metrics();
     reg.counter("spaden_multiplies_total", tel->labels(), "Engine multiply calls").inc(k);
@@ -343,15 +340,21 @@ san::FormatReport SpmvEngine::check_format() const {
                                    : impl_->kernel->check_format();
 }
 
-int SpmvEngine::num_devices() const {
-  return impl_->group != nullptr ? impl_->group->size() : 1;
+int SpmvEngine::num_devices() const { return impl_->group.size(); }
+
+std::size_t SpmvEngine::sim_host_bytes() const {
+  std::size_t total = 0;
+  for (int d = 0; d < impl_->group.size(); ++d) {
+    total += impl_->group.device(d).cache_host_bytes();
+  }
+  return total;
 }
 
 const Telemetry* SpmvEngine::telemetry() const { return impl_->telemetry.get(); }
 
 kern::Method SpmvEngine::chosen_method() const { return impl_->method; }
 const PrepInfo& SpmvEngine::prep() const { return impl_->prep; }
-const sim::DeviceSpec& SpmvEngine::device() const { return impl_->device.spec(); }
+const sim::DeviceSpec& SpmvEngine::device() const { return impl_->group.spec(); }
 mat::Index SpmvEngine::nrows() const { return impl_->matrix.nrows; }
 mat::Index SpmvEngine::ncols() const { return impl_->matrix.ncols; }
 std::size_t SpmvEngine::nnz() const { return impl_->matrix.nnz(); }

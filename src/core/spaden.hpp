@@ -117,10 +117,10 @@ class SpmvEngine {
   ///
   /// `x_generation` is an optional caller-managed version tag for `x`: 0
   /// (default) always uploads; a nonzero value that matches the previous
-  /// call's tag skips the device upload and reuses the cached x buffer (the
-  /// caller guarantees the contents are unchanged — spaden-serve's registry
-  /// path depends on this). With telemetry on, the skip is observable as an
-  /// absent "upload" span.
+  /// call's tag skips the device upload and reuses the cached x buffer,
+  /// provided x also equals the cached host copy (an O(ncols) compare, so a
+  /// reused tag with new contents still uploads). With telemetry on, the
+  /// skip is observable as an absent "upload" span.
   SpmvResult multiply(const std::vector<float>& x, std::vector<float>& y,
                       std::uint64_t x_generation = 0);
 
@@ -144,6 +144,10 @@ class SpmvEngine {
   [[nodiscard]] const sim::DeviceSpec& device() const;
   /// Simulated devices this engine runs on (EngineOptions::num_devices).
   [[nodiscard]] int num_devices() const;
+  /// Host memory the simulator's cache models hold across this engine's
+  /// devices (sim::Device::cache_host_bytes summed). Each device builds its
+  /// caches at its first launch, so this is 0 until the first multiply.
+  [[nodiscard]] std::size_t sim_host_bytes() const;
   [[nodiscard]] mat::Index nrows() const;
   [[nodiscard]] mat::Index ncols() const;
   [[nodiscard]] std::size_t nnz() const;

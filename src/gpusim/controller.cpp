@@ -35,12 +35,15 @@ inline void sort_sectors(std::uint64_t* a, std::size_t n) {
 
 }  // namespace
 
-MemoryController::MemoryController(SectorCache* l1, SectorCache* l2, KernelStats* stats)
-    : l1_(l1), l2_(l2), stats_(stats), sector_bytes_(l2->sector_bytes()),
-      sector_shift_(static_cast<std::uint32_t>(std::countr_zero(l2->sector_bytes()))) {
-  SPADEN_REQUIRE(l1->sector_bytes() == l2->sector_bytes(),
-                 "L1/L2 sector sizes differ (%u vs %u)", l1->sector_bytes(),
-                 l2->sector_bytes());
+MemoryController::MemoryController(SectorCache* l1, SectorCache* l2, KernelStats* stats,
+                                   SharedL2* shared)
+    : l1_(l1), l2_(l2), shared_l2_(shared), stats_(stats), sector_bytes_(l1->sector_bytes()),
+      sector_shift_(static_cast<std::uint32_t>(std::countr_zero(l1->sector_bytes()))) {
+  SPADEN_REQUIRE((l2 == nullptr) != (shared == nullptr),
+                 "memory controller needs exactly one L2 (private or shared)");
+  const std::uint32_t l2_sector = l2 != nullptr ? l2->sector_bytes() : shared->sector_bytes();
+  SPADEN_REQUIRE(l1->sector_bytes() == l2_sector, "L1/L2 sector sizes differ (%u vs %u)",
+                 l1->sector_bytes(), l2_sector);
 }
 
 void MemoryController::touch_sector(std::uint64_t sector, bool is_store) {
@@ -121,11 +124,11 @@ void MemoryController::access(const std::array<std::uint64_t, kWarpSize>& addrs,
 
   // Coalesce: one probe per unique sector, charged in bulk afterwards.
   // Every sector to be probed is already in buf, so prefetch the simulated
-  // L2's tag/stamp sets a few entries ahead of the probe cursor: on big-L2
-  // devices those arrays are tens of MB and scattered probes (one distinct
-  // sector per lane, e.g. CSR row walks) miss the host cache on nearly
-  // every set. Prefetching duplicates or L1-hitting sectors is wasted but
-  // harmless; classification is untouched either way.
+  // L2's tag sets and recency words a few entries ahead of the probe
+  // cursor: on big-L2 devices the tag array is 16 MB and scattered probes
+  // (one distinct sector per lane, e.g. CSR row walks) miss the host cache
+  // on nearly every set. Prefetching duplicates or L1-hitting sectors is
+  // wasted but harmless; classification is untouched either way.
   constexpr std::size_t kPrefetchAhead = 6;
   const std::size_t warmup = n < kPrefetchAhead ? n : kPrefetchAhead;
   for (std::size_t i = 0; i < warmup; ++i) {

@@ -39,16 +39,13 @@ class MemoryController {
  public:
   static constexpr int kWarpSize = 32;
 
-  /// Both caches must share one sector size (it defines the sector-id
-  /// space all classification below happens in).
-  MemoryController(SectorCache* l1, SectorCache* l2, KernelStats* stats);
-
-  void set_stats(KernelStats* stats) { stats_ = stats; }
-
-  /// Route L2 probes to a shared set-sharded L2 instead of this
-  /// controller's private L2 (null = private; the private cache still
-  /// defines the sector geometry). Opt-in via Device::set_shared_l2.
-  void set_shared_l2(SharedL2* shared) { shared_l2_ = shared; }
+  /// The L2 is exactly one of `l2` (a private cache: the flat L2 of a T=1
+  /// device, or one virtual SM's capacity slice) and `shared` (the striped
+  /// L2 all virtual SMs probe at T>1). Every cache must share the L1's
+  /// sector size (it defines the sector-id space all classification below
+  /// happens in).
+  MemoryController(SectorCache* l1, SectorCache* l2, KernelStats* stats,
+                   SharedL2* shared = nullptr);
 
   /// Classify accesses against a halo window (null = everything local, the
   /// single-device fast path — no extra work in the probe loops).
@@ -74,8 +71,8 @@ class MemoryController {
   void touch_sector(std::uint64_t sector_addr, bool is_store);
 
   SectorCache* l1_;
-  SectorCache* l2_;
-  SharedL2* shared_l2_ = nullptr;
+  SectorCache* l2_;       ///< private L2, or null when shared_l2_ is the L2
+  SharedL2* shared_l2_;   ///< striped shared L2, or null when l2_ is the L2
   const RemoteWindow* remote_ = nullptr;
   KernelStats* stats_;
   std::uint32_t sector_bytes_;

@@ -23,11 +23,7 @@ int default_sim_threads() {
 void Device::set_sim_threads(int threads) {
   SPADEN_REQUIRE(threads >= 1 && threads <= 256, "sim thread count %d out of [1, 256]",
                  threads);
-  if (threads != threads_) {
-    threads_ = threads;
-    sms_.clear();   // rebuilt lazily with the new L2 slice size
-    pool_.reset();  // rebuilt lazily with the new worker count
-  }
+  threads_ = threads;  // caches and pool follow at the next launch
 }
 
 bool default_sancheck() {
@@ -52,20 +48,30 @@ bool default_engine_shared_l2() {
   return default_engine_sched().policy != SchedPolicy::Serial;
 }
 
-SharedL2* Device::ensure_shared_l2() {
-  if (shared_l2_ == nullptr) {
-    // Stripes only matter for lock disjointness, so build the cache flat
-    // (one stripe, one contiguous tag array — much friendlier to the host
-    // memory system) when this device simulates on a single thread.
-    // Classification is stripe-count-invariant; the count is decided once,
-    // at the first launch that needs the cache, so warmed state survives
-    // later launches. A device switched to T>1 after warming a flat cache
-    // stays correct — every thread then contends on the single stripe lock.
-    const std::uint64_t max_stripes = threads_ == 1 ? 1 : SharedL2::kMaxStripes;
-    shared_l2_ = std::make_unique<SharedL2>(spec_.l2_capacity_bytes, spec_.l2_ways,
-                                            spec_.sector_bytes, max_stripes);
+void Device::ensure_caches() {
+  const bool shared = threads_ > 1 && shared_l2_on_;
+  const auto count = static_cast<std::size_t>(threads_);
+  if (sms_.size() == count && (shared_l2_ != nullptr) == shared) {
+    return;
   }
-  return shared_l2_.get();
+  sms_.clear();
+  shared_l2_.reset();
+  if (shared) {
+    shared_l2_ = std::make_unique<SharedL2>(spec_.l2_capacity_bytes, spec_.l2_ways,
+                                            spec_.sector_bytes);
+  }
+  sms_.reserve(count);
+  for (std::size_t t = 0; t < count; ++t) {
+    sms_.emplace_back(spec_, threads_, /*private_l2=*/!shared);
+  }
+}
+
+std::size_t Device::cache_host_bytes() const {
+  std::size_t total = shared_l2_ != nullptr ? shared_l2_->host_bytes() : 0;
+  for (const VirtualSm& sm : sms_) {
+    total += sm.l1.host_bytes() + (sm.l2 != nullptr ? sm.l2->host_bytes() : 0);
+  }
+  return total;
 }
 
 std::vector<std::uint64_t> Device::partition_bounds(std::string_view name,
@@ -125,17 +131,6 @@ void Device::report_findings(const SanitizerReport& report) {
 void Device::ensure_pool() {
   if (pool_ == nullptr || pool_->workers() != threads_) {
     pool_ = std::make_unique<SimThreadPool>(threads_);
-  }
-}
-
-void Device::ensure_sms() {
-  if (sms_.size() == static_cast<std::size_t>(threads_)) {
-    return;
-  }
-  sms_.clear();
-  sms_.reserve(static_cast<std::size_t>(threads_));
-  for (int t = 0; t < threads_; ++t) {
-    sms_.push_back(std::make_unique<VirtualSm>(spec_, threads_));
   }
 }
 

@@ -9,35 +9,41 @@
 // Execution is parallelized across host threads by modeling what real
 // hardware does: the warp grid is partitioned into contiguous chunks
 // ("virtual SMs"), each running on its own std::thread with a private L1
-// model, a private slice of the L2 model, a private MemoryController and
-// private KernelStats. Per-thread stats are merged after the join, so
-// estimate_time sees the same aggregate counters either way. The thread
-// count comes from SPADEN_SIM_THREADS (default: hardware_concurrency);
-// threads=1 runs the original serial path bit-for-bit — one persistent L1/L2
-// pair in grid order, exactly the pre-parallel launcher.
+// model, a private MemoryController and private KernelStats. Per-thread
+// stats are merged after the join, so estimate_time sees the same aggregate
+// counters either way. The thread count comes from SPADEN_SIM_THREADS
+// (default: hardware_concurrency); threads=1 runs the serial launcher: one
+// virtual SM, warps in grid order.
 //
-// Fidelity notes (documented limitations, see docs/performance_model.md):
-//  * By default warps run to completion in grid order within a chunk rather
-//    than the hardware's interleaved schedule, which gives the cache models
-//    mildly optimistic temporal locality. The warp scheduler
-//    (gpusim/sched, set_sched / SPADEN_SIM_SCHED / --sched) closes this:
-//    `rr` and `gto` interleave an occupancy-limited window of resident
-//    warps per virtual SM on stackful fibers, deterministic at a fixed
-//    thread count, and additionally model issue/latency cycles so stalls
-//    nothing could cover feed estimate_time's t_stall term. `serial` (the
-//    raw-Device default; the engine defaults to rr + shared L2 since the
-//    recalibration) is the classic launcher bit-for-bit.
-//  * With T>1 threads the L2 is modeled as T private capacity slices of
-//    size capacity/T rather than one shared array (the deterministic
-//    alternative to a shared locked cache, whose hit pattern would depend
-//    on thread interleaving). Counters are deterministic at a fixed T but
-//    drift slightly from the serial launcher's; threads=1 reproduces the
-//    serial counters exactly. The opt-in shared set-sharded L2
-//    (set_shared_l2 / SPADEN_SIM_SHARED_L2 / --shared-l2) instead models
-//    one L2 shared by every virtual SM behind striped locks: cross-SM
-//    reuse of x becomes visible to the model at the price of run-to-run
-//    counter wobble at T>1 (numerics stay exact; at T=1 it matches the
-//    monolithic cache bit-for-bit).
+// Cache models: each virtual SM owns an L1 of the full per-SM capacity, and
+// the device holds exactly one L2 model. Both are built at the first launch
+// for the current thread count T and shared_l2 setting, persist (warm)
+// across launches, and are rebuilt cold by the next launch after a setting
+// change that alters their shape:
+//  * T=1: one flat SectorCache of the full L2 capacity, for either shared_l2
+//    setting — a single thread has nobody to share with, and the striped
+//    shared cache classifies bit-for-bit like the flat one.
+//  * T>1, shared_l2 off (the raw-Device default): T private capacity slices
+//    of size capacity/T, one per virtual SM — the deterministic alternative
+//    to a shared locked cache, whose hit pattern would depend on thread
+//    interleaving. Counters are deterministic at a fixed T but drift
+//    slightly from T=1's.
+//  * T>1, shared_l2 on (set_shared_l2 / SPADEN_SIM_SHARED_L2 / --shared-l2;
+//    the engine default): one SharedL2 striped over locks and probed by
+//    every virtual SM. Cross-SM reuse of x becomes visible to the model at
+//    the price of run-to-run counter wobble (numerics stay exact).
+//
+// Fidelity note (documented limitation, see docs/performance_model.md): by
+// default warps run to completion in grid order within a chunk rather than
+// the hardware's interleaved schedule, which gives the cache models mildly
+// optimistic temporal locality. The warp scheduler (gpusim/sched,
+// set_sched / SPADEN_SIM_SCHED / --sched) closes this: `rr` and `gto`
+// interleave an occupancy-limited window of resident warps per virtual SM
+// on stackful fibers, deterministic at a fixed thread count, and
+// additionally model issue/latency cycles so stalls nothing could cover
+// feed estimate_time's t_stall term. `serial` (the raw-Device default; the
+// engine defaults to rr + shared L2 since the recalibration) is the classic
+// launcher bit-for-bit.
 #pragma once
 
 #include <algorithm>
@@ -125,12 +131,7 @@ struct LaunchResult {
 class Device {
  public:
   explicit Device(DeviceSpec spec)
-      : spec_(std::move(spec)),
-        ilv_spec_(spec_),
-        l1_(spec_.l1_capacity_bytes, spec_.l1_ways, spec_.sector_bytes),
-        l2_(spec_.l2_capacity_bytes, spec_.l2_ways, spec_.sector_bytes),
-        controller_(&l1_, &l2_, &scratch_stats_),
-        threads_(default_sim_threads()) {
+      : spec_(std::move(spec)), ilv_spec_(spec_), threads_(default_sim_threads()) {
     ilv_spec_.lsu_wavefronts_per_cycle = spec_.lsu_wavefronts_per_cycle_ilv;
     ilv_spec_.cuda_issue_efficiency = spec_.cuda_issue_efficiency_ilv;
   }
@@ -165,7 +166,8 @@ class Device {
   /// Opt-in shared set-sharded L2: one L2 shared by all virtual SMs behind
   /// striped locks, replacing the per-SM capacity slices. Models cross-SM
   /// reuse of x faithfully; counters may wobble run-to-run at T>1 while
-  /// numerics stay exact (see docs/performance_model.md).
+  /// numerics stay exact (see docs/performance_model.md). No effect at
+  /// T=1, where one flat L2 serves both settings.
   [[nodiscard]] bool shared_l2() const { return shared_l2_on_; }
   void set_shared_l2(bool enabled) { shared_l2_on_ = enabled; }
 
@@ -279,16 +281,21 @@ class Device {
 
   /// Drop cache contents (cold-cache experiments).
   void flush_caches() {
-    l1_.flush();
-    l2_.flush();
-    for (auto& sm : sms_) {
-      sm->l1.flush();
-      sm->l2.flush();
+    for (VirtualSm& sm : sms_) {
+      sm.l1.flush();
+      if (sm.l2 != nullptr) {
+        sm.l2->flush();
+      }
     }
     if (shared_l2_ != nullptr) {
       shared_l2_->flush();
     }
   }
+
+  /// Host memory held by the cache models (tag arrays and recency words of
+  /// every virtual SM's L1 and of the one L2 model). Zero before the first
+  /// launch, which is when the models are built.
+  [[nodiscard]] std::size_t cache_host_bytes() const;
 
   /// Run `kernel(ctx, warp_id)` for warp_id in [0, num_warps).
   template <typename Kernel>
@@ -332,16 +339,13 @@ class Device {
     if (sched_.policy != SchedPolicy::Serial && sched_pool_.size() != n) {
       sched_pool_.resize(n);
     }
-    SharedL2* shared = shared_l2_on_ ? ensure_shared_l2() : nullptr;
-    if (shared != nullptr) {
-      shared->set_concurrent(n > 1);  // T=1: stripe locking is pure overhead
-    }
+    ensure_caches();
     if (threads_ <= 1) {
       run_serial(num_warps, kernel, result.stats, sanitize_ ? &shards[0] : nullptr,
-                 profile_ ? &pshards[0] : nullptr, shared);
+                 profile_ ? &pshards[0] : nullptr);
     } else {
       run_parallel(result.kernel_name, num_warps, kernel, result.stats,
-                   sanitize_ ? &shards : nullptr, profile_ ? &pshards : nullptr, shared);
+                   sanitize_ ? &shards : nullptr, profile_ ? &pshards : nullptr);
     }
     if (sanitize_) {
       result.sanitizer = sanitize_analyze(result.kernel_name, shards, memory_.registry());
@@ -368,22 +372,28 @@ class Device {
 
  private:
   /// One virtual SM: the private cache state of one worker thread. The L1
-  /// has the full per-SM capacity; the L2 slice holds 1/T of the device L2.
-  /// Both persist across launches (same warm-up semantics as the serial
-  /// launcher's member caches).
+  /// has the full per-SM capacity; the private L2 holds 1/T of the device
+  /// L2 (all of it at T=1) and is absent when the striped SharedL2 serves
+  /// every SM. Both persist across launches.
   struct VirtualSm {
-    VirtualSm(const DeviceSpec& spec, int num_sms)
-        : l1(spec.l1_capacity_bytes, spec.l1_ways, spec.sector_bytes),
-          l2(spec.l2_capacity_bytes / static_cast<std::uint64_t>(num_sms), spec.l2_ways,
-             spec.sector_bytes) {}
+    VirtualSm(const DeviceSpec& spec, int num_sms, bool private_l2)
+        : l1(spec.l1_capacity_bytes, spec.l1_ways, spec.sector_bytes) {
+      if (private_l2) {
+        l2 = std::make_unique<SectorCache>(
+            spec.l2_capacity_bytes / static_cast<std::uint64_t>(num_sms), spec.l2_ways,
+            spec.sector_bytes);
+      }
+    }
     SectorCache l1;
-    SectorCache l2;
+    std::unique_ptr<SectorCache> l2;  ///< null when shared_l2_ is the L2
   };
 
-  void ensure_sms();
+  /// Build the virtual SMs' caches and the one L2 model for the current
+  /// (threads_, shared_l2_on_) shape, unless they already have it. A shape
+  /// change frees the old model before building the new one, so a device
+  /// never holds two L2 models at once.
+  void ensure_caches();
   void ensure_pool();
-  /// Build (lazily) and return the shared L2 model.
-  SharedL2* ensure_shared_l2();
   /// Per-SM warp-range boundaries (t_count + 1 entries) for the configured
   /// partition: contiguous equal-count chunks, or contiguous chunks whose
   /// boundaries equalize the per-warp weight prefix sums (NnzBalanced).
@@ -450,11 +460,11 @@ class Device {
 
   template <typename Kernel>
   void run_serial(std::uint64_t num_warps, Kernel& kernel, KernelStats& stats,
-                  SanShard* shard, ProfShard* pshard, SharedL2* shared) {
-    controller_.set_stats(&stats);
-    controller_.set_shared_l2(shared);
-    controller_.set_remote_window(remote_on_ ? &remote_window_ : nullptr);
-    WarpCtx ctx(&controller_, &stats);
+                  SanShard* shard, ProfShard* pshard) {
+    VirtualSm& sm = sms_[0];
+    MemoryController mc(&sm.l1, sm.l2.get(), &stats);
+    mc.set_remote_window(remote_on_ ? &remote_window_ : nullptr);
+    WarpCtx ctx(&mc, &stats);
     ctx.set_sanitizer(shard);
     ctx.set_profiler(pshard);
     if (pshard != nullptr) {
@@ -464,16 +474,12 @@ class Device {
     if (pshard != nullptr) {
       pshard->finish();
     }
-    controller_.set_stats(&scratch_stats_);
-    controller_.set_shared_l2(nullptr);
-    controller_.set_remote_window(nullptr);
   }
 
   template <typename Kernel>
   void run_parallel(std::string_view name, std::uint64_t num_warps, Kernel& kernel,
                     KernelStats& stats, std::vector<SanShard>* shards,
-                    std::vector<ProfShard>* pshards, SharedL2* shared) {
-    ensure_sms();
+                    std::vector<ProfShard>* pshards) {
     ensure_pool();
     const auto t_count = static_cast<std::uint64_t>(threads_);
     const bool stripe = partition_ == WarpPartition::RoundRobinStripe;
@@ -482,13 +488,13 @@ class Device {
     const RemoteWindow* remote = remote_on_ ? &remote_window_ : nullptr;
     std::vector<KernelStats> local_stats(t_count);
     std::vector<std::exception_ptr> errors(t_count);
+    SharedL2* shared = shared_l2_.get();
     pool_->run([this, &bounds, &kernel, &local_stats, &errors, shards, pshards, shared,
                 remote, stripe, t_count, num_warps](int worker) {
       const auto t = static_cast<std::uint64_t>(worker);
       try {
-        VirtualSm& sm = *sms_[t];
-        MemoryController mc(&sm.l1, &sm.l2, &local_stats[t]);
-        mc.set_shared_l2(shared);
+        VirtualSm& sm = sms_[t];
+        MemoryController mc(&sm.l1, sm.l2.get(), &local_stats[t], shared);
         mc.set_remote_window(remote);
         WarpCtx ctx(&mc, &local_stats[t]);
         SanShard* shard = shards != nullptr ? &(*shards)[t] : nullptr;
@@ -530,14 +536,13 @@ class Device {
   DeviceSpec spec_;
   DeviceSpec ilv_spec_;  ///< spec_ with the interleaved issue constants (timing_spec())
   DeviceMemory memory_;
-  SectorCache l1_;
-  SectorCache l2_;
-  KernelStats scratch_stats_;  // sink when no launch is active
-  MemoryController controller_;
   int threads_ = 1;
   SchedConfig sched_ = default_sched();
   bool shared_l2_on_ = default_shared_l2();
-  std::unique_ptr<SharedL2> shared_l2_;  // lazily built when enabled
+  /// Cache models (ensure_caches): one VirtualSm per simulation thread, and
+  /// the striped shared L2 only at T>1 with shared_l2_on_.
+  std::vector<VirtualSm> sms_;
+  std::unique_ptr<SharedL2> shared_l2_;
   WarpPartition partition_ = WarpPartition::NnzBalanced;
   std::vector<std::uint64_t> warp_weights_;
   /// Launch-name-keyed weight sets (set_launch_warp_weights); linear scan —
@@ -554,8 +559,7 @@ class Device {
   std::vector<LaunchRecord> launch_log_;
   std::uint64_t batch_id_ = 0;          ///< current tag (see set_batch_id)
   std::uint64_t batch_id_counter_ = 0;  ///< alloc_batch_id source
-  std::vector<std::unique_ptr<VirtualSm>> sms_;    // lazily sized to threads_
-  std::unique_ptr<SimThreadPool> pool_;            // lazily sized to threads_
+  std::unique_ptr<SimThreadPool> pool_;  // lazily sized to threads_
   /// Pooled per-launch scratch (reset, not reallocated, between launches):
   /// one fiber scheduler per virtual SM and the sanitizer/profiler shard
   /// vectors. Sized in launch() before any worker runs.

@@ -52,4 +52,12 @@ std::uint64_t SharedL2::misses() const {
   return total;
 }
 
+std::size_t SharedL2::host_bytes() const {
+  std::size_t total = 0;
+  for (const auto& stripe : stripes_) {
+    total += stripe->cache.host_bytes();
+  }
+  return total;
+}
+
 }  // namespace spaden::sim

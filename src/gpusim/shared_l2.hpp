@@ -1,24 +1,26 @@
-// Opt-in shared, set-sharded L2 model for the parallel launcher.
+// Shared, set-sharded L2 model for the parallel launcher.
 //
-// The default parallel launcher gives each virtual SM a private L2 capacity
-// slice (capacity/T) so counters are deterministic. This class instead
-// models the hardware's ONE L2 shared by all SMs: the sector address space
-// is striped over N = 2^k shards, each shard owning every N-th sector with
-// its own lock and its own SectorCache of capacity/N — the banked-L2
-// analogue of a striped hash map.
+// With shared_l2 off the parallel launcher gives each virtual SM a private
+// L2 capacity slice (capacity/T) so counters are deterministic. This class
+// instead models the hardware's ONE L2 shared by all SMs at T>1 (a T=1
+// device needs no sharing: it probes one flat SectorCache, which classifies
+// identically). The sector address space is striped over N = 2^k shards,
+// each shard owning every N-th sector with its own lock and its own
+// SectorCache of capacity/N — the banked-L2 analogue of a striped hash map.
 //
 // Exactness: SectorCache's set index is the low bits of the sector number,
 // so striping by sector modulo a power of two is a *partition of the
 // monolithic cache's sets*. Every sector lands in the same set contents it
-// would in one big cache, and LRU stamps are only ever compared within one
-// set, so per-stripe clocks change nothing. A single-threaded pass through
-// the sharded cache therefore classifies every access bit-for-bit like the
-// monolithic SectorCache (tested). With several simulation threads the
-// interleaving at each stripe follows the host schedule — hit/miss counters
-// then wobble run-to-run, exactly like profiling real shared caches, while
-// kernel numerics stay exact (see docs/performance_model.md).
+// would in one big cache, and LRU order is per set, so splitting the sets
+// over stripes changes nothing. A single-threaded pass through the sharded
+// cache therefore classifies every access bit-for-bit like the monolithic
+// SectorCache (tested). With several simulation threads the interleaving at
+// each stripe follows the host schedule — hit/miss counters then wobble
+// run-to-run, exactly like profiling real shared caches, while kernel
+// numerics stay exact (see docs/performance_model.md).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -35,13 +37,9 @@ class SharedL2 {
 
   /// `max_stripes` (rounded down to a power of two, clamped to [1,
   /// kMaxStripes]) bounds the shard count. Striping exists purely so
-  /// concurrent simulation threads lock disjoint shards; a device that runs
-  /// one simulation thread should pass 1: classification is identical at any
-  /// stripe count (see above), but a single stripe keeps the tag/stamp
-  /// arrays in one contiguous allocation, which the host hardware
-  /// prefetcher and TLB handle several times faster than 64 scattered ones
-  /// (~2.4x per probe on DRAM-resident tag arrays). The count is fixed for
-  /// the cache's lifetime — warmed state never migrates between layouts.
+  /// concurrent simulation threads lock disjoint shards; classification is
+  /// identical at any stripe count (see above). The count is fixed for the
+  /// cache's lifetime — warmed state never migrates between layouts.
   SharedL2(std::uint64_t capacity_bytes, int ways, std::uint32_t sector_bytes,
            std::uint64_t max_stripes = kMaxStripes);
 
@@ -57,9 +55,6 @@ class SharedL2 {
     // removed, so its set index equals the high bits of the monolithic set
     // index and its tags still distinguish all sectors the stripe owns.
     const std::uint64_t line = sector >> stripe_shift_;
-    if (!concurrent_) {
-      return stripe.cache.access_line(line);
-    }
     const std::lock_guard<std::mutex> lock(stripe.mu);
     return stripe.cache.access_line(line);
   }
@@ -71,13 +66,6 @@ class SharedL2 {
     stripes_[sector & stripe_mask_]->cache.prefetch_line(sector >> stripe_shift_);
   }
 
-  /// Concurrency mode. A launch driven by one simulation thread probes the
-  /// stripes from that thread alone, making stripe locking pure overhead
-  /// (an uncontended mutex round trip per L2 probe); Device::launch turns
-  /// locking off for T=1 launches and back on for parallel ones. Has no
-  /// effect on classification — only on synchronization.
-  void set_concurrent(bool on) { concurrent_ = on; }
-
   /// Drop all cached state (cold-cache experiments). Not thread-safe.
   void flush();
 
@@ -86,6 +74,8 @@ class SharedL2 {
   /// Aggregate probe counters; call only while no launch is in flight.
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
+  /// Host memory held by the stripes' tag arrays and recency words.
+  [[nodiscard]] std::size_t host_bytes() const;
 
  private:
   struct Stripe {
@@ -98,7 +88,6 @@ class SharedL2 {
   std::uint32_t sector_bytes_;
   std::uint64_t stripe_mask_ = 0;
   int stripe_shift_ = 0;
-  bool concurrent_ = true;
   std::vector<std::unique_ptr<Stripe>> stripes_;
 };
 

@@ -189,7 +189,15 @@ GroupResult ShardedSpmv::multiply(const std::vector<float>& x, std::vector<float
   GroupResult result;
   result.shards = shards_;
   result.launches.reserve(static_cast<std::size_t>(n));
-  const bool x_current = x_generation != 0 && x_generation == x_cache_gen_;
+  // Same upload-skip rule as SpmvEngine::multiply: the tag must match AND x
+  // must equal the cached host copy (every non-empty shard holds all of x).
+  bool x_current = x_generation != 0 && x_generation == x_cache_gen_;
+  for (std::size_t i = 0; x_current && i < kernels_.size(); ++i) {
+    if (kernels_[i] != nullptr) {
+      x_current = std::as_const(x_cache_[i]).host() == x;
+      break;
+    }
+  }
   const std::uint32_t sector_bytes = group_->spec().sector_bytes;
   const std::uint64_t sectors = x_sector_count(ncols_, sector_bytes);
   int critical = -1;

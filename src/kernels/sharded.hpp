@@ -109,7 +109,7 @@ class ShardedSpmv {
   /// y = A*x across the group; y is resized to nrows and is the
   /// concatenation of the per-shard outputs. `x_generation` follows
   /// SpmvEngine::multiply: a nonzero tag matching the previous call skips
-  /// the per-device x uploads.
+  /// the per-device x uploads when x also equals the cached copy.
   GroupResult multiply(const std::vector<float>& x, std::vector<float>& y,
                        std::uint64_t x_generation = 0);
 

@@ -59,7 +59,9 @@ void SpmvServer::dispatch(std::vector<Request> reqs, double trigger_seconds,
   std::vector<std::vector<float>> ys;
   if (width == 1) {
     // Singleton fallback: the plain SpMV path, with the request id as the
-    // x-generation tag so an identical re-multiply skips the upload.
+    // x-generation tag so an identical re-multiply skips the upload. Ids
+    // are only unique per server, so the engine also compares x itself
+    // before it trusts the tag.
     std::vector<float> y;
     result = engine.multiply(reqs.front().x, y, reqs.front().id + 1);
     ys.push_back(std::move(y));

@@ -4,6 +4,8 @@
 #include "common/error.hpp"
 
 #include <cmath>
+#include <cstdlib>
+#include <string>
 
 #include "analysis/experiment.hpp"
 #include "matrix/generate.hpp"
@@ -50,12 +52,34 @@ TEST(RunMethod, GflopsConsistentWithModeledTime) {
               2.0 * static_cast<double>(a.nnz()) / run.modeled_seconds / 1e9, 1e-9);
 }
 
+/// run_method builds its device from the environment's thread count.
+MethodRun run_at_threads(int threads, const mat::Csr& a) {
+  const char* old = std::getenv("SPADEN_SIM_THREADS");
+  const std::string saved = old != nullptr ? old : "";
+  setenv("SPADEN_SIM_THREADS", std::to_string(threads).c_str(), 1);
+  MethodRun run = run_method(sim::l40(), kern::Method::CusparseBsr, a, "m");
+  if (old != nullptr) {
+    setenv("SPADEN_SIM_THREADS", saved.c_str(), 1);
+  } else {
+    unsetenv("SPADEN_SIM_THREADS");
+  }
+  return run;
+}
+
 TEST(RunMethod, DeterministicModeledNumbers) {
+  // The determinism contract: y and work counters are equal at any thread
+  // count; modeled time is equal run to run at T=1 (at T>1 the default
+  // shared L2's hit counters follow the host schedule).
   const mat::Csr a = mat::Csr::from_coo(mat::random_uniform(150, 150, 2500, 14));
-  const MethodRun r1 = run_method(sim::l40(), kern::Method::CusparseBsr, a, "m");
-  const MethodRun r2 = run_method(sim::l40(), kern::Method::CusparseBsr, a, "m");
-  EXPECT_EQ(r1.gflops, r2.gflops);
-  EXPECT_EQ(r1.stats.wavefronts, r2.stats.wavefronts);
+  const MethodRun serial1 = run_at_threads(1, a);
+  const MethodRun serial2 = run_at_threads(1, a);
+  const MethodRun threaded = run_at_threads(4, a);
+  EXPECT_EQ(serial1.gflops, serial2.gflops);
+  EXPECT_EQ(serial1.stats.wavefronts, serial2.stats.wavefronts);
+  EXPECT_EQ(serial1.stats.wavefronts, threaded.stats.wavefronts);
+  // y itself stays inside run_method; its error against the fp64 reference
+  // is a function of y alone, so equal y gives bit-equal errors.
+  EXPECT_EQ(serial1.verify_max_err, threaded.verify_max_err);
 }
 
 }  // namespace

@@ -188,6 +188,57 @@ TEST(ParallelLaunch, WorkerExceptionPropagates) {
                spaden::Error);
 }
 
+// ----- cache-model host footprint -------------------------------------------
+
+/// One trivial warp: enough to make the device build its cache models.
+void launch_once(Device& device) {
+  (void)device.launch("touch", 1, [](WarpCtx&, std::uint64_t) {});
+}
+
+const DeviceSpec kL40 = l40();
+const std::size_t kL40L1Bytes =
+    SectorCache(kL40.l1_capacity_bytes, kL40.l1_ways, kL40.sector_bytes).host_bytes();
+const std::size_t kL40L2Bytes =
+    SectorCache(kL40.l2_capacity_bytes, kL40.l2_ways, kL40.sector_bytes).host_bytes();
+
+TEST(CacheFootprint, L40L2ModelCosts17MiB) {
+  // 2^17 sets x 16 ways x (8-byte tag + half a byte of recency word).
+  EXPECT_EQ(kL40L2Bytes, std::size_t{17} << 20);
+}
+
+TEST(CacheFootprint, SerialDeviceHoldsOneL2UnderEitherSharedSetting) {
+  // At T=1 one flat L2 serves both shared_l2 settings, built at the first
+  // launch; nothing is allocated before it.
+  for (const bool shared : {false, true}) {
+    Device device(l40());
+    device.set_sim_threads(1);
+    device.set_shared_l2(shared);
+    EXPECT_EQ(device.cache_host_bytes(), 0u);
+    launch_once(device);
+    EXPECT_EQ(device.cache_host_bytes(), kL40L1Bytes + kL40L2Bytes) << "shared_l2=" << shared;
+    EXPECT_LE(static_cast<double>(kL40L2Bytes), 17.1 * 1024 * 1024);
+    device.set_shared_l2(!shared);  // same shape at T=1: the warm cache stays
+    launch_once(device);
+    EXPECT_EQ(device.cache_host_bytes(), kL40L1Bytes + kL40L2Bytes);
+  }
+}
+
+TEST(CacheFootprint, ParallelDeviceBuildsSlicesOrSharedNeverBoth) {
+  // At T>1 the L2 is either T capacity slices or one striped shared cache;
+  // both partition the same sets, and switching frees the old model.
+  Device device(l40());
+  device.set_sim_threads(4);
+  for (const bool shared : {false, true, false}) {
+    device.set_shared_l2(shared);
+    launch_once(device);
+    EXPECT_EQ(device.cache_host_bytes(), 4 * kL40L1Bytes + kL40L2Bytes)
+        << "shared_l2=" << shared;
+  }
+  device.set_sim_threads(1);
+  launch_once(device);
+  EXPECT_EQ(device.cache_host_bytes(), kL40L1Bytes + kL40L2Bytes);
+}
+
 TEST(ParallelLaunch, ThreadCountValidation) {
   Device device(l40());
   EXPECT_THROW(device.set_sim_threads(0), spaden::Error);

@@ -376,5 +376,30 @@ TEST(Device, MultiLaunchKernelsKeyWeightsByLaunchName) {
   EXPECT_TRUE(device.launch_warp_weights("dasp_zero").empty());
 }
 
+TEST(EngineFootprint, BuildsOnlyTheDevicesItLaunchesOn) {
+  // A 1-device engine holds one L1 and one L2 model; a 4-device engine
+  // holds exactly four of each — no spare device beside its group.
+  const mat::Csr a = test_matrix(1024, 1024, 16'000, 41);
+  const sim::DeviceSpec spec = sim::l40();
+  const std::size_t l1 =
+      sim::SectorCache(spec.l1_capacity_bytes, spec.l1_ways, spec.sector_bytes).host_bytes();
+  const std::size_t l2 =
+      sim::SectorCache(spec.l2_capacity_bytes, spec.l2_ways, spec.sector_bytes).host_bytes();
+  const std::vector<float> x(a.ncols, 0.5f);
+  std::vector<float> y;
+  for (const int devices : {1, 4}) {
+    EngineOptions opts;
+    opts.method = kern::Method::CusparseCsr;
+    opts.num_devices = devices;
+    opts.sim_threads = 1;
+    SpmvEngine engine(a, opts);
+    EXPECT_EQ(engine.sim_host_bytes(), 0u) << devices << " devices";  // built on launch
+    (void)engine.multiply(x, y);
+    EXPECT_EQ(engine.num_devices(), devices);
+    EXPECT_EQ(engine.sim_host_bytes(), static_cast<std::size_t>(devices) * (l1 + l2))
+        << devices << " devices";
+  }
+}
+
 }  // namespace
 }  // namespace spaden

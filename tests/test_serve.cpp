@@ -260,6 +260,56 @@ TEST(ServeEngineHooks, MatchingXGenerationSkipsUpload) {
   EXPECT_EQ(upload_spans(), 2);
 }
 
+TEST(ServeEngineHooks, MatchingXGenerationWithNewXUploads) {
+  // The tag is the caller's promise, not proof: a matching generation with
+  // different contents must upload, or the multiply would use stale x.
+  EngineOptions opts = serve::pinned_engine_options();
+  opts.telemetry = true;
+  SpmvEngine engine(small_matrix(64, 512, 8), opts);
+  const std::vector<float> x1 = random_x(64, 41);
+  const std::vector<float> x2 = random_x(64, 42);
+  std::vector<float> y;
+  std::vector<float> expect;
+  (void)engine.multiply(x1, y, /*x_generation=*/7);
+  (void)engine.multiply(x2, y, /*x_generation=*/7);
+  int uploads = 0;
+  for (const SpanRecord& s : engine.telemetry()->spans()) {
+    uploads += s.name == "upload" ? 1 : 0;
+  }
+  EXPECT_EQ(uploads, 2);
+  (void)engine.multiply(x2, expect);
+  EXPECT_EQ(std::memcmp(y.data(), expect.data(), y.size() * sizeof(float)), 0);
+}
+
+TEST(ServeServer, ServersSharingARegistryNeverReuseAStaleX) {
+  // Request ids restart at 0 in every server, so two servers on one
+  // registry both tag their singleton multiply with generation 1. The
+  // second server's request carries a different x and must get its own y.
+  serve::MatrixRegistry reg;
+  const serve::Handle h = reg.add("a", small_matrix(64, 512, 10));
+  const auto serve_one = [&](const std::vector<float>& x) {
+    serve::SpmvServer server(reg);
+    serve::Request req;
+    req.id = 0;
+    req.handle = h;
+    req.x = x;
+    server.submit(std::move(req));
+    return server.drain().results.at(0).y;
+  };
+  const std::vector<float> x1 = random_x(64, 60);
+  const std::vector<float> x2 = random_x(64, 61);
+  const std::vector<float> y1 = serve_one(x1);
+  const std::vector<float> y2 = serve_one(x2);
+  std::vector<float> expect1;
+  std::vector<float> expect2;
+  (void)reg.acquire(h).multiply(x1, expect1);
+  (void)reg.acquire(h).multiply(x2, expect2);
+  ASSERT_EQ(y2.size(), expect2.size());
+  EXPECT_EQ(std::memcmp(y1.data(), expect1.data(), y1.size() * sizeof(float)), 0);
+  EXPECT_EQ(std::memcmp(y2.data(), expect2.data(), y2.size() * sizeof(float)), 0);
+  EXPECT_NE(y1, y2);
+}
+
 TEST(ServeEngineHooks, BatchIdsNestLaunchesUnderBatchSpans) {
   EngineOptions opts = serve::pinned_engine_options();
   opts.telemetry = true;
