@@ -126,7 +126,8 @@ class SpmvEngine {
 
   /// Batched multiply against the one prepared matrix: ys[i] = A*xs[i] for k
   /// right-hand sides in a single fused launch where the method supports it
-  /// (Spaden's strided multi-RHS SpMM; other methods run per-column).
+  /// (Spaden's strided multi-RHS SpMM, the CSR/BSR column grid; the other
+  /// methods run per-column).
   /// Per-request outputs are bit-identical to k sequential multiply() calls.
   /// The returned result aggregates the whole batch (modeled seconds of the
   /// fused launch, gflops counting 2*nnz*k useful flops).

@@ -86,6 +86,19 @@ void KernelStats::to_json(JsonWriter& w) const {
   w.end_object();
 }
 
+TimeBreakdown& TimeBreakdown::operator+=(const TimeBreakdown& o) {
+  t_dram += o.t_dram;
+  t_l2 += o.t_l2;
+  t_lsu += o.t_lsu;
+  t_cuda += o.t_cuda;
+  t_tc += o.t_tc;
+  t_launch += o.t_launch;
+  t_stall += o.t_stall;
+  t_comm += o.t_comm;
+  total += o.total;
+  return *this;
+}
+
 void TimeBreakdown::to_json(JsonWriter& w) const {
   w.begin_object();
   w.field("t_dram", t_dram);

@@ -127,6 +127,10 @@ struct TimeBreakdown {
                         ///< compute could not cover; additive like t_stall)
   double total = 0;     ///< t_launch + max(throughput terms) + t_stall + t_comm
 
+  /// Field-wise sum: the cost of running two launches back to back, each
+  /// paying its own breakdown in full (every term, t_launch included).
+  TimeBreakdown& operator+=(const TimeBreakdown& o);
+
   /// Name of the binding resource ("dram", "l2", "lsu", "cuda", "tc",
   /// "stall", "comm", "launch").
   [[nodiscard]] const char* bound_by() const;

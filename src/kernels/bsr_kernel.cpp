@@ -4,7 +4,9 @@
 // block elements (fully coalesced — the property the paper's Fig. 8
 // discussion credits for BSR beating CSR Warp16) and multiplies them with
 // the matching x values. Zeros inside a block are loaded and multiplied
-// like any other element — the redundant traffic bitBSR eliminates.
+// like any other element — the redundant traffic bitBSR eliminates. A
+// batch runs the same warp body over a k-column grid in one launch
+// (run_multi).
 #include "kernels/formats_device.hpp"
 #include "kernels/internal.hpp"
 
@@ -23,15 +25,37 @@ class BsrKernel final : public SpmvKernel {
 
   sim::LaunchResult run(sim::Device& device, sim::DSpan<const float> x,
                         sim::DSpan<float> y) override {
-    SPADEN_REQUIRE(x.size == ncols_ && y.size == nrows_, "x/y size mismatch");
+    return launch(device, x, y, 1);
+  }
+
+  /// One fused launch over the k-column grid (launch_column_grid).
+  sim::LaunchResult run_multi(sim::Device& device, sim::DSpan<const float> xs,
+                              sim::DSpan<float> ys, mat::Index k) override {
+    device.set_batch_id(device.alloc_batch_id());
+    return launch(device, xs, ys, k);
+  }
+
+  [[nodiscard]] san::FormatReport check_format() const override {
+    return bsr_.check(nrows_, ncols_);
+  }
+
+  [[nodiscard]] Footprint footprint() const override {
+    Footprint fp;
+    bsr_.add_footprint(fp);
+    return fp;
+  }
+
+ private:
+  sim::LaunchResult launch(sim::Device& device, sim::DSpan<const float> xs,
+                           sim::DSpan<float> ys, mat::Index columns) {
     const auto block_row_ptr = bsr_.block_row_ptr.cspan();
     const auto block_col = bsr_.block_col.cspan();
     const auto val = bsr_.val.cspan();
     const mat::Index nrows = nrows_;
     const mat::Index ncols = ncols_;
-    const mat::Index brows = bsr_.brows;
 
-    return device.launch("bsrmv", brows, [&](sim::WarpCtx& ctx, std::uint64_t w) {
+    const auto body = [&](sim::WarpCtx& ctx, std::uint64_t w, sim::DSpan<const float> x,
+                          sim::DSpan<float> y) {
       const auto br = static_cast<mat::Index>(w);
       const mat::Index begin = ctx.scalar_load(block_row_ptr, br);
       const mat::Index end = ctx.scalar_load(block_row_ptr, br + 1);
@@ -100,20 +124,11 @@ class BsrKernel final : public SpmvKernel {
         }
       }
       ctx.scatter(y, yidx, acc, store_mask);
-    });
+    };
+    return launch_column_grid(device, "bsrmv", bsr_.brows, xs, ys, columns, ncols_,
+                              nrows_, body);
   }
 
-  [[nodiscard]] san::FormatReport check_format() const override {
-    return bsr_.check(nrows_, ncols_);
-  }
-
-  [[nodiscard]] Footprint footprint() const override {
-    Footprint fp;
-    bsr_.add_footprint(fp);
-    return fp;
-  }
-
- private:
   DeviceBsr bsr_;
 };
 

@@ -4,9 +4,11 @@
 // smallest power of two covering the average row length (cuSPARSE's classic
 // heuristic). Loads of col_idx/val are coalesced across the sub-warp; the
 // per-row partial sums are combined with a log2(v)-round butterfly
-// reduction. Preprocessing mirrors cuSPARSE's cusparseSpMV_bufferSize: a
-// row-statistics pass plus a partition workspace allocation (the paper's
-// Fig. 10 charges cuSPARSE CSR for exactly this buffer).
+// reduction. A batch runs the same warp body over a k-column grid in one
+// launch (run_multi). Preprocessing mirrors cuSPARSE's
+// cusparseSpMV_bufferSize: a row-statistics pass plus a partition workspace
+// allocation (the paper's Fig. 10 charges cuSPARSE CSR for exactly this
+// buffer).
 #include "kernels/formats_device.hpp"
 #include "kernels/internal.hpp"
 
@@ -61,7 +63,33 @@ class CsrVectorKernel final : public SpmvKernel {
 
   sim::LaunchResult run(sim::Device& device, sim::DSpan<const float> x,
                         sim::DSpan<float> y) override {
-    SPADEN_REQUIRE(x.size == ncols_ && y.size == nrows_, "x/y size mismatch");
+    return launch(device, x, y, 1);
+  }
+
+  /// One fused launch over the k-column grid (launch_column_grid). Its
+  /// k * W warps no longer match the W balancing weights installed at
+  /// prepare, so at T > 1 the device splits the grid into equal contiguous
+  /// chunks instead.
+  sim::LaunchResult run_multi(sim::Device& device, sim::DSpan<const float> xs,
+                              sim::DSpan<float> ys, mat::Index k) override {
+    device.set_batch_id(device.alloc_batch_id());
+    return launch(device, xs, ys, k);
+  }
+
+  [[nodiscard]] san::FormatReport check_format() const override {
+    return csr_.check(nrows_, ncols_);
+  }
+
+  [[nodiscard]] Footprint footprint() const override {
+    Footprint fp;
+    csr_.add_footprint(fp);
+    fp.add("csr.workspace", workspace_.bytes());
+    return fp;
+  }
+
+ private:
+  sim::LaunchResult launch(sim::Device& device, sim::DSpan<const float> xs,
+                           sim::DSpan<float> ys, mat::Index columns) {
     const auto row_ptr = csr_.row_ptr.cspan();
     const auto col_idx = csr_.col_idx.cspan();
     const auto val = csr_.val.cspan();
@@ -70,8 +98,8 @@ class CsrVectorKernel final : public SpmvKernel {
     const unsigned rows_per_warp = sim::kWarpSize / v;
 
     const std::uint64_t warps = (nrows + rows_per_warp - 1) / rows_per_warp;
-    return device.launch("csr_vector", warps, [&, v, rows_per_warp](sim::WarpCtx& ctx,
-                                                                    std::uint64_t w) {
+    const auto body = [&, v, rows_per_warp](sim::WarpCtx& ctx, std::uint64_t w,
+                                            sim::DSpan<const float> x, sim::DSpan<float> y) {
       sim::Lanes<std::uint32_t> rows{};
       std::uint32_t row_mask = 0;  // lanes whose sub-warp has a valid row
       for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
@@ -150,21 +178,11 @@ class CsrVectorKernel final : public SpmvKernel {
       }
       ctx.scatter(y, rows, acc, store_mask);
       ctx.range_pop();
-    });
+    };
+    return launch_column_grid(device, "csr_vector", warps, xs, ys, columns, ncols_, nrows_,
+                              body);
   }
 
-  [[nodiscard]] san::FormatReport check_format() const override {
-    return csr_.check(nrows_, ncols_);
-  }
-
-  [[nodiscard]] Footprint footprint() const override {
-    Footprint fp;
-    csr_.add_footprint(fp);
-    fp.add("csr.workspace", workspace_.bytes());
-    return fp;
-  }
-
- private:
   DeviceCsr csr_;
   sim::Buffer<std::uint32_t> workspace_;
   unsigned vector_width_ = 32;

@@ -6,6 +6,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
+#include "kernels/internal.hpp"
 
 namespace spaden::kern {
 
@@ -78,12 +79,17 @@ void SpmvKernel::prepare(sim::Device& device, const mat::Csr& a) {
   prep_seconds_ = timer.seconds();
 }
 
+void require_column_stack(std::size_t xs_size, std::size_t ys_size, mat::Index k,
+                          mat::Index ncols, mat::Index nrows) {
+  SPADEN_REQUIRE(k >= 1, "run_multi needs at least one right-hand side");
+  SPADEN_REQUIRE(xs_size == static_cast<std::size_t>(k) * ncols &&
+                     ys_size == static_cast<std::size_t>(k) * nrows,
+                 "xs/ys size mismatch for k=%u", k);
+}
+
 sim::LaunchResult SpmvKernel::run_multi(sim::Device& device, sim::DSpan<const float> xs,
                                         sim::DSpan<float> ys, mat::Index k) {
-  SPADEN_REQUIRE(k >= 1, "run_multi needs at least one right-hand side");
-  SPADEN_REQUIRE(xs.size == static_cast<std::size_t>(k) * ncols_ &&
-                     ys.size == static_cast<std::size_t>(k) * nrows_,
-                 "xs/ys size mismatch for k=%u", k);
+  require_column_stack(xs.size, ys.size, k, ncols_, nrows_);
   sim::LaunchResult agg;
   for (mat::Index c = 0; c < k; ++c) {
     // Each column is its own logical multiply; a fresh batch id keeps its
@@ -100,14 +106,7 @@ sim::LaunchResult SpmvKernel::run_multi(sim::Device& device, sim::DSpan<const fl
     // Sequential launches: the batch pays every per-launch breakdown in
     // full, so the aggregate is the component-wise sum (unlike a merged
     // estimate_time call, which would count t_launch once).
-    agg.time.t_dram += r.time.t_dram;
-    agg.time.t_l2 += r.time.t_l2;
-    agg.time.t_lsu += r.time.t_lsu;
-    agg.time.t_cuda += r.time.t_cuda;
-    agg.time.t_tc += r.time.t_tc;
-    agg.time.t_launch += r.time.t_launch;
-    agg.time.t_stall += r.time.t_stall;
-    agg.time.total += r.time.total;
+    agg.time += r.time;
   }
   return agg;
 }
@@ -116,6 +115,11 @@ san::FormatReport SpmvKernel::check_format() const {
   san::FormatReport report;
   report.format = "(no uploaded sparse format)";
   return report;
+}
+
+bool uses_half_values(Method m) {
+  return m == Method::Spaden || m == Method::SpadenNoTc || m == Method::SpadenConventional ||
+         m == Method::SpadenUnpaired || m == Method::SpadenWide || m == Method::Dasp;
 }
 
 double spmv_tolerance(const mat::Csr& a, bool half_precision_values) {
@@ -147,13 +151,8 @@ VerifyResult verify_kernel(SpmvKernel& kernel, sim::Device& device, const mat::C
   auto y_buf = device.memory().alloc<float>(a.nrows, "verify.y");
   (void)kernel.run(device, x_buf.cspan(), y_buf.span());
 
-  const bool half_values =
-      kernel.method() == Method::Spaden || kernel.method() == Method::SpadenNoTc ||
-      kernel.method() == Method::SpadenConventional ||
-      kernel.method() == Method::SpadenUnpaired ||
-      kernel.method() == Method::SpadenWide || kernel.method() == Method::Dasp;
   VerifyResult result;
-  result.tolerance = spmv_tolerance(a, half_values);
+  result.tolerance = spmv_tolerance(a, uses_half_values(kernel.method()));
   for (mat::Index r = 0; r < a.nrows; ++r) {
     const double err = std::abs(static_cast<double>(y_buf.host()[r]) - y_ref[r]);
     result.max_abs_err = std::max(result.max_abs_err, err);

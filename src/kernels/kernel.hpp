@@ -97,11 +97,14 @@ class SpmvKernel {
   /// `xs` holds k right-hand sides stored contiguously column-major (RHS c
   /// occupies [c*ncols, (c+1)*ncols)) and `ys` the k outputs likewise.
   /// Overwrites ys. Contract: per-RHS results are bit-identical to k
-  /// sequential run() calls. The base implementation runs the kernel once
-  /// per column (trivially bit-identical; modeled time is the sum of the
-  /// per-column launches, each paying its own t_launch) and tags each
-  /// column's launches with a fresh batch id. Methods with a genuinely
-  /// fused multi-RHS kernel (Spaden's strided SpMM) override it.
+  /// sequential run() calls. Every method the serve registry can pick
+  /// serves a batch in one launch tagged with one batch id: Spaden runs
+  /// its strided tensor-core SpMM, cuSPARSE CSR and BSR run their SpMV
+  /// warp body over a k-column grid (internal.hpp: launch_column_grid).
+  /// The base implementation, kept by the other (figure-only) baselines,
+  /// runs the kernel once per column: trivially bit-identical, each column
+  /// its own batch id, modeled time the sum of the per-column launches,
+  /// each paying its own t_launch.
   [[nodiscard]] virtual sim::LaunchResult run_multi(sim::Device& device,
                                                    sim::DSpan<const float> xs,
                                                    sim::DSpan<float> ys, mat::Index k);
@@ -147,6 +150,10 @@ struct VerifyResult {
 
 VerifyResult verify_kernel(SpmvKernel& kernel, sim::Device& device, const mat::Csr& a,
                            std::uint64_t x_seed = 42);
+
+/// Whether the method stores matrix values in binary16 (the
+/// half_precision_values argument of spmv_tolerance).
+[[nodiscard]] bool uses_half_values(Method m);
 
 /// Mixed-precision error tolerance for a matrix: half-precision methods
 /// accumulate in fp32 from binary16 inputs, so the bound scales with the

@@ -248,10 +248,7 @@ class SpadenKernel final : public SpmvKernel {
     if (variant_ != SpadenVariant::TensorCore) {
       return SpmvKernel::run_multi(device, xs, ys, k);
     }
-    SPADEN_REQUIRE(k >= 1, "run_multi needs at least one right-hand side");
-    SPADEN_REQUIRE(xs.size == static_cast<std::size_t>(k) * ncols_ &&
-                       ys.size == static_cast<std::size_t>(k) * nrows_,
-                   "xs/ys size mismatch for k=%u", k);
+    require_column_stack(xs.size, ys.size, k, ncols_, nrows_);
     device.set_batch_id(device.alloc_batch_id());
     return spmm_spaden_strided(device, bitbsr_, decode_cache_.get(), xs, ys, k, nrows_,
                                ncols_);

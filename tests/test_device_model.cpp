@@ -109,6 +109,37 @@ TEST(TimingModel, UninitializedSpecRejected) {
   EXPECT_THROW(estimate_time(DeviceSpec{}, KernelStats{}), spaden::Error);
 }
 
+TEST(TimingModel, BreakdownSumAddsEveryField) {
+  // Back-to-back launches each pay their breakdown in full. A new field
+  // must join operator+= (and this test): the size check catches it.
+  static_assert(sizeof(TimeBreakdown) == 9 * sizeof(double));
+  const auto filled = [](double base) {
+    TimeBreakdown t;
+    t.t_dram = base * 1;
+    t.t_l2 = base * 2;
+    t.t_lsu = base * 4;
+    t.t_cuda = base * 8;
+    t.t_tc = base * 16;
+    t.t_launch = base * 32;
+    t.t_stall = base * 64;
+    t.t_comm = base * 128;
+    t.total = base * 256;
+    return t;
+  };
+  TimeBreakdown sum = filled(1.0);
+  sum += filled(2.0);
+  const TimeBreakdown expect = filled(3.0);
+  EXPECT_EQ(sum.t_dram, expect.t_dram);
+  EXPECT_EQ(sum.t_l2, expect.t_l2);
+  EXPECT_EQ(sum.t_lsu, expect.t_lsu);
+  EXPECT_EQ(sum.t_cuda, expect.t_cuda);
+  EXPECT_EQ(sum.t_tc, expect.t_tc);
+  EXPECT_EQ(sum.t_launch, expect.t_launch);
+  EXPECT_EQ(sum.t_stall, expect.t_stall);
+  EXPECT_EQ(sum.t_comm, expect.t_comm);
+  EXPECT_EQ(sum.total, expect.total);
+}
+
 TEST(LaunchResult, GflopsMetric) {
   // 2*nnz flops over the modeled time (the paper's throughput metric).
   LaunchResult r;

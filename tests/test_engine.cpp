@@ -1,10 +1,16 @@
 // Public SpmvEngine API: auto method selection (paper §5.1), multiply,
-// preprocessing records.
+// preprocessing records, degenerate shapes through multiply and
+// multiply_batch.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/bitops.hpp"
+#include "common/rng.hpp"
 #include "core/spaden.hpp"
 #include "matrix/dataset.hpp"
 #include "matrix/generate.hpp"
@@ -96,6 +102,81 @@ TEST(Engine, MoveSemantics) {
   std::vector<float> x(a.ncols, 1.0f);
   std::vector<float> y;
   EXPECT_NO_THROW((void)moved.multiply(x, y));
+}
+
+mat::Csr dense_matrix(mat::Index nrows, mat::Index ncols) {
+  mat::Coo coo;
+  coo.nrows = nrows;
+  coo.ncols = ncols;
+  for (mat::Index r = 0; r < nrows; ++r) {
+    for (mat::Index c = 0; c < ncols; ++c) {
+      coo.row.push_back(r);
+      coo.col.push_back(c);
+      coo.val.push_back(0.5f + 0.25f * static_cast<float>((r + c) % 3));
+    }
+  }
+  return mat::Csr::from_coo(coo);
+}
+
+TEST(EngineEdges, DegenerateShapesThroughMultiplyAndBatch) {
+  // Every method, through both the single and the batched path (the fused
+  // CSR/BSR column grid, Spaden's strided SpMM, the per-column base loop),
+  // on empty and one-row shapes plus one ordinary matrix. Sancheck runs
+  // throughout: the batched launches write k disjoint y slices, so any
+  // finding is a real race or out-of-bounds access.
+  const std::pair<const char*, mat::Csr> shapes[] = {
+      {"0x5", dense_matrix(0, 5)},
+      {"5x0", dense_matrix(5, 0)},
+      {"0x0", dense_matrix(0, 0)},
+      {"1x1 dense", dense_matrix(1, 1)},
+      {"3x300 dense", dense_matrix(3, 300)},
+      {"96x96 random", mat::Csr::from_coo(mat::random_uniform(96, 96, 1200, 13))},
+  };
+  for (const kern::Method m : kern::all_methods()) {
+    for (const auto& [shape, a] : shapes) {
+      const double tolerance = kern::spmv_tolerance(a, kern::uses_half_values(m));
+      for (const mat::Index k : {mat::Index{1}, mat::Index{3}}) {
+        SCOPED_TRACE(std::string(kern::method_name(m)) + " " + shape + " k=" +
+                     std::to_string(k));
+        std::vector<std::vector<float>> xs(k, std::vector<float>(a.ncols));
+        Rng rng(k);
+        for (std::vector<float>& x : xs) {
+          for (float& v : x) {
+            v = rng.next_float(-1.0f, 1.0f);
+          }
+        }
+        const auto expect_close = [&](const std::vector<float>& y,
+                                      const std::vector<float>& x) {
+          ASSERT_EQ(y.size(), a.nrows);
+          const std::vector<double> ref = mat::spmv_reference(a, x);
+          for (mat::Index r = 0; r < a.nrows; ++r) {
+            EXPECT_NEAR(y[r], ref[r], tolerance) << "row " << r;
+          }
+        };
+        EngineOptions opts;
+        opts.method = m;
+        opts.sanitize = true;
+        SpmvEngine engine(a, opts);
+        for (const std::vector<float>& x : xs) {
+          std::vector<float> y;
+          SpmvResult r;
+          ASSERT_NO_THROW(r = engine.multiply(x, y));
+          EXPECT_TRUE(r.sanitizer.enabled);
+          EXPECT_EQ(r.sanitizer.total(), 0U);
+          expect_close(y, x);
+        }
+        std::vector<std::vector<float>> ys;
+        SpmvResult batch;
+        ASSERT_NO_THROW(batch = engine.multiply_batch(xs, ys));
+        EXPECT_TRUE(batch.sanitizer.enabled);
+        EXPECT_EQ(batch.sanitizer.total(), 0U) << batch.sanitizer.summary();
+        ASSERT_EQ(ys.size(), xs.size());
+        for (mat::Index c = 0; c < k; ++c) {
+          expect_close(ys[c], xs[c]);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include "common/error.hpp"
 
 #include <cctype>
+#include <cstring>
+#include <utility>
 
 #include "kernels/internal.hpp"
 #include "kernels/kernel.hpp"
@@ -136,6 +138,44 @@ TEST(Kernels, RunRejectsWrongVectorSizes) {
     auto bad_x = device.memory().alloc<float>(63);
     auto y = device.memory().alloc<float>(64);
     EXPECT_THROW((void)kernel->run(device, bad_x.cspan(), y.span()), spaden::Error)
+        << method_name(m);
+  }
+}
+
+TEST(Kernels, RunMultiAtOneColumnIsRun) {
+  // run_multi(k=1) is the same launch as run(): same y bytes, counters and
+  // modeled breakdown. Spaden is the exception on purpose: its batch path
+  // is the strided tensor-core SpMM, a different kernel. Each side runs on
+  // its own fresh single-threaded device, so both launches see the same
+  // cold caches and atomic kernels (Gunrock) add in one fixed order.
+  const mat::Csr a = mat::Csr::from_coo(mat::random_uniform(300, 300, 4000, 12));
+  std::vector<float> x(a.ncols);
+  for (mat::Index c = 0; c < a.ncols; ++c) {
+    x[c] = static_cast<float>(c % 7) * 0.25f - 0.75f;
+  }
+  for (const Method m : all_methods()) {
+    if (m == Method::Spaden) {
+      continue;
+    }
+    const auto launch = [&](bool multi) {
+      sim::Device device(sim::l40());
+      device.set_sim_threads(1);
+      auto kernel = make_kernel(m);
+      kernel->prepare(device, a);
+      auto xb = device.memory().upload(x);
+      auto yb = device.memory().alloc<float>(a.nrows);
+      const sim::LaunchResult r = multi ? kernel->run_multi(device, xb.cspan(), yb.span(), 1)
+                                        : kernel->run(device, xb.cspan(), yb.span());
+      return std::make_pair(r, yb.host());
+    };
+    const auto [single, y_single] = launch(false);
+    const auto [multi, y_multi] = launch(true);
+    ASSERT_EQ(y_multi.size(), y_single.size());
+    EXPECT_EQ(std::memcmp(y_multi.data(), y_single.data(), y_single.size() * sizeof(float)), 0)
+        << method_name(m);
+    EXPECT_EQ(multi.kernel_name, single.kernel_name) << method_name(m);
+    EXPECT_EQ(multi.stats, single.stats) << method_name(m);
+    EXPECT_EQ(std::memcmp(&multi.time, &single.time, sizeof(sim::TimeBreakdown)), 0)
         << method_name(m);
   }
 }

@@ -4,12 +4,14 @@
 // SpmvEngine::multiply calls (across every kernel method), and replay
 // exports byte-identical across simulator thread counts and scheduler
 // policies — plus the engine-level hooks serving rides on (x upload-skip,
-// batch-id span nesting).
+// batch-id span nesting, one-launch CSR/BSR batches).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/recommend.hpp"
@@ -155,33 +157,62 @@ TEST(ServeServer, SingletonFallsBackToSpmv) {
 
 // ------------------------------------------------------------ bit-exactness
 
+// Batched results of `opts`'s method on `a`, demuxed, against one
+// sequential multiply per column on the same engine.
+void expect_demux_bit_exact(const mat::Csr& a, const EngineOptions& opts,
+                            const std::vector<std::vector<float>>& xs) {
+  const std::string_view name = kern::method_name(*opts.method);
+  SpmvEngine engine(a, opts);
+  std::vector<std::vector<float>> sequential(xs.size());
+  for (std::size_t c = 0; c < xs.size(); ++c) {
+    (void)engine.multiply(xs[c], sequential[c]);
+  }
+  std::vector<std::vector<float>> batched;
+  (void)engine.multiply_batch(xs, batched);
+
+  ASSERT_EQ(batched.size(), sequential.size());
+  for (std::size_t c = 0; c < xs.size(); ++c) {
+    ASSERT_EQ(batched[c].size(), sequential[c].size()) << name;
+    EXPECT_EQ(std::memcmp(batched[c].data(), sequential[c].data(),
+                          batched[c].size() * sizeof(float)),
+              0)
+        << "batched column " << c << " diverges from sequential multiply for method "
+        << name;
+  }
+}
+
 TEST(ServeBatch, DemuxBitExactAcrossAllMethods) {
   const mat::Csr a = small_matrix(96, 1200, 6);
-  constexpr mat::Index kWidth = 5;
   std::vector<std::vector<float>> xs;
-  for (mat::Index c = 0; c < kWidth; ++c) {
+  for (std::uint64_t c = 0; c < 5; ++c) {
     xs.push_back(random_x(96, 30 + c));
   }
   for (const kern::Method m : kern::all_methods()) {
     EngineOptions opts = serve::pinned_engine_options();
     opts.method = m;
-    SpmvEngine engine(a, opts);
+    expect_demux_bit_exact(a, opts, xs);
+  }
+}
 
-    std::vector<std::vector<float>> sequential(kWidth);
-    for (mat::Index c = 0; c < kWidth; ++c) {
-      (void)engine.multiply(xs[c], sequential[c]);
-    }
-    std::vector<std::vector<float>> batched;
-    (void)engine.multiply_batch(xs, batched);
-
-    ASSERT_EQ(batched.size(), sequential.size());
-    for (mat::Index c = 0; c < kWidth; ++c) {
-      ASSERT_EQ(batched[c].size(), sequential[c].size()) << kern::method_name(m);
-      EXPECT_EQ(std::memcmp(batched[c].data(), sequential[c].data(),
-                            batched[c].size() * sizeof(float)),
-                0)
-          << "batched column " << c << " diverges from sequential multiply for method "
-          << kern::method_name(m);
+TEST(ServeBatch, ColumnGridDemuxBitExactAtFourSimThreads) {
+  // The fused CSR/BSR column grid spreads each column's warps over four
+  // virtual SMs sharing one L2; every warp still does exactly its column's
+  // SpMV arithmetic, so the demux stays bit-exact under either interleaving
+  // scheduler.
+  const mat::Csr a = small_matrix(96, 1200, 7);
+  std::vector<std::vector<float>> xs;
+  for (std::uint64_t c = 0; c < 4; ++c) {
+    xs.push_back(random_x(96, 40 + c));
+  }
+  for (const sim::SchedPolicy policy : {sim::SchedPolicy::RoundRobin, sim::SchedPolicy::Gto}) {
+    for (const kern::Method m : {kern::Method::CusparseCsr, kern::Method::CusparseBsr}) {
+      EngineOptions opts = serve::pinned_engine_options();
+      opts.method = m;
+      opts.sim_threads = 4;
+      opts.sched = sim::SchedConfig{policy, 0};
+      opts.shared_l2 = true;
+      SCOPED_TRACE(sim::sched_policy_name(policy));
+      expect_demux_bit_exact(a, opts, xs);
     }
   }
 }
@@ -313,7 +344,7 @@ TEST(ServeServer, ServersSharingARegistryNeverReuseAStaleX) {
 TEST(ServeEngineHooks, BatchIdsNestLaunchesUnderBatchSpans) {
   EngineOptions opts = serve::pinned_engine_options();
   opts.telemetry = true;
-  opts.method = kern::Method::CusparseCsr;  // base run_multi: one launch/column
+  opts.method = kern::Method::CsrScalar;  // base run_multi: one launch/column
   SpmvEngine engine(small_matrix(64, 512, 9), opts);
   std::vector<std::vector<float>> xs = {random_x(64, 50), random_x(64, 51),
                                         random_x(64, 52)};
@@ -348,6 +379,58 @@ TEST(ServeEngineHooks, BatchIdsNestLaunchesUnderBatchSpans) {
         s.parent >= 0 && is_batch_span[static_cast<std::size_t>(s.parent)] ? 1 : 0;
   }
   EXPECT_EQ(launches_in_batches, 3);
+}
+
+TEST(ServeEngineHooks, CsrAndBsrServeABatchInOneLaunch) {
+  const mat::Csr a = small_matrix(64, 512, 9);
+  const std::vector<std::vector<float>> xs = {random_x(64, 50), random_x(64, 51),
+                                              random_x(64, 52)};
+  const std::pair<kern::Method, const char*> cases[] = {
+      {kern::Method::CusparseCsr, "csr_vector"}, {kern::Method::CusparseBsr, "bsrmv"}};
+  for (const auto& [method, kernel_name] : cases) {
+    SCOPED_TRACE(kernel_name);
+    EngineOptions opts = serve::pinned_engine_options();
+    opts.method = method;
+    SpmvEngine sequential(a, opts);
+    double sequential_seconds = 0;
+    SpmvResult single;
+    std::vector<float> y;
+    for (const std::vector<float>& x : xs) {
+      single = sequential.multiply(x, y);
+      sequential_seconds += single.modeled_seconds;
+    }
+
+    opts.telemetry = true;
+    SpmvEngine batched(a, opts);
+    std::vector<std::vector<float>> ys;
+    const SpmvResult batch = batched.multiply_batch(xs, ys);
+    EXPECT_EQ(batch.stats.warps_launched, 3 * single.stats.warps_launched);
+    EXPECT_LT(batch.modeled_seconds, sequential_seconds);
+
+    // One batch id: the launch nests straight under the multiply_batch
+    // span, with no per-column "batch" wrappers.
+    const std::vector<SpanRecord>& spans = batched.telemetry()->spans();
+    int batch_span = -1;
+    int batch_spans = 0;
+    int wrappers = 0;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      if (spans[i].name == "multiply_batch") {
+        batch_span = static_cast<int>(i);
+        ++batch_spans;
+      }
+      wrappers += spans[i].name == "batch" ? 1 : 0;
+    }
+    EXPECT_EQ(batch_spans, 1);
+    EXPECT_EQ(wrappers, 0);
+    int launches = 0;
+    for (const SpanRecord& s : spans) {
+      if (s.name == kernel_name) {
+        ++launches;
+        EXPECT_EQ(s.parent, batch_span);
+      }
+    }
+    EXPECT_EQ(launches, 1);
+  }
 }
 
 }  // namespace
