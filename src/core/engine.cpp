@@ -1,6 +1,6 @@
 #include "core/spaden.hpp"
 
-#include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/error.hpp"
@@ -261,19 +261,13 @@ SpmvResult SpmvEngine::multiply_batch(const std::vector<const std::vector<float>
     impl_->verified = true;
   }
   ScopedSpan upload_span(tel, "upload");
-  // Column-major stack: RHS c occupies [c*ncols, (c+1)*ncols) — the layout
-  // run_multi demultiplexes back into contiguous per-request outputs.
-  const std::size_t ncols = impl_->matrix.ncols;
-  const std::size_t nrows = impl_->matrix.nrows;
-  std::vector<float> x_stack(static_cast<std::size_t>(k) * ncols);
-  for (std::size_t c = 0; c < xs.size(); ++c) {
-    std::copy(xs[c]->begin(), xs[c]->end(),
-              x_stack.begin() + static_cast<std::ptrdiff_t>(c * ncols));
-  }
-  auto x_buf = device.memory().upload(x_stack, "batch.x");
+  const mat::Index ncols = impl_->matrix.ncols;
+  const mat::Index nrows = impl_->matrix.nrows;
+  auto x_buf = device.memory().upload(
+      kern::pack_column_stack(k, ncols, [&](mat::Index c, mat::Index i) { return (*xs[c])[i]; }),
+      "batch.x");
   upload_span.close();
-  auto y_buf =
-      device.memory().alloc<float>(static_cast<std::size_t>(k) * nrows, "batch.y");
+  auto y_buf = device.memory().alloc<float>(k * kern::column_stride(nrows), "batch.y");
   device.clear_sanitizer_log();
   device.clear_profile_log();
   if (tel != nullptr) {
@@ -286,11 +280,10 @@ SpmvResult SpmvEngine::multiply_batch(const std::vector<const std::vector<float>
     tel->record_launches(device.launch_log(), profiles.empty() ? nullptr : &profiles);
   }
   ScopedSpan download_span(tel, "download");
-  const std::vector<float>& y_host = y_buf.host();
   ys.resize(xs.size());
-  for (std::size_t c = 0; c < xs.size(); ++c) {
-    ys[c].assign(y_host.begin() + static_cast<std::ptrdiff_t>(c * nrows),
-                 y_host.begin() + static_cast<std::ptrdiff_t>((c + 1) * nrows));
+  for (mat::Index c = 0; c < k; ++c) {
+    const std::span<const float> y = kern::stack_column(y_buf.host(), nrows, c);
+    ys[c].assign(y.begin(), y.end());
   }
   download_span.close();
 

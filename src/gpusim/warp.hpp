@@ -12,6 +12,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <utility>
 
 #include "common/error.hpp"
 #include "gpusim/controller.hpp"
@@ -123,12 +124,39 @@ class WarpCtx {
         sizes[l] = sizeof(T);
       }
     }
-    mc_->access(addrs, sizes, mask, /*is_store=*/false);
-    charge(OpClass::IntAlu, static_cast<std::uint64_t>(std::popcount(mask)));  // address computation
-    if (san_ != nullptr) {
-      record_lanes(SanAccess::Load, addrs, sizes, mask);
+    issue_lanes(SanAccess::Load, addrs, sizes, mask);
+    return out;
+  }
+
+  /// Paired gather, the simulator's ld.global.v2: lane i loads elements
+  /// idx[i] and idx[i] + 1 as one access of 2 * sizeof(T) bytes, which must
+  /// be aligned to its size (an odd index into an aligned span is not).
+  /// One warp memory instruction — charged, sanitizer-recorded and yielded
+  /// exactly like gather — so a warp reading 8-float segments pays one
+  /// wavefront per segment sector instead of two instructions' worth.
+  /// Returns the idx[i] elements in .first and the idx[i] + 1 elements in
+  /// .second; inactive lanes return T{}.
+  template <typename T>
+  std::pair<Lanes<T>, Lanes<T>> gather2(DSpan<const T> src, const Lanes<std::uint32_t>& idx,
+                                        std::uint32_t mask = kFullMask) {
+    std::array<std::uint64_t, kWarpSize> addrs{};
+    std::array<std::uint32_t, kWarpSize> sizes{};
+    std::pair<Lanes<T>, Lanes<T>> out{};
+    for (int lane = 0; lane < kWarpSize; ++lane) {
+      const auto l = static_cast<std::size_t>(lane);
+      if ((mask >> lane) & 1u) {
+        SPADEN_ASSERT(std::size_t{idx[l]} + 1 < src.size,
+                      "gather2 lane %d out of bounds: %u + 1 >= %zu", lane, idx[l], src.size);
+        addrs[l] = src.addr_of(idx[l]);
+        SPADEN_ASSERT(addrs[l] % (2 * sizeof(T)) == 0,
+                      "gather2 lane %d misaligned: element %u at 0x%llx is not %zu-byte aligned",
+                      lane, idx[l], static_cast<unsigned long long>(addrs[l]), 2 * sizeof(T));
+        out.first[l] = src.data[idx[l]];
+        out.second[l] = src.data[idx[l] + 1];
+        sizes[l] = 2 * sizeof(T);
+      }
     }
-    maybe_yield();
+    issue_lanes(SanAccess::Load, addrs, sizes, mask);
     return out;
   }
 
@@ -148,12 +176,7 @@ class WarpCtx {
         sizes[l] = sizeof(T);
       }
     }
-    mc_->access(addrs, sizes, mask, /*is_store=*/true);
-    charge(OpClass::IntAlu, static_cast<std::uint64_t>(std::popcount(mask)));
-    if (san_ != nullptr) {
-      record_lanes(SanAccess::Store, addrs, sizes, mask);
-    }
-    maybe_yield();
+    issue_lanes(SanAccess::Store, addrs, sizes, mask);
   }
 
   /// Broadcast scalar load: one lane loads, the value is shuffled to all
@@ -305,6 +328,19 @@ class WarpCtx {
   }
 
  private:
+  /// Issue one gather/scatter-style warp memory instruction: classify its
+  /// lane accesses, charge the per-lane address computation, record it for
+  /// the sanitizer, then yield.
+  void issue_lanes(SanAccess kind, const std::array<std::uint64_t, kWarpSize>& addrs,
+                   const std::array<std::uint32_t, kWarpSize>& sizes, std::uint32_t mask) {
+    mc_->access(addrs, sizes, mask, /*is_store=*/kind == SanAccess::Store);
+    charge(OpClass::IntAlu, active_lanes(mask));  // address computation
+    if (san_ != nullptr) {
+      record_lanes(kind, addrs, sizes, mask);
+    }
+    maybe_yield();
+  }
+
   /// Feed one warp memory instruction's active-lane ranges to the sanitizer.
   void record_lanes(SanAccess kind, const std::array<std::uint64_t, kWarpSize>& addrs,
                     const std::array<std::uint32_t, kWarpSize>& sizes, std::uint32_t mask) {

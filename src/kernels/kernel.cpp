@@ -79,25 +79,27 @@ void SpmvKernel::prepare(sim::Device& device, const mat::Csr& a) {
   prep_seconds_ = timer.seconds();
 }
 
-void require_column_stack(std::size_t xs_size, std::size_t ys_size, mat::Index k,
-                          mat::Index ncols, mat::Index nrows) {
+ColumnStrides require_column_stack(std::size_t xs_size, std::size_t ys_size, mat::Index k,
+                                   mat::Index ncols, mat::Index nrows) {
   SPADEN_REQUIRE(k >= 1, "run_multi needs at least one right-hand side");
-  SPADEN_REQUIRE(xs_size == static_cast<std::size_t>(k) * ncols &&
-                     ys_size == static_cast<std::size_t>(k) * nrows,
-                 "xs/ys size mismatch for k=%u", k);
+  const ColumnStrides stride{xs_size / k, ys_size / k};
+  SPADEN_REQUIRE(xs_size % k == 0 && ys_size % k == 0 && stride.x >= ncols &&
+                     stride.y >= nrows,
+                 "xs/ys sizes %zu/%zu are not k=%u columns of at least %u/%u entries",
+                 xs_size, ys_size, k, ncols, nrows);
+  return stride;
 }
 
 sim::LaunchResult SpmvKernel::run_multi(sim::Device& device, sim::DSpan<const float> xs,
                                         sim::DSpan<float> ys, mat::Index k) {
-  require_column_stack(xs.size, ys.size, k, ncols_, nrows_);
+  const ColumnStrides stride = require_column_stack(xs.size, ys.size, k, ncols_, nrows_);
   sim::LaunchResult agg;
   for (mat::Index c = 0; c < k; ++c) {
     // Each column is its own logical multiply; a fresh batch id keeps its
     // launches grouped in the telemetry launch log.
     device.set_batch_id(device.alloc_batch_id());
     const sim::LaunchResult r =
-        run(device, xs.subspan(static_cast<std::size_t>(c) * ncols_, ncols_),
-            ys.subspan(static_cast<std::size_t>(c) * nrows_, nrows_));
+        run(device, xs.subspan(c * stride.x, ncols_), ys.subspan(c * stride.y, nrows_));
     if (c == 0) {
       agg.kernel_name = r.kernel_name;
     }

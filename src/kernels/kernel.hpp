@@ -26,7 +26,9 @@
 // returns the measured counters and modeled time for one y = A*x.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -94,10 +96,15 @@ class SpmvKernel {
                                               sim::DSpan<float> y) = 0;
 
   /// k multiplies against one prepared matrix (the spaden-serve batch path):
-  /// `xs` holds k right-hand sides stored contiguously column-major (RHS c
-  /// occupies [c*ncols, (c+1)*ncols)) and `ys` the k outputs likewise.
-  /// Overwrites ys. Contract: per-RHS results are bit-identical to k
-  /// sequential run() calls. Every method the serve registry can pick
+  /// `xs` holds k right-hand sides as a column-major stack and `ys` the k
+  /// outputs likewise. The column strides are read from the spans:
+  /// xs.size / k (at least ncols) and ys.size / k (at least nrows). RHS c
+  /// occupies [c*stride, c*stride + ncols) of xs; output c is written to
+  /// [c*stride, c*stride + nrows) of ys, pads untouched. SpmvEngine::
+  /// multiply_batch passes the sector-aligned stacks of column_stride /
+  /// pack_column_stack below, which Spaden's fused SpMM requires.
+  /// Contract: per-RHS results are bit-identical to k sequential run()
+  /// calls. Every method the serve registry can pick
   /// serves a batch in one launch tagged with one batch id: Spaden runs
   /// its strided tensor-core SpMM, cuSPARSE CSR and BSR run their SpMV
   /// warp body over a k-column grid (internal.hpp: launch_column_grid).
@@ -133,6 +140,36 @@ class SpmvKernel {
  private:
   double prep_seconds_ = 0;
 };
+
+/// Column stride of a multi-RHS stack of length-n columns: n rounded up to
+/// 8 floats (one 32-byte sector), so every column starts on a sector and
+/// each 8-float segment a fused SpMM warp reads is exactly one sector.
+[[nodiscard]] constexpr std::size_t column_stride(std::size_t n) { return (n + 7) / 8 * 8; }
+
+/// Builds the column-major stack of k length-n columns that run_multi
+/// reads: `at(c, i)` gives entry i of column c, which lands at
+/// c * column_stride(n) + i; the pad entries [n, column_stride(n)) of each
+/// column are zero.
+template <typename At>
+[[nodiscard]] std::vector<float> pack_column_stack(mat::Index k, mat::Index n, At&& at) {
+  const std::size_t stride = column_stride(n);
+  std::vector<float> stack(k * stride, 0.0f);
+  for (mat::Index c = 0; c < k; ++c) {
+    float* column = stack.data() + c * stride;
+    for (mat::Index i = 0; i < n; ++i) {
+      column[i] = at(c, i);
+    }
+  }
+  return stack;
+}
+
+/// Column c of a stack of length-n columns laid out by column_stride (an
+/// x stack from pack_column_stack, or a y stack of k * column_stride(n)
+/// entries): its n entries, pads excluded.
+[[nodiscard]] inline std::span<const float> stack_column(const std::vector<float>& stack,
+                                                         mat::Index n, mat::Index c) {
+  return std::span<const float>(stack).subspan(c * column_stride(n), n);
+}
 
 /// Factory for every method.
 [[nodiscard]] std::unique_ptr<SpmvKernel> make_kernel(Method m);

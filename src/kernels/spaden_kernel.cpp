@@ -248,7 +248,6 @@ class SpadenKernel final : public SpmvKernel {
     if (variant_ != SpadenVariant::TensorCore) {
       return SpmvKernel::run_multi(device, xs, ys, k);
     }
-    require_column_stack(xs.size, ys.size, k, ncols_, nrows_);
     device.set_batch_id(device.alloc_batch_id());
     return spmm_spaden_strided(device, bitbsr_, decode_cache_.get(), xs, ys, k, nrows_,
                                ncols_);

@@ -1,9 +1,11 @@
 #include "kernels/spmm.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "kernels/bitbsr_decode.hpp"
 #include "kernels/formats_device.hpp"
+#include "kernels/internal.hpp"
 #include "kernels/kernel.hpp"
 #include "tensorcore/wmma.hpp"
 
@@ -194,10 +196,18 @@ sim::LaunchResult spmm_spaden_strided(sim::Device& device, const DeviceBitBsr& a
                                       const BitBsrDecodeCache* cache,
                                       sim::DSpan<const float> xs, sim::DSpan<float> ys,
                                       mat::Index k, mat::Index nrows, mat::Index ncols) {
-  SPADEN_REQUIRE(k >= 1, "spmm_spaden_strided needs at least one right-hand side");
-  SPADEN_REQUIRE(xs.size == static_cast<std::size_t>(k) * ncols &&
-                     ys.size == static_cast<std::size_t>(k) * nrows,
-                 "xs/ys size mismatch for k=%u", k);
+  const ColumnStrides stride = require_column_stack(xs.size, ys.size, k, ncols, nrows);
+  SPADEN_REQUIRE(stride.x % 8 == 0,
+                 "spmm_spaden_strided needs sector-aligned x columns: stride %zu is not a "
+                 "multiple of 8 (kern::column_stride)",
+                 stride.x);
+  // Lane indices below are 32-bit, as on the device: a larger stack would
+  // wrap to an in-bounds wrong element.
+  SPADEN_REQUIRE(xs.size <= UINT32_MAX && ys.size <= UINT32_MAX,
+                 "column stack of %zu x / %zu y entries overflows 32-bit lane indices",
+                 xs.size, ys.size);
+  const auto x_stride = static_cast<std::uint32_t>(stride.x);
+  const auto y_stride = static_cast<std::uint32_t>(stride.y);
   const auto block_row_ptr = a.block_row_ptr.cspan();
   const mat::Index brows = a.brows;
   const mat::Index col_tiles = ceil_div<mat::Index>(k, 8);
@@ -238,23 +248,19 @@ sim::LaunchResult spmm_spaden_strided(sim::Device& device, const DeviceBitBsr& a
         ctx.range_push("decode");
         const DecodedBlock dec = decode_bitbsr_block(ctx, a, a_idx, cache);
         // Per-column vector decode: lane holds B-portion column lane/4 (the
-        // RHS at tile + lane/4), rows 2*(lane%4) and +1. Row indices clamp
-        // to ncols-1 exactly like the SpMV kernel (out-of-range rows only
-        // multiply structural zeros); the column clamps to the last RHS,
-        // whose spurious outputs the extraction mask drops.
-        sim::Lanes<std::uint32_t> xidx1{};
-        sim::Lanes<std::uint32_t> xidx2{};
+        // RHS at tile + lane/4) and loads its rows 2*(lane%4) and +1 as one
+        // 8-byte pair from that column's sector-aligned 8-float segment, so
+        // the 8x8 x tile is 8 sectors in one instruction. Rows past ncols
+        // read the stack's zero pads, which only multiply structural zeros;
+        // the column clamps to the last RHS, whose spurious outputs the
+        // extraction mask drops.
+        sim::Lanes<std::uint32_t> xidx{};
         for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-          const std::uint32_t seg = (lane & 3u) << 1;
-          const std::uint32_t xrow1 = std::min(dec.block_col * 8 + seg, ncols - 1);
-          const std::uint32_t xrow2 = std::min(dec.block_col * 8 + seg + 1, ncols - 1);
           const std::uint32_t c_eff = std::min(tile + lane / 4, k - 1);
-          xidx1[lane] = c_eff * ncols + xrow1;
-          xidx2[lane] = c_eff * ncols + xrow2;
+          xidx[lane] = c_eff * x_stride + dec.block_col * 8 + ((lane & 3u) << 1);
         }
-        ctx.charge(sim::OpClass::IntAlu, 2 * sim::kWarpSize);
-        const auto bv1 = ctx.gather(xs, xidx1);
-        const auto bv2 = ctx.gather(xs, xidx2);
+        ctx.charge(sim::OpClass::IntAlu, sim::kWarpSize);
+        const auto [bv1, bv2] = ctx.gather2(xs, xidx);
         ctx.range_pop();
         ctx.range_push("mma");
         for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
@@ -293,12 +299,12 @@ sim::LaunchResult spmm_spaden_strided(sim::Device& device, const DeviceBitBsr& a
         const std::uint32_t row = br * 8 + lane / 4;
         const std::uint32_t c1 = tile + 2 * (lane % 4);
         if (row < nrows && c1 < k) {
-          yidx1[lane] = c1 * nrows + row;
+          yidx1[lane] = c1 * y_stride + row;
           yv1[lane] = acc_frag.x(lane, reg0);
           m1 |= 1u << lane;
         }
         if (row < nrows && c1 + 1 < k) {
-          yidx2[lane] = (c1 + 1) * nrows + row;
+          yidx2[lane] = (c1 + 1) * y_stride + row;
           yv2[lane] = acc_frag.x(lane, reg0 + 1);
           m2 |= 1u << lane;
         }

@@ -39,15 +39,21 @@ SpmmResult spmm_spaden(sim::Device& device, const mat::Csr& a, const mat::Dense&
 
 /// Strided multi-RHS SpMM over an *already prepared* device bitBSR — the
 /// spaden-serve request-fusion path. X and Y are column-major stacks of k
-/// SpMV vectors (RHS c at X[c*ncols..], output c at Y[c*nrows..]), not the
-/// row-major Dense of spmm_spaden, so per-request results demultiplex as
-/// contiguous slices. Per column the arithmetic mirrors the Spaden SpMV
-/// kernel exactly — same decode, same edge clamping, same half conversion,
-/// same ascending-k MMA accumulation — so each output column is
-/// bit-identical to one SpadenKernel::run with that column's x (the serve
-/// acceptance anchor); only the modeled cost differs (one fragment serves 8
-/// columns instead of 2 of 16). One warp per (block-row pair, 8-column
-/// tile).
+/// SpMV vectors whose column strides are xs.size / k and ys.size / k (RHS c
+/// at X[c*x_stride..], output c at Y[c*y_stride..]), not the row-major
+/// Dense of spmm_spaden, so per-request results demultiplex as column
+/// slices. The x stride must be
+/// sector-aligned with zero pads past ncols (kern::pack_column_stack), and
+/// k * stride must fit the kernel's 32-bit lane indices. Each lane loads
+/// its two B rows with one 8-byte gather2, so a decoded block slot reads
+/// its 8x8 x tile as 8 sectors in one instruction. Per column the
+/// arithmetic mirrors the Spaden SpMV kernel — same decode, same half
+/// conversion, same ascending-k MMA accumulation; x rows past ncols read
+/// +0 pads where SpMV clamps, which meet only structural zeros — so each
+/// output column is bit-identical to one SpadenKernel::run with that
+/// column's x (the serve acceptance anchor); only the modeled cost differs
+/// (one fragment serves 8 columns instead of 2 of 16). One warp per
+/// (block-row pair, 8-column tile).
 sim::LaunchResult spmm_spaden_strided(sim::Device& device, const DeviceBitBsr& a,
                                       const BitBsrDecodeCache* cache,
                                       sim::DSpan<const float> xs, sim::DSpan<float> ys,

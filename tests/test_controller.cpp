@@ -7,9 +7,12 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "gpusim/controller.hpp"
+#include "gpusim/device.hpp"
 #include "gpusim/warp.hpp"
 
 namespace spaden::sim {
@@ -280,6 +283,118 @@ TEST_F(ControllerTest, StatsAccumulateAcrossInstructions) {
   EXPECT_EQ(stats_.mem_instructions, 5u);
   EXPECT_EQ(stats_.lane_loads, 2u * 32u);
   EXPECT_EQ(stats_.lane_stores, 3u * 32u);
+}
+
+// ----- WarpCtx::gather2 (ld.global.v2) ------------------------------------
+
+// Lane l's pair in an 8-column x tile over a column-major stack: column
+// l/4, rows 2*(l%4) and +1 of the 8-float segment starting at `row0`.
+Lanes<std::uint32_t> tile_pairs(std::uint32_t stride, std::uint32_t row0) {
+  Lanes<std::uint32_t> idx{};
+  for (std::uint32_t lane = 0; lane < kWarpSize; ++lane) {
+    idx[lane] = (lane / 4) * stride + row0 + 2 * (lane % 4);
+  }
+  return idx;
+}
+
+std::vector<float> iota_floats(std::size_t n) {
+  std::vector<float> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<float>(i);
+  }
+  return v;
+}
+
+TEST_F(ControllerTest, Gather2LoadsAnAlignedTileInOneInstruction) {
+  // 8 columns x 4 lanes x 8 bytes over a sector-aligned stack (stride 24
+  // floats): each column's segment is one sector, read once.
+  const std::vector<float> stack = iota_floats(8 * 24);
+  const DSpan<const float> xs{stack.data(), 0x1000, stack.size()};
+  WarpCtx ctx(&mc_, &stats_);
+  const auto [lo, hi] = ctx.gather2(xs, tile_pairs(24, 8));
+  EXPECT_EQ(stats_.mem_instructions, 1u);
+  EXPECT_EQ(stats_.wavefronts, 8u);
+  EXPECT_EQ(stats_.lane_loads, 32u);
+  for (std::uint32_t lane = 0; lane < kWarpSize; ++lane) {
+    const std::uint32_t i = (lane / 4) * 24 + 8 + 2 * (lane % 4);
+    EXPECT_EQ(lo[lane], stack[i]);
+    EXPECT_EQ(hi[lane], stack[i + 1]);
+  }
+}
+
+TEST(Gather2, ClassifiesTheSectorsOfTheTwoGathersItReplaces) {
+  // Aligned (24) and sector-straddling (18) column strides: the paired load
+  // probes exactly the sectors the two scalar gathers probe between them,
+  // so L2 and DRAM traffic match; only the wavefront count drops, to the
+  // number of distinct sectors.
+  for (const std::uint32_t stride : {24u, 18u}) {
+    SCOPED_TRACE(stride);
+    const std::vector<float> stack = iota_floats(8 * stride);
+    const DSpan<const float> xs{stack.data(), 0x1000, stack.size()};
+    const Lanes<std::uint32_t> idx = tile_pairs(stride, 8);
+    Lanes<std::uint32_t> idx_hi = idx;
+    for (std::uint32_t& i : idx_hi) {
+      ++i;
+    }
+
+    SectorCache l1_two(4 * 1024, 4);
+    SectorCache l2_two(1024 * 1024, 16);
+    KernelStats two;
+    MemoryController mc_two(&l1_two, &l2_two, &two);
+    WarpCtx ctx_two(&mc_two, &two);
+    const auto lo = ctx_two.gather(xs, idx);
+    const auto hi = ctx_two.gather(xs, idx_hi);
+
+    SectorCache l1_pair(4 * 1024, 4);
+    SectorCache l2_pair(1024 * 1024, 16);
+    KernelStats pair;
+    MemoryController mc_pair(&l1_pair, &l2_pair, &pair);
+    WarpCtx ctx_pair(&mc_pair, &pair);
+    const auto [plo, phi] = ctx_pair.gather2(xs, idx);
+
+    EXPECT_EQ(plo, lo);
+    EXPECT_EQ(phi, hi);
+    EXPECT_EQ(pair.sectors, two.sectors);
+    EXPECT_EQ(pair.l2_hit_bytes, two.l2_hit_bytes);
+    EXPECT_EQ(pair.dram_bytes, two.dram_bytes);
+    EXPECT_EQ(pair.wavefronts, pair.sectors);  // cold L1: every sector is new
+    EXPECT_EQ(pair.lane_loads, 32u);
+    EXPECT_EQ(two.lane_loads, 64u);
+    EXPECT_EQ(pair.mem_instructions, 1u);
+    EXPECT_EQ(two.mem_instructions, 2u);
+    EXPECT_LT(pair.wavefronts, two.wavefronts);
+  }
+}
+
+TEST_F(ControllerTest, Gather2RejectsOddAndOutOfBoundsIndices) {
+  const std::vector<float> stack = iota_floats(64);
+  const DSpan<const float> xs{stack.data(), 0x1000, stack.size()};
+  WarpCtx ctx(&mc_, &stats_);
+  Lanes<std::uint32_t> idx{};
+  idx[5] = 3;  // odd: the 8-byte access would straddle two float pairs
+  EXPECT_THROW((void)ctx.gather2(xs, idx), Error);
+  idx[5] = 63;  // the pair's second element is past the span
+  EXPECT_THROW((void)ctx.gather2(xs, idx), Error);
+  idx[5] = 62;
+  EXPECT_NO_THROW((void)ctx.gather2(xs, idx));
+  idx[5] = 63;  // an inactive lane's index is never checked
+  EXPECT_NO_THROW((void)ctx.gather2(xs, idx, ~(1u << 5)));
+}
+
+TEST(Gather2, ReadingOneFloatPastAnAllocationIsReported) {
+  Device device(l40());
+  device.set_sanitize(true);
+  auto buf = device.memory().upload(std::vector<float>(63, 1.0f), "payload");
+  // Host storage holds 64 floats; the device allocation only 63, so the
+  // pair at element 62 reads its second float past the allocation.
+  const std::vector<float> backing(64, 1.0f);
+  const DSpan<const float> xs{backing.data(), buf.device_addr(), backing.size()};
+  const LaunchResult result = device.launch("gather2_tail", 1, [&](WarpCtx& ctx, std::uint64_t) {
+    (void)ctx.gather2(xs, make_lanes<std::uint32_t>(62), 0x1u);
+  });
+  EXPECT_EQ(result.sanitizer.count(SanKind::OobAccess), 1u) << result.sanitizer.summary();
+  EXPECT_NE(result.sanitizer.summary().find("'payload'"), std::string::npos)
+      << result.sanitizer.summary();
 }
 
 }  // namespace

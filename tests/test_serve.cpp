@@ -181,6 +181,33 @@ void expect_demux_bit_exact(const mat::Csr& a, const EngineOptions& opts,
   }
 }
 
+// Ragged batch inputs: shapes whose ncols and nrows are not multiples of 8,
+// so the fused Spaden SpMM's last x segment runs into the stack's zero pads
+// (where the SpMV kernel clamps to x[ncols-1]) and y columns end mid-sector.
+struct RaggedShape {
+  mat::Index nrows;
+  mat::Index ncols;
+  std::size_t nnz;
+};
+constexpr RaggedShape kRaggedShapes[] = {{101, 97, 1500}, {13, 203, 600}};
+constexpr mat::Index kRaggedWidths[] = {1, 5, 9, 33};
+
+// k right-hand sides whose last partial block column is strictly negative:
+// the SpMV kernel's clamped x[ncols-1] then meets structural zeros as -0
+// products, the fused kernel's pads as +0 ones.
+std::vector<std::vector<float>> ragged_xs(mat::Index ncols, mat::Index k, std::uint64_t seed) {
+  std::vector<std::vector<float>> xs;
+  for (mat::Index c = 0; c < k; ++c) {
+    std::vector<float> x = random_x(ncols, seed + c);
+    Rng rng(seed + 1000 + c);
+    for (mat::Index i = ncols / 8 * 8; i < ncols; ++i) {
+      x[i] = rng.next_float(-1.0f, -0.125f);
+    }
+    xs.push_back(std::move(x));
+  }
+  return xs;
+}
+
 TEST(ServeBatch, DemuxBitExactAcrossAllMethods) {
   const mat::Csr a = small_matrix(96, 1200, 6);
   std::vector<std::vector<float>> xs;
@@ -191,6 +218,44 @@ TEST(ServeBatch, DemuxBitExactAcrossAllMethods) {
     EngineOptions opts = serve::pinned_engine_options();
     opts.method = m;
     expect_demux_bit_exact(a, opts, xs);
+  }
+  for (const RaggedShape& shape : kRaggedShapes) {
+    const mat::Csr ragged =
+        mat::Csr::from_coo(mat::random_uniform(shape.nrows, shape.ncols, shape.nnz, 8));
+    for (const mat::Index k : kRaggedWidths) {
+      SCOPED_TRACE(testing::Message() << shape.nrows << "x" << shape.ncols << " k=" << k);
+      const std::vector<std::vector<float>> ragged_x = ragged_xs(shape.ncols, k, 50);
+      for (const kern::Method m : kern::all_methods()) {
+        EngineOptions opts = serve::pinned_engine_options();
+        opts.method = m;
+        expect_demux_bit_exact(ragged, opts, ragged_x);
+      }
+    }
+  }
+}
+
+TEST(ServeBatch, RaggedBatchesAreSancheckClean) {
+  // Every stack pad the fused kernels read is written by the upload, and no
+  // method reads or writes past its stack columns.
+  for (const RaggedShape& shape : kRaggedShapes) {
+    const mat::Csr a =
+        mat::Csr::from_coo(mat::random_uniform(shape.nrows, shape.ncols, shape.nnz, 9));
+    for (const mat::Index k : kRaggedWidths) {
+      const std::vector<std::vector<float>> xs = ragged_xs(shape.ncols, k, 60);
+      for (const kern::Method m : kern::all_methods()) {
+        SCOPED_TRACE(testing::Message() << kern::method_name(m) << " " << shape.nrows << "x"
+                                        << shape.ncols << " k=" << k);
+        EngineOptions opts = serve::pinned_engine_options();
+        opts.method = m;
+        opts.sanitize = true;
+        SpmvEngine engine(a, opts);
+        std::vector<std::vector<float>> ys;
+        const SpmvResult r = engine.multiply_batch(xs, ys);
+        ASSERT_EQ(ys.size(), k);
+        EXPECT_TRUE(r.sanitizer.enabled);
+        EXPECT_TRUE(r.sanitizer.clean()) << r.sanitizer.summary();
+      }
+    }
   }
 }
 

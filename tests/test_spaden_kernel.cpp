@@ -3,7 +3,13 @@
 // (Fig. 8's breakdown).
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/error.hpp"
+#include "kernels/bitbsr_decode.hpp"
+#include "kernels/formats_device.hpp"
 #include "kernels/kernel.hpp"
+#include "kernels/spmm.hpp"
 #include "matrix/bitbsr.hpp"
 #include "matrix/dataset.hpp"
 #include "matrix/generate.hpp"
@@ -177,6 +183,67 @@ TEST(SpadenKernel, MoreCoalescedThanCsrWarp16) {
   const auto spaden = run_once(Method::Spaden, a, d1);
   const auto warp16 = run_once(Method::CsrWarp16, a, d2);
   EXPECT_LT(2 * spaden.stats.wavefronts, warp16.stats.wavefronts);
+}
+
+// ----- fused multi-RHS SpMM (spmm_spaden_strided) --------------------------
+
+TEST(SpadenKernel, BatchedXTileIsEightSectorsInOneLoad) {
+  // ncols % 8 == 1: the last block column's x segment is one entry plus 7
+  // pads, and without padding most segments would straddle two sectors.
+  // Every decoded block slot of a full 8-column tile must load its 8x8 x
+  // tile as exactly 8 wavefronts in one instruction (one sector per RHS
+  // column); the rest of the "decode" range is the block decode itself,
+  // measured here by decoding every stored block on its own.
+  const mat::Csr a = mat::Csr::from_coo(mat::random_uniform(101, 97, 1500, 9));
+  const mat::BitBsr bb = mat::BitBsr::from_csr(a);
+  sim::Device device(sim::l40());
+  device.set_profile(true);
+  const DeviceBitBsr dev_bb = DeviceBitBsr::upload(device.memory(), bb);
+  constexpr mat::Index k = 8;
+  auto xs = device.memory().upload(pack_column_stack(
+      k, a.ncols, [](mat::Index c, mat::Index i) { return 0.01f * static_cast<float>(c + i); }));
+  auto ys = device.memory().alloc<float>(k * column_stride(a.nrows));
+  const sim::LaunchResult batch = spmm_spaden_strided(device, dev_bb, nullptr, xs.cspan(),
+                                                      ys.span(), k, a.nrows, a.ncols);
+  const sim::LaunchResult decode =
+      device.launch("decode_only", 1, [&](sim::WarpCtx& ctx, std::uint64_t) {
+        for (std::size_t b = 0; b < bb.num_blocks(); ++b) {
+          (void)decode_bitbsr_block(ctx, dev_bb, static_cast<mat::Index>(b), nullptr);
+        }
+      });
+
+  const sim::RangeProfile* range = nullptr;
+  for (const sim::RangeProfile& r : batch.profile.ranges) {
+    if (r.name == "decode") {
+      range = &r;
+    }
+  }
+  ASSERT_NE(range, nullptr);
+  const std::uint64_t slots = bb.num_blocks();
+  ASSERT_GT(slots, 0u);
+  EXPECT_EQ(range->invocations, slots);
+  EXPECT_EQ(range->stats.mem_instructions - decode.stats.mem_instructions, slots);
+  EXPECT_EQ(range->stats.wavefronts - decode.stats.wavefronts, 8 * slots);
+  EXPECT_EQ(range->stats.lane_loads - decode.stats.lane_loads, 32 * slots);
+}
+
+TEST(SpadenKernel, BatchedStackPastThirtyTwoBitIndicesRejected) {
+  // k * stride >= 2^32 would wrap the kernel's 32-bit lane indices to an
+  // in-bounds wrong element; the shape is checked before any launch, so
+  // size-only spans (no backing storage) suffice.
+  const mat::Csr a = mat::Csr::from_coo(mat::random_uniform(8, 8, 20, 3));
+  sim::Device device(sim::l40());
+  const DeviceBitBsr dev_bb = DeviceBitBsr::upload(device.memory(), mat::BitBsr::from_csr(a));
+  constexpr mat::Index k = 128;
+  constexpr mat::Index ncols = 33'554'440;  // 128 * 33'554'440 > 2^32
+  const sim::DSpan<const float> xs{nullptr, 0, k * column_stride(ncols)};
+  const sim::DSpan<float> ys{nullptr, 0, k * column_stride(a.nrows)};
+  try {
+    (void)spmm_spaden_strided(device, dev_bb, nullptr, xs, ys, k, a.nrows, ncols);
+    FAIL() << "a stack past 32-bit lane indices was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("32-bit"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace
