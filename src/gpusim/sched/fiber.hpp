@@ -45,8 +45,9 @@ namespace spaden::sim {
 
 /// Built-in per-fiber stack size. Kernel frames hold a few fragments plus
 /// Lanes<T> locals: the measured high-water across the shipped kernels
-/// (SPADEN_SIM_FIBER_STACK_DEBUG over the test suite's scheduled launches)
-/// stays under 8 KiB, so 64 KiB leaves ~8x headroom. The stack canary turns
+/// (SPADEN_SIM_FIBER_STACK_DEBUG) stays under 12 KiB, the deepest being
+/// the batched Spaden SpMM with four 16-column tiles per warp, so 64 KiB
+/// leaves over 5x headroom. The stack canary turns
 /// an overflow into an immediate loud failure rather than silent corruption;
 /// raise SPADEN_SIM_FIBER_STACK if a custom kernel legitimately needs more.
 inline constexpr std::size_t kFiberStackBytes = 64 * 1024;

@@ -14,6 +14,9 @@
 // The w/o-TC variant shares the decode but multiplies on CUDA cores,
 // isolating the bitBSR-format contribution from the tensor-core
 // contribution in the Fig. 8 breakdown.
+#include <algorithm>
+#include <cmath>
+
 #include "common/bitops.hpp"
 #include "kernels/bitbsr_decode.hpp"
 #include "kernels/formats_device.hpp"
@@ -32,6 +35,16 @@ struct DecodedSlot {
   sim::Lanes<float> b_val1;  ///< x[seg*8 + 2*(lid%4)]
   sim::Lanes<float> b_val2;  ///< x[seg*8 + 2*(lid%4) + 1]
 };
+
+/// True when every entry of the x stack converts to a finite binary16
+/// value (NaN compares false). A host-side scan of the packed stack, the
+/// check a serving host makes while packing; it is not charged to the
+/// modeled launch.
+bool finite_in_half(sim::DSpan<const float> xs) {
+  const float limit = static_cast<float>(half::max());
+  return std::all_of(xs.data, xs.data + xs.size,
+                     [limit](float v) { return std::fabs(v) <= limit; });
+}
 
 class SpadenKernel final : public SpmvKernel {
  public:
@@ -241,11 +254,17 @@ class SpadenKernel final : public SpmvKernel {
   sim::LaunchResult run_multi(sim::Device& device, sim::DSpan<const float> xs,
                               sim::DSpan<float> ys, mat::Index k) override {
     // Only the paper's pairing TC variant has a fused multi-RHS kernel; the
-    // ablations keep the (bit-identical) sequential base path. The fused
-    // launch has pairs * ceil(k/8) warps, so the pair-sized balancing
-    // weights installed at prepare no longer apply (the device falls back
-    // to its contiguous partition on the size mismatch).
-    if (variant_ != SpadenVariant::TensorCore) {
+    // ablations keep the (bit-identical) sequential base path. Up to
+    // kSpmmRhsPerWarp columns the fused launch has one warp per block-row
+    // pair, so the pair-sized balancing weights installed at prepare
+    // apply; a wider batch has a multiple of that warp count and falls
+    // back to the contiguous partition.
+    //
+    // The fused kernel also multiplies each slot's x rows by the other
+    // slot's zero A block. That adds ±0 while x is finite in binary16, but
+    // 0 * inf is NaN and would reach the paired block-row, which run()
+    // never does; such a batch takes the base path to stay bit-identical.
+    if (variant_ != SpadenVariant::TensorCore || !finite_in_half(xs)) {
       return SpmvKernel::run_multi(device, xs, ys, k);
     }
     device.set_batch_id(device.alloc_batch_id());

@@ -1,6 +1,7 @@
 #include "kernels/spmm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 
 #include "kernels/bitbsr_decode.hpp"
@@ -81,114 +82,23 @@ SpmmResult spmm_spaden(sim::Device& device, const mat::Csr& a, const mat::Dense&
   const DeviceBitBsr bb = DeviceBitBsr::upload(device.memory(), bb_host);
   BitBsrDecodeCache decode_cache;
   decode_cache.build_if_enabled(bb_host);
-  auto b_dev = device.memory().upload(b.data, "spmm.b");
-  auto c_dev = device.memory().alloc<float>(static_cast<std::size_t>(a.nrows) * b.ncols, "spmm.c");
-
-  const auto block_row_ptr = bb.block_row_ptr.cspan();
-  const auto b_span = b_dev.cspan();
-  auto c_span = c_dev.span();
-  const mat::Index brows = bb.brows;
-  const mat::Index nrows = a.nrows;
-  const mat::Index bn = b.nrows;
   const mat::Index k = b.ncols;
-  const mat::Index col_tiles = ceil_div<mat::Index>(k, 8);
+  auto b_dev = device.memory().upload(
+      pack_column_stack(k, b.nrows, [&](mat::Index c, mat::Index i) { return b.at(i, c); }),
+      "spmm.b");
+  auto c_dev = device.memory().alloc<float>(k * column_stride(a.nrows), "spmm.c");
 
-  const std::uint64_t warps = static_cast<std::uint64_t>((brows + 1) / 2) * col_tiles;
   SpmmResult result;
-  result.launch = device.launch("spmm_spaden", warps, [&](sim::WarpCtx& ctx,
-                                                          std::uint64_t w) {
-    const auto pair = static_cast<mat::Index>(w / col_tiles);
-    const auto tile = static_cast<mat::Index>(w % col_tiles) * 8;
-    const mat::Index r1 = 2 * pair;
-    const mat::Index r2 = 2 * pair + 1;
-    const mat::Index begin1 = ctx.scalar_load(block_row_ptr, r1);
-    const mat::Index end1 = ctx.scalar_load(block_row_ptr, r1 + 1);
-    const bool has_r2 = r2 < brows;
-    const mat::Index begin2 = has_r2 ? ctx.scalar_load(block_row_ptr, r2) : 0;
-    const mat::Index end2 = has_r2 ? ctx.scalar_load(block_row_ptr, r2 + 1) : 0;
-    const mat::Index len1 = end1 - begin1;
-    const mat::Index len2 = end2 - begin2;
-    const mat::Index iterations = std::max(len1, len2);
-
-    tc::FragA a_frag;
-    tc::FragB b_frag;
-    tc::FragAcc acc_frag;
-    for (mat::Index j = 0; j < iterations; ++j) {
-      for (int slot = 0; slot < 2; ++slot) {
-        const bool valid = slot == 0 ? (j < len1) : (j < len2);
-        const unsigned reg0 = slot == 0 ? 0 : 6;
-        if (!valid) {
-          for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-            a_frag.x(lane, reg0) = half{};
-            a_frag.x(lane, reg0 + 1) = half{};
-          }
-          ctx.charge(sim::OpClass::RegMove, 2 * sim::kWarpSize);
-          continue;
-        }
-        const mat::Index a_idx = (slot == 0 ? begin1 : begin2) + j;
-        const DecodedBlock dec = decode_bitbsr_block(ctx, bb, a_idx, decode_cache.get());
-        // B portion (column-major): lane holds portion column lane/4, rows
-        // 2*(lane%4) and +1 — i.e. B[bc*8 + 2*(lane%4)][tile + lane/4].
-        sim::Lanes<std::uint32_t> bidx1{};
-        sim::Lanes<std::uint32_t> bidx2{};
-        for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-          const std::uint32_t brow = std::min(dec.block_col * 8 + 2 * (lane % 4), bn - 1);
-          const std::uint32_t brow2 = std::min(brow + 1, bn - 1);
-          const std::uint32_t bcol = std::min(tile + lane / 4, k - 1);
-          bidx1[lane] = brow * k + bcol;
-          bidx2[lane] = brow2 * k + bcol;
-        }
-        ctx.charge(sim::OpClass::IntAlu, 2 * sim::kWarpSize);
-        const auto bv1 = ctx.gather(b_span, bidx1);
-        const auto bv2 = ctx.gather(b_span, bidx2);
-        for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-          a_frag.x(lane, reg0) = dec.a_val1[lane];
-          a_frag.x(lane, reg0 + 1) = dec.a_val2[lane];
-          b_frag.x(lane, reg0) = half(bv1[lane]);
-          b_frag.x(lane, reg0 + 1) = half(bv2[lane]);
-        }
-        ctx.charge(sim::OpClass::RegMove, 4 * sim::kWarpSize);
-        ctx.charge(sim::OpClass::Convert, 2 * sim::kWarpSize);
-      }
-      tc::wmma_mma(ctx, acc_frag, a_frag, b_frag, acc_frag);
+  result.launch = spmm_spaden_strided(device, bb, decode_cache.get(), b_dev.cspan(),
+                                      c_dev.span(), k, a.nrows, a.ncols);
+  const std::vector<float> c_stack = c_dev.host();
+  result.c = mat::Dense(a.nrows, k);
+  for (mat::Index c = 0; c < k; ++c) {
+    const std::span<const float> column = stack_column(c_stack, a.nrows, c);
+    for (mat::Index r = 0; r < a.nrows; ++r) {
+      result.c.at(r, c) = column[r];
     }
-
-    // Extract the full diagonal portions: every lane owns two accumulator
-    // elements per portion (row lane/4, cols 2*(lane%4) and +1).
-    for (int slot = 0; slot < 2; ++slot) {
-      const mat::Index br = slot == 0 ? r1 : r2;
-      if (slot == 1 && !has_r2) {
-        break;
-      }
-      const unsigned reg0 = slot == 0 ? 0 : 6;
-      sim::Lanes<std::uint32_t> cidx1{};
-      sim::Lanes<std::uint32_t> cidx2{};
-      sim::Lanes<float> cv1{};
-      sim::Lanes<float> cv2{};
-      std::uint32_t m1 = 0;
-      std::uint32_t m2 = 0;
-      for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-        const std::uint32_t row = br * 8 + lane / 4;
-        const std::uint32_t c1 = tile + 2 * (lane % 4);
-        if (row < nrows && c1 < k) {
-          cidx1[lane] = row * k + c1;
-          cv1[lane] = acc_frag.x(lane, reg0);
-          m1 |= 1u << lane;
-        }
-        if (row < nrows && c1 + 1 < k) {
-          cidx2[lane] = row * k + c1 + 1;
-          cv2[lane] = acc_frag.x(lane, reg0 + 1);
-          m2 |= 1u << lane;
-        }
-      }
-      ctx.charge(sim::OpClass::IntAlu, 2 * sim::kWarpSize);
-      ctx.scatter(c_span, cidx1, cv1, m1);
-      ctx.scatter(c_span, cidx2, cv2, m2);
-    }
-  });
-  result.c.nrows = a.nrows;
-  result.c.ncols = k;
-  result.c.data = c_dev.host();
+  }
   return result;
 }
 
@@ -210,13 +120,19 @@ sim::LaunchResult spmm_spaden_strided(sim::Device& device, const DeviceBitBsr& a
   const auto y_stride = static_cast<std::uint32_t>(stride.y);
   const auto block_row_ptr = a.block_row_ptr.cspan();
   const mat::Index brows = a.brows;
-  const mat::Index col_tiles = ceil_div<mat::Index>(k, 8);
+  const std::uint64_t pairs = (brows + 1) / 2;
+  const mat::Index warps_per_pair = ceil_div(k, kSpmmRhsPerWarp);
 
-  const std::uint64_t warps = static_cast<std::uint64_t>((brows + 1) / 2) * col_tiles;
+  const std::uint64_t warps = pairs * warps_per_pair;
   return device.launch("spmm_spaden_strided", warps, [&](sim::WarpCtx& ctx,
                                                          std::uint64_t w) {
-    const auto pair = static_cast<mat::Index>(w / col_tiles);
-    const auto tile = static_cast<mat::Index>(w % col_tiles) * 8;
+    const auto pair = static_cast<mat::Index>(w / warps_per_pair);
+    const auto first = static_cast<mat::Index>(w % warps_per_pair) * kSpmmRhsPerWarp;
+    const mat::Index live = std::min(kSpmmRhsPerWarp, k - first);
+    const mat::Index tiles = ceil_div<mat::Index>(live, 16);
+    // Portions (column halves) of 16-column tile t holding live RHS: a
+    // tile with 8 or fewer live columns leaves TR/BR out.
+    const auto halves = [&](mat::Index t) { return live - 16 * t > 8 ? 2u : 1u; };
     const mat::Index r1 = 2 * pair;
     const mat::Index r2 = 2 * pair + 1;
     const mat::Index begin1 = ctx.scalar_load(block_row_ptr, r1);
@@ -228,18 +144,20 @@ sim::LaunchResult spmm_spaden_strided(sim::Device& device, const DeviceBitBsr& a
     const mat::Index len2 = end2 - begin2;
     const mat::Index iterations = std::max(len1, len2);
 
+    // One A fragment per iteration, reused by every tile's MMA; one B
+    // fragment and one accumulator per tile.
     tc::FragA a_frag;
-    tc::FragB b_frag;
-    tc::FragAcc acc_frag;
+    std::array<tc::FragB, kSpmmRhsPerWarp / 16> b_frags;
+    std::array<tc::FragAcc, kSpmmRhsPerWarp / 16> acc_frags;
     for (mat::Index j = 0; j < iterations; ++j) {
-      for (int slot = 0; slot < 2; ++slot) {
+      for (unsigned slot = 0; slot < 2; ++slot) {
         const bool valid = slot == 0 ? (j < len1) : (j < len2);
-        const unsigned reg0 = slot == 0 ? 0 : 6;
+        const unsigned a_reg = 2 * tc::portion_pair(slot, slot);
         if (!valid) {
           const sim::ProfRange prof(ctx, "mma");
           for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-            a_frag.x(lane, reg0) = half{};
-            a_frag.x(lane, reg0 + 1) = half{};
+            a_frag.x(lane, a_reg) = half{};
+            a_frag.x(lane, a_reg + 1) = half{};
           }
           ctx.charge(sim::OpClass::RegMove, 2 * sim::kWarpSize);
           continue;
@@ -247,71 +165,86 @@ sim::LaunchResult spmm_spaden_strided(sim::Device& device, const DeviceBitBsr& a
         const mat::Index a_idx = (slot == 0 ? begin1 : begin2) + j;
         ctx.range_push("decode");
         const DecodedBlock dec = decode_bitbsr_block(ctx, a, a_idx, cache);
-        // Per-column vector decode: lane holds B-portion column lane/4 (the
-        // RHS at tile + lane/4) and loads its rows 2*(lane%4) and +1 as one
-        // 8-byte pair from that column's sector-aligned 8-float segment, so
-        // the 8x8 x tile is 8 sectors in one instruction. Rows past ncols
-        // read the stack's zero pads, which only multiply structural zeros;
-        // the column clamps to the last RHS, whose spurious outputs the
-        // extraction mask drops.
-        sim::Lanes<std::uint32_t> xidx{};
-        for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-          const std::uint32_t c_eff = std::min(tile + lane / 4, k - 1);
-          xidx[lane] = c_eff * x_stride + dec.block_col * 8 + ((lane & 3u) << 1);
+        // Per-column vector decode: in the B portion of (this slot's row
+        // half, column half h) of tile t, lane holds the column of RHS
+        // first + 16t + 8h + lane/4 and loads its rows 2*(lane%4) and +1 as
+        // one 8-byte pair from that column's sector-aligned 8-float
+        // segment, so each 8x8 x tile is 8 sectors in one instruction. Rows
+        // past ncols read the stack's zero pads, which only multiply
+        // structural zeros; columns past k clamp to the last RHS, whose
+        // spurious outputs the extraction mask drops.
+        unsigned loads = 0;
+        for (mat::Index t = 0; t < tiles; ++t) {
+          for (unsigned h = 0; h < halves(t); ++h) {
+            const mat::Index col0 = first + 16 * t + 8 * h;
+            sim::Lanes<std::uint32_t> xidx{};
+            for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
+              const std::uint32_t c_eff = std::min(col0 + lane / 4, k - 1);
+              xidx[lane] = c_eff * x_stride + dec.block_col * 8 + ((lane & 3u) << 1);
+            }
+            ctx.charge(sim::OpClass::IntAlu, sim::kWarpSize);
+            const auto [bv1, bv2] = ctx.gather2(xs, xidx);
+            const unsigned b_reg = 2 * tc::portion_pair(slot, h);
+            for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
+              b_frags[t].x(lane, b_reg) = half(bv1[lane]);
+              b_frags[t].x(lane, b_reg + 1) = half(bv2[lane]);
+            }
+            ++loads;
+          }
         }
-        ctx.charge(sim::OpClass::IntAlu, sim::kWarpSize);
-        const auto [bv1, bv2] = ctx.gather2(xs, xidx);
         ctx.range_pop();
+        // Direct register writes: the A portion once, then the converted
+        // x pairs of every load above.
         ctx.range_push("mma");
         for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-          a_frag.x(lane, reg0) = dec.a_val1[lane];
-          a_frag.x(lane, reg0 + 1) = dec.a_val2[lane];
-          b_frag.x(lane, reg0) = half(bv1[lane]);
-          b_frag.x(lane, reg0 + 1) = half(bv2[lane]);
+          a_frag.x(lane, a_reg) = dec.a_val1[lane];
+          a_frag.x(lane, a_reg + 1) = dec.a_val2[lane];
         }
-        ctx.charge(sim::OpClass::RegMove, 4 * sim::kWarpSize);
-        ctx.charge(sim::OpClass::Convert, 2 * sim::kWarpSize);
+        ctx.charge(sim::OpClass::RegMove, (2 + 2 * loads) * sim::kWarpSize);
+        ctx.charge(sim::OpClass::Convert, 2 * loads * sim::kWarpSize);
         ctx.range_pop();
       }
-      {
-        const sim::ProfRange prof(ctx, "mma");
-        tc::wmma_mma(ctx, acc_frag, a_frag, b_frag, acc_frag);
+      const sim::ProfRange prof(ctx, "mma");
+      for (mat::Index t = 0; t < tiles; ++t) {
+        tc::wmma_mma(ctx, acc_frags[t], a_frag, b_frags[t], acc_frags[t]);
       }
     }
 
-    // Extract both diagonal portions into the column-major Y stack: lane
-    // owns accumulator elements (row lane/4, portion cols 2*(lane%4), +1),
-    // so all 8 RHS columns of the tile demultiplex in one pass.
+    // Extract every live portion into the column-major Y stack: in the
+    // accumulator portion of (row half = slot, column half h) of tile t,
+    // lane owns (row lane/4, RHS first + 16t + 8h + 2*(lane%4), +1).
     const sim::ProfRange prof_extract(ctx, "extract");
-    for (int slot = 0; slot < 2; ++slot) {
-      if (slot == 1 && !has_r2) {
-        break;
-      }
-      const mat::Index br = slot == 0 ? r1 : r2;
-      const unsigned reg0 = slot == 0 ? 0 : 6;
-      sim::Lanes<std::uint32_t> yidx1{};
-      sim::Lanes<std::uint32_t> yidx2{};
-      sim::Lanes<float> yv1{};
-      sim::Lanes<float> yv2{};
-      std::uint32_t m1 = 0;
-      std::uint32_t m2 = 0;
-      for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-        const std::uint32_t row = br * 8 + lane / 4;
-        const std::uint32_t c1 = tile + 2 * (lane % 4);
-        if (row < nrows && c1 < k) {
-          yidx1[lane] = c1 * y_stride + row;
-          yv1[lane] = acc_frag.x(lane, reg0);
-          m1 |= 1u << lane;
+    for (mat::Index t = 0; t < tiles; ++t) {
+      for (unsigned slot = 0; slot < (has_r2 ? 2u : 1u); ++slot) {
+        const mat::Index br = slot == 0 ? r1 : r2;
+        for (unsigned h = 0; h < halves(t); ++h) {
+          const unsigned reg0 = 2 * tc::portion_pair(slot, h);
+          const mat::Index col0 = first + 16 * t + 8 * h;
+          sim::Lanes<std::uint32_t> yidx1{};
+          sim::Lanes<std::uint32_t> yidx2{};
+          sim::Lanes<float> yv1{};
+          sim::Lanes<float> yv2{};
+          std::uint32_t m1 = 0;
+          std::uint32_t m2 = 0;
+          for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
+            const std::uint32_t row = br * 8 + lane / 4;
+            const std::uint32_t c1 = col0 + 2 * (lane % 4);
+            if (row < nrows && c1 < k) {
+              yidx1[lane] = c1 * y_stride + row;
+              yv1[lane] = acc_frags[t].x(lane, reg0);
+              m1 |= 1u << lane;
+            }
+            if (row < nrows && c1 + 1 < k) {
+              yidx2[lane] = (c1 + 1) * y_stride + row;
+              yv2[lane] = acc_frags[t].x(lane, reg0 + 1);
+              m2 |= 1u << lane;
+            }
+          }
+          ctx.charge(sim::OpClass::IntAlu, 2 * sim::kWarpSize);
+          ctx.scatter(ys, yidx1, yv1, m1);
+          ctx.scatter(ys, yidx2, yv2, m2);
         }
-        if (row < nrows && c1 + 1 < k) {
-          yidx2[lane] = (c1 + 1) * y_stride + row;
-          yv2[lane] = acc_frag.x(lane, reg0 + 1);
-          m2 |= 1u << lane;
-        }
       }
-      ctx.charge(sim::OpClass::IntAlu, 2 * sim::kWarpSize);
-      ctx.scatter(ys, yidx1, yv1, m1);
-      ctx.scatter(ys, yidx2, yv2, m2);
     }
   });
 }

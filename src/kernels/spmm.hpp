@@ -1,15 +1,17 @@
 // Sparse matrix - dense matrix multiplication (SpMM), C = A * B.
 //
 // The paper's §7 names SpMM as the next target for bitBSR on dense matrix
-// units; this module implements that extension. With a dense right-hand
-// side, every 8x8 bitBSR block multiplies a full 8-column B tile, lifting
-// the tensor-core utilization from SpMV's 2 useful columns per fragment to
-// all 16 — the economics that make TC-SpMM far easier than TC-SpMV (§1).
+// units; this module implements that extension. SpMV fills 2 of a
+// fragment's 16 output columns (§4.3). With a dense right-hand side, each
+// MMA multiplies the block-diagonal A = [A1 0; 0 A2] by 16 B columns, so
+// both 8x8 blocks produce 16 useful output columns each — the economics
+// that make TC-SpMM far easier than TC-SpMV (§1).
 //
 // Two device kernels are provided:
 //   spmm_csr    — row-parallel CUDA-core baseline (cusparse csrmm-style)
 //   spmm_spaden — bitBSR blocks decoded straight into fragment registers,
-//                 one m16n16k16 MMA per block pair per 8-column tile
+//                 each block decoded once per warp and multiplied against
+//                 up to 16 RHS columns per MMA
 #pragma once
 
 #include "gpusim/device.hpp"
@@ -33,27 +35,50 @@ struct SpmmResult {
 /// read coalesced, fp32 throughout.
 SpmmResult spmm_csr(sim::Device& device, const mat::Csr& a, const mat::Dense& b);
 
-/// Tensor-core bitBSR SpMM: one warp per (block-row pair, 8-column tile);
-/// values in binary16, accumulation in fp32.
+/// Tensor-core bitBSR SpMM: B is packed into a column-major stack and run
+/// through spmm_spaden_strided, then unpacked into row-major C; values in
+/// binary16, accumulation in fp32.
 SpmmResult spmm_spaden(sim::Device& device, const mat::Csr& a, const mat::Dense& b);
+
+/// RHS columns one warp of spmm_spaden_strided holds in registers. An
+/// m16n16k16 fragment spreads 256 elements over 32 lanes: 8 fp32
+/// accumulator registers and 4 packed-half B registers per lane and
+/// 16-column tile. With the A fragment that is 28 registers per lane at
+/// 32 columns and 52 at this cap of 64; one warp over k = 128 would hold
+/// 100 and k = 512 would spill. The simulator models no register file, so
+/// the cap is a constant rather than a modeled cost. A default serve batch
+/// (max_batch 32) runs one warp per block-row pair.
+inline constexpr mat::Index kSpmmRhsPerWarp = 64;
 
 /// Strided multi-RHS SpMM over an *already prepared* device bitBSR — the
 /// spaden-serve request-fusion path. X and Y are column-major stacks of k
 /// SpMV vectors whose column strides are xs.size / k and ys.size / k (RHS c
-/// at X[c*x_stride..], output c at Y[c*y_stride..]), not the row-major
-/// Dense of spmm_spaden, so per-request results demultiplex as column
-/// slices. The x stride must be
-/// sector-aligned with zero pads past ncols (kern::pack_column_stack), and
-/// k * stride must fit the kernel's 32-bit lane indices. Each lane loads
-/// its two B rows with one 8-byte gather2, so a decoded block slot reads
-/// its 8x8 x tile as 8 sectors in one instruction. Per column the
-/// arithmetic mirrors the Spaden SpMV kernel — same decode, same half
-/// conversion, same ascending-k MMA accumulation; x rows past ncols read
-/// +0 pads where SpMV clamps, which meet only structural zeros — so each
-/// output column is bit-identical to one SpadenKernel::run with that
-/// column's x (the serve acceptance anchor); only the modeled cost differs
-/// (one fragment serves 8 columns instead of 2 of 16). One warp per
-/// (block-row pair, 8-column tile).
+/// at X[c*x_stride..], output c at Y[c*y_stride..]), so per-request results
+/// demultiplex as column slices. The x stride must be sector-aligned with
+/// zero pads past ncols (kern::pack_column_stack), and k * stride must fit
+/// the kernel's 32-bit lane indices.
+///
+/// Fragment layout (paper §3's portion map: TL = x[0,1], BL = x[2,3],
+/// TR = x[4,5], BR = x[6,7]). A holds the slot-0 block in TL and the
+/// slot-1 block in BR. Per 16-column RHS tile, B holds slot 0's x tile in
+/// TL (RHS tile+0..7) and TR (tile+8..15), slot 1's in BL and BR, so the
+/// accumulator's four portions are A1·X(c1) and A2·X(c2) over 16 RHS. Each
+/// lane loads its two B rows with one 8-byte gather2 per portion: a tile
+/// with 8 or fewer live columns issues one per slot, a full tile two.
+///
+/// Each warp covers one block-row pair and up to kSpmmRhsPerWarp RHS
+/// columns, so the launch has pairs * ceil(k / kSpmmRhsPerWarp) warps. It
+/// decodes each block once, keeps the A fragment, and runs one MMA per
+/// 16-column tile of its columns into that tile's accumulator.
+///
+/// Per column the arithmetic mirrors the Spaden SpMV kernel — same decode,
+/// same half conversion, same ascending block order per accumulator. The
+/// extra terms the full fragment adds (x rows read into a portion whose A
+/// block is zero, +0 stack pads where SpMV clamps) are products with zero
+/// that add ±0 to an accumulator that is never -0. So each output column
+/// is bit-identical to one SpadenKernel::run with that column's x (the
+/// serve acceptance anchor) whenever every x entry is finite in binary16,
+/// which SpadenKernel::run_multi checks before launching it.
 sim::LaunchResult spmm_spaden_strided(sim::Device& device, const DeviceBitBsr& a,
                                       const BitBsrDecodeCache* cache,
                                       sim::DSpan<const float> xs, sim::DSpan<float> ys,

@@ -105,8 +105,11 @@ struct ServeReport {
   std::map<Handle, MatrixServeAgg> per_matrix;
 
   /// Fraction of executed tensor-core flops doing useful SpMV work — the
-  /// fragment-utilization number batching exists to raise (SpMV uses 2 of
-  /// 16 fragment columns; a full 8-wide tile uses all of them).
+  /// fragment-utilization number batching exists to raise. A is
+  /// block-diagonal ([A1 0; 0 A2]), so one MMA does at most 2 blocks × 16
+  /// RHS of useful products: 2·64·16·2 = 4096 of its 8192 flops, a ceiling
+  /// of 0.5 that only dense blocks in a full 16-column tile reach. SpMV's
+  /// single RHS caps it at 1/32.
   [[nodiscard]] double tc_utilization() const {
     return tc_flops > 0 ? useful_flops / tc_flops : 0.0;
   }

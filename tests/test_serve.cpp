@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -190,7 +191,7 @@ struct RaggedShape {
   std::size_t nnz;
 };
 constexpr RaggedShape kRaggedShapes[] = {{101, 97, 1500}, {13, 203, 600}};
-constexpr mat::Index kRaggedWidths[] = {1, 5, 9, 33};
+constexpr mat::Index kRaggedWidths[] = {1, 5, 9, 16, 24, 33};
 
 // k right-hand sides whose last partial block column is strictly negative:
 // the SpMV kernel's clamped x[ncols-1] then meets structural zeros as -0
@@ -231,6 +232,21 @@ TEST(ServeBatch, DemuxBitExactAcrossAllMethods) {
         expect_demux_bit_exact(ragged, opts, ragged_x);
       }
     }
+  }
+}
+
+TEST(ServeBatch, DemuxBitExactWithXBeyondHalfRange) {
+  // One x entry converts to inf (1e5) or NaN in binary16. The fused Spaden
+  // SpMM would multiply it by the paired block-row's zero A block (0 * inf
+  // = NaN); the batch must still equal sequential multiplies byte for byte.
+  const mat::Csr a = mat::Csr::from_coo(mat::random_uniform(101, 97, 200, 8));
+  for (const float bad : {1e5f, -7e4f, std::numeric_limits<float>::quiet_NaN()}) {
+    SCOPED_TRACE(testing::Message() << "x[3][40] = " << bad);
+    std::vector<std::vector<float>> xs = ragged_xs(a.ncols, 16, 70);
+    xs[3][40] = bad;
+    EngineOptions opts = serve::pinned_engine_options();
+    opts.method = kern::Method::Spaden;
+    expect_demux_bit_exact(a, opts, xs);
   }
 }
 

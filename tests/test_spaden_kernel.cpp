@@ -3,6 +3,7 @@
 // (Fig. 8's breakdown).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "common/error.hpp"
@@ -187,44 +188,109 @@ TEST(SpadenKernel, MoreCoalescedThanCsrWarp16) {
 
 // ----- fused multi-RHS SpMM (spmm_spaden_strided) --------------------------
 
-TEST(SpadenKernel, BatchedXTileIsEightSectorsInOneLoad) {
-  // ncols % 8 == 1: the last block column's x segment is one entry plus 7
-  // pads, and without padding most segments would straddle two sectors.
-  // Every decoded block slot of a full 8-column tile must load its 8x8 x
-  // tile as exactly 8 wavefronts in one instruction (one sector per RHS
-  // column); the rest of the "decode" range is the block decode itself,
-  // measured here by decoding every stored block on its own.
-  const mat::Csr a = mat::Csr::from_coo(mat::random_uniform(101, 97, 1500, 9));
-  const mat::BitBsr bb = mat::BitBsr::from_csr(a);
+/// One fused launch of k RHS over `a` on a profiled L40, beside a one-warp
+/// launch that decodes every stored block on its own. The fused launch's
+/// "decode" range minus that launch is its x loads.
+struct BatchedRun {
+  mat::BitBsr bb;
+  sim::LaunchResult batch;
+  sim::LaunchResult decode;
+
+  [[nodiscard]] std::uint64_t pairs() const { return (bb.brows + 1) / 2; }
+  [[nodiscard]] const sim::RangeProfile* range(const std::string& name) const {
+    for (const sim::RangeProfile& r : batch.profile.ranges) {
+      if (r.name == name) {
+        return &r;
+      }
+    }
+    return nullptr;
+  }
+};
+
+BatchedRun run_batched(const mat::Csr& a, mat::Index k) {
+  BatchedRun run{mat::BitBsr::from_csr(a), {}, {}};
   sim::Device device(sim::l40());
   device.set_profile(true);
-  const DeviceBitBsr dev_bb = DeviceBitBsr::upload(device.memory(), bb);
-  constexpr mat::Index k = 8;
+  const DeviceBitBsr dev_bb = DeviceBitBsr::upload(device.memory(), run.bb);
   auto xs = device.memory().upload(pack_column_stack(
       k, a.ncols, [](mat::Index c, mat::Index i) { return 0.01f * static_cast<float>(c + i); }));
   auto ys = device.memory().alloc<float>(k * column_stride(a.nrows));
-  const sim::LaunchResult batch = spmm_spaden_strided(device, dev_bb, nullptr, xs.cspan(),
-                                                      ys.span(), k, a.nrows, a.ncols);
-  const sim::LaunchResult decode =
-      device.launch("decode_only", 1, [&](sim::WarpCtx& ctx, std::uint64_t) {
-        for (std::size_t b = 0; b < bb.num_blocks(); ++b) {
-          (void)decode_bitbsr_block(ctx, dev_bb, static_cast<mat::Index>(b), nullptr);
-        }
-      });
-
-  const sim::RangeProfile* range = nullptr;
-  for (const sim::RangeProfile& r : batch.profile.ranges) {
-    if (r.name == "decode") {
-      range = &r;
+  run.batch = spmm_spaden_strided(device, dev_bb, nullptr, xs.cspan(), ys.span(), k, a.nrows,
+                                  a.ncols);
+  run.decode = device.launch("decode_only", 1, [&](sim::WarpCtx& ctx, std::uint64_t) {
+    for (std::size_t b = 0; b < run.bb.num_blocks(); ++b) {
+      (void)decode_bitbsr_block(ctx, dev_bb, static_cast<mat::Index>(b), nullptr);
     }
+  });
+  return run;
+}
+
+/// 101 x 97: 7 block-row pairs, ncols % 8 == 1.
+mat::Csr small_ragged() { return mat::Csr::from_coo(mat::random_uniform(101, 97, 1500, 9)); }
+
+TEST(SpadenKernel, BatchedXTileIsEightSectorsInOneLoad) {
+  // ncols % 8 == 1: the last block column's x segment is one entry plus 7
+  // pads, and without padding most segments would straddle two sectors.
+  // Every decoded block slot of an 8-column tile must load its 8x8 x tile
+  // as exactly 8 wavefronts in one instruction (one sector per RHS
+  // column); the rest of the "decode" range is the block decode itself,
+  // measured here by decoding every stored block on its own.
+  {
+    const BatchedRun run = run_batched(small_ragged(), 8);
+    const sim::RangeProfile* range = run.range("decode");
+    ASSERT_NE(range, nullptr);
+    const std::uint64_t slots = run.bb.num_blocks();
+    ASSERT_GT(slots, 0u);
+    EXPECT_EQ(range->invocations, slots);
+    EXPECT_EQ(range->stats.mem_instructions - run.decode.stats.mem_instructions, slots);
+    EXPECT_EQ(range->stats.wavefronts - run.decode.stats.wavefronts, 8 * slots);
+    EXPECT_EQ(range->stats.lane_loads - run.decode.stats.lane_loads, 32 * slots);
   }
+  // A full 16-column tile fills both column halves of the slot's B
+  // portions: two paired loads, 8 sectors each.
+  const BatchedRun run = run_batched(small_ragged(), 16);
+  ASSERT_EQ(run.batch.stats.warps_launched, run.pairs());
+  const sim::RangeProfile* range = run.range("decode");
   ASSERT_NE(range, nullptr);
-  const std::uint64_t slots = bb.num_blocks();
-  ASSERT_GT(slots, 0u);
+  const std::uint64_t slots = run.bb.num_blocks();
   EXPECT_EQ(range->invocations, slots);
-  EXPECT_EQ(range->stats.mem_instructions - decode.stats.mem_instructions, slots);
-  EXPECT_EQ(range->stats.wavefronts - decode.stats.wavefronts, 8 * slots);
-  EXPECT_EQ(range->stats.lane_loads - decode.stats.lane_loads, 32 * slots);
+  EXPECT_EQ(range->stats.mem_instructions - run.decode.stats.mem_instructions, 2 * slots);
+  EXPECT_EQ(range->stats.wavefronts - run.decode.stats.wavefronts, 16 * slots);
+  EXPECT_EQ(range->stats.lane_loads - run.decode.stats.lane_loads, 64 * slots);
+}
+
+TEST(SpadenKernel, BatchedDecodesEachBlockOncePerWarp) {
+  // k = 32: one warp per pair decodes each stored block once and reuses
+  // the A fragment for both 16-column tiles, where 8-column tile warps
+  // would decode every block 4 times. k = 65 adds a second warp per pair
+  // for the column past kSpmmRhsPerWarp, which decodes every block again.
+  for (const mat::Index k : {32u, 65u}) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    const BatchedRun run = run_batched(small_ragged(), k);
+    const std::uint64_t warps_per_pair = (k + kSpmmRhsPerWarp - 1) / kSpmmRhsPerWarp;
+    EXPECT_EQ(run.batch.stats.warps_launched, run.pairs() * warps_per_pair);
+    const sim::RangeProfile* range = run.range("decode");
+    ASSERT_NE(range, nullptr);
+    EXPECT_EQ(range->invocations, run.bb.num_blocks() * warps_per_pair);
+  }
+}
+
+TEST(SpadenKernel, BatchedMmaCountIsPairIterationsTimesSixteenColumnTiles) {
+  const mat::Csr a = small_ragged();
+  const mat::BitBsr bb = mat::BitBsr::from_csr(a);
+  std::uint64_t iterations = 0;
+  for (mat::Index br = 0; br < bb.brows; br += 2) {
+    const mat::Index len1 = bb.block_row_ptr[br + 1] - bb.block_row_ptr[br];
+    const mat::Index len2 =
+        br + 1 < bb.brows ? bb.block_row_ptr[br + 2] - bb.block_row_ptr[br + 1] : 0;
+    iterations += std::max(len1, len2);
+  }
+  for (const mat::Index k : {8u, 16u, 17u, 32u}) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    const BatchedRun run = run_batched(a, k);
+    ASSERT_EQ(run.batch.stats.warps_launched, run.pairs());
+    EXPECT_EQ(run.batch.stats.tc_mma_m16n16k16, iterations * ((k + 15) / 16));
+  }
 }
 
 TEST(SpadenKernel, BatchedStackPastThirtyTwoBitIndicesRejected) {
