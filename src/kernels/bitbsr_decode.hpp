@@ -1,7 +1,8 @@
 // Warp-level bitBSR block decode (Algorithm 2's matrix half), shared by the
-// SpMV, SpMM and SDDMM kernels: each lane extracts its two bits from the
-// block bitmap, loads only the set positions' binary16 values (zeros are
-// computed in-register), and learns the block's grid column.
+// SpMV and SpMM kernels: the warp reads the block's packed header, each
+// lane extracts its two bits from the block bitmap, loads only the set
+// positions' binary16 values (zeros are computed in-register), and learns
+// the block's grid column.
 #pragma once
 
 #include <bit>
@@ -87,17 +88,18 @@ class BitBsrDecodeCache {
   std::vector<Entry> entries_;
 };
 
-/// Decode block `a_idx` of a device bitBSR. Charges the Algorithm 2 integer
-/// arithmetic and issues the two masked value gathers. `cache` (nullable)
-/// supplies prebuilt lane masks and rank tables; see BitBsrDecodeCache for
-/// the determinism contract.
+/// Decode block `a_idx` of a device bitBSR: one broadcast load of the
+/// block's 16-byte header, the Algorithm 2 integer arithmetic and the two
+/// masked value gathers. `cache` (nullable) supplies prebuilt lane masks
+/// and rank tables; see BitBsrDecodeCache for the determinism contract.
 inline DecodedBlock decode_bitbsr_block(sim::WarpCtx& ctx, const DeviceBitBsr& m,
                                         mat::Index a_idx,
                                         const BitBsrDecodeCache* cache = nullptr) {
   DecodedBlock out{};
-  const std::uint64_t bmp = ctx.scalar_load(m.bitmap.cspan(), a_idx);
-  out.block_col = ctx.scalar_load(m.block_col.cspan(), a_idx);
-  const mat::Index offset = ctx.scalar_load(m.val_offset.cspan(), a_idx);
+  const BitBsrHeader header = ctx.scalar_load(m.headers.cspan(), a_idx);
+  const std::uint64_t bmp = header.bitmap;
+  out.block_col = header.block_col;
+  const mat::Index offset = header.val_offset;
 
   sim::Lanes<std::uint32_t> vidx1{};
   sim::Lanes<std::uint32_t> vidx2{};

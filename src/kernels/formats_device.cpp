@@ -1,5 +1,7 @@
 #include "kernels/formats_device.hpp"
 
+#include <vector>
+
 namespace spaden::kern {
 
 DeviceCsr DeviceCsr::upload(sim::DeviceMemory& mem, const mat::Csr& a) {
@@ -47,21 +49,22 @@ void DeviceBsr::add_footprint(Footprint& fp) const {
 }
 
 DeviceBitBsr DeviceBitBsr::upload(sim::DeviceMemory& mem, const mat::BitBsr& a) {
+  std::vector<BitBsrHeader> headers(a.num_blocks());
+  for (std::size_t b = 0; b < headers.size(); ++b) {
+    headers[b] = {a.bitmap[b], a.block_col[b], a.val_offset[b]};
+  }
   DeviceBitBsr d;
   d.brows = a.brows;
   d.block_row_ptr = mem.upload(a.block_row_ptr, "bitbsr.block_row_ptr");
-  d.block_col = mem.upload(a.block_col, "bitbsr.block_col");
-  d.bitmap = mem.upload(a.bitmap, "bitbsr.bitmap");
-  d.val_offset = mem.upload(a.val_offset, "bitbsr.val_offset");
+  d.headers = mem.upload(std::move(headers), "bitbsr.headers");
   d.values = mem.upload(a.values, "bitbsr.values");
   return d;
 }
 
 void DeviceBitBsr::add_footprint(Footprint& fp) const {
   fp.add("bitbsr.block_row_ptr", block_row_ptr.bytes());
-  fp.add("bitbsr.block_col", block_col.bytes());
-  fp.add("bitbsr.bitmap", bitmap.bytes());
-  fp.add("bitbsr.val_offset", val_offset.bytes());
+  fp.add("bitbsr.headers", headers.bytes());
+  fp.add("bitbsr.value_count", sizeof(mat::Index));
   fp.add("bitbsr.values", values.bytes());
 }
 
@@ -80,8 +83,18 @@ san::FormatReport DeviceBsr::check(mat::Index nrows, mat::Index ncols) const {
 }
 
 san::FormatReport DeviceBitBsr::check(mat::Index nrows, mat::Index ncols) const {
-  return san::check_bitbsr(nrows, ncols, block_row_ptr.host(), block_col.host(),
-                           bitmap.host(), val_offset.host(), values.host().size());
+  const std::vector<BitBsrHeader>& h = headers.host();
+  std::vector<mat::Index> block_col(h.size());
+  std::vector<std::uint64_t> bitmap(h.size());
+  std::vector<mat::Index> val_offset(h.size() + 1);
+  for (std::size_t b = 0; b < h.size(); ++b) {
+    block_col[b] = h[b].block_col;
+    bitmap[b] = h[b].bitmap;
+    val_offset[b] = h[b].val_offset;
+  }
+  val_offset.back() = static_cast<mat::Index>(values.size());
+  return san::check_bitbsr(nrows, ncols, block_row_ptr.host(), block_col, bitmap, val_offset,
+                           values.size());
 }
 
 }  // namespace spaden::kern

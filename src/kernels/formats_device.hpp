@@ -52,16 +52,30 @@ struct DeviceBsr {
   [[nodiscard]] san::FormatReport check(mat::Index nrows, mat::Index ncols) const;
 };
 
+/// One bitBSR block's metadata packed into 16 aligned bytes: the decode
+/// reads it with one broadcast load (one sector) where three arrays cost
+/// three loads and three sectors. val_offset is the block's entry of the
+/// host format's exclusive scan; the scan's closing entry is values.size().
+struct alignas(16) BitBsrHeader {
+  std::uint64_t bitmap = 0;
+  mat::Index block_col = 0;
+  mat::Index val_offset = 0;
+};
+static_assert(sizeof(BitBsrHeader) == 16, "one header per 16-byte load");
+
 struct DeviceBitBsr {
   mat::Index brows = 0;
   sim::Buffer<mat::Index> block_row_ptr;
-  sim::Buffer<mat::Index> block_col;
-  sim::Buffer<std::uint64_t> bitmap;
-  sim::Buffer<mat::Index> val_offset;
+  sim::Buffer<BitBsrHeader> headers;  ///< num_blocks
   sim::Buffer<half> values;
 
   static DeviceBitBsr upload(sim::DeviceMemory& mem, const mat::BitBsr& a);
+  /// Itemized as the bitBSR format (Figure 10b): the headers plus the 4-byte
+  /// value count, the scan entry they leave implicit.
   void add_footprint(Footprint& fp) const;
+  /// Unpacks the headers into the format's arrays, so block_col bounds and
+  /// order, val_offset order and the popcount/val_offset consistency are
+  /// checked against block_row_ptr and values like the host format.
   [[nodiscard]] san::FormatReport check(mat::Index nrows, mat::Index ncols) const;
 };
 

@@ -90,9 +90,7 @@ SddmmResult sddmm_spaden(sim::Device& device, const mat::Csr& pattern, const mat
   auto block_row_dev = device.memory().upload(std::move(block_rows), "sddmm.block_rows");
 
   const auto block_row = block_row_dev.cspan();
-  const auto block_col = bb.block_col.cspan();
-  const auto bitmap = bb.bitmap.cspan();
-  const auto val_offset = bb.val_offset.cspan();
+  const auto headers = bb.headers.cspan();
   const auto u_span = u_dev.cspan();
   const auto v_span = v_dev.cspan();
   auto out_span = out_dev.span();
@@ -105,9 +103,10 @@ SddmmResult sddmm_spaden(sim::Device& device, const mat::Csr& pattern, const mat
       "sddmm_spaden", bb_host.num_blocks(), [&](sim::WarpCtx& ctx, std::uint64_t w) {
         const auto b = static_cast<mat::Index>(w);
         const mat::Index br = ctx.scalar_load(block_row, b);
-        const mat::Index bc = ctx.scalar_load(block_col, b);
-        const std::uint64_t bmp = ctx.scalar_load(bitmap, b);
-        const mat::Index offset = ctx.scalar_load(val_offset, b);
+        const BitBsrHeader header = ctx.scalar_load(headers, b);
+        const mat::Index bc = header.block_col;
+        const std::uint64_t bmp = header.bitmap;
+        const mat::Index offset = header.val_offset;
 
         // Accumulate C_TL = U_block(8 x depth) * V_block(8 x depth)^T by
         // 16-deep fragment tiles: A holds U rows 0-7 across all 16 fragment

@@ -16,6 +16,7 @@
 // contribution in the Fig. 8 breakdown.
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "common/bitops.hpp"
 #include "kernels/bitbsr_decode.hpp"
@@ -285,7 +286,11 @@ class SpadenKernel final : public SpmvKernel {
  private:
   /// Algorithm 2: shared matrix decode plus the kernel's vector decode
   /// (lines 7-10 — the x segment, broadcast so each column of the B portion
-  /// equals the segment).
+  /// equals the segment). Lane l reads segment entries 2*(l%4) and +1 as
+  /// one 8-byte pair. A segment that extends past ncols (the last block
+  /// column), or an x that does not start on an 8-byte boundary, takes two
+  /// masked single loads instead, so nothing past x is read: the skipped
+  /// entries stay zero and only ever multiply structural zeros.
   DecodedSlot decode(sim::WarpCtx& ctx, sim::DSpan<const float> x, mat::Index ncols,
                      mat::Index a_idx) {
     DecodedSlot out{};
@@ -293,18 +298,27 @@ class SpadenKernel final : public SpmvKernel {
     out.a_val1 = block.a_val1;
     out.a_val2 = block.a_val2;
 
-    // Indices are clamped at the matrix edge; out-of-range columns only
-    // multiply structural zeros.
+    const std::uint32_t seg = block.block_col * 8;
     sim::Lanes<std::uint32_t> xidx1{};
-    sim::Lanes<std::uint32_t> xidx2{};
     for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-      const std::uint32_t b_pos1 = (lane & 3u) << 1;
-      xidx1[lane] = std::min(block.block_col * 8 + b_pos1, ncols - 1);
-      xidx2[lane] = std::min(block.block_col * 8 + b_pos1 + 1, ncols - 1);
+      xidx1[lane] = seg + ((lane & 3u) << 1);
+    }
+    if (seg + 8 <= ncols && x.addr % (2 * sizeof(float)) == 0) {
+      ctx.charge(sim::OpClass::IntAlu, sim::kWarpSize);
+      std::tie(out.b_val1, out.b_val2) = ctx.gather2(x, xidx1);
+      return out;
+    }
+    sim::Lanes<std::uint32_t> xidx2{};
+    std::uint32_t mask1 = 0;
+    std::uint32_t mask2 = 0;
+    for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
+      xidx2[lane] = xidx1[lane] + 1;
+      mask1 |= static_cast<std::uint32_t>(xidx1[lane] < ncols) << lane;
+      mask2 |= static_cast<std::uint32_t>(xidx2[lane] < ncols) << lane;
     }
     ctx.charge(sim::OpClass::IntAlu, 2 * sim::kWarpSize);
-    out.b_val1 = ctx.gather(x, xidx1);
-    out.b_val2 = ctx.gather(x, xidx2);
+    out.b_val1 = ctx.gather(x, xidx1, mask1);
+    out.b_val2 = ctx.gather(x, xidx2, mask2);
     return out;
   }
 

@@ -8,6 +8,7 @@
 // is the natural widening of Algorithm 2. Per warp pass: 16 output rows,
 // identical to the paired 8x8 kernel, with one block stream instead of two.
 #include <algorithm>
+#include <vector>
 
 #include "kernels/formats_device.hpp"
 #include "kernels/internal.hpp"
@@ -18,13 +19,20 @@ namespace spaden::kern {
 
 namespace {
 
+/// One bitBSR16 block's metadata, read with one 40-byte broadcast load
+/// (two sectors) where separate arrays cost six one-lane loads.
+struct BitBsr16Header {
+  mat::BitBsr16::Bitmap bitmap{};
+  mat::Index block_col = 0;
+  mat::Index val_offset = 0;
+};
+static_assert(sizeof(BitBsr16Header) == 40, "headers are packed back to back");
+
 /// Device-resident bitBSR16.
 struct DeviceBitBsr16 {
   mat::Index brows = 0;
   sim::Buffer<mat::Index> block_row_ptr;
-  sim::Buffer<mat::Index> block_col;
-  sim::Buffer<std::uint64_t> bitmap;  ///< 4 words per block, flattened
-  sim::Buffer<mat::Index> val_offset;
+  sim::Buffer<BitBsr16Header> headers;  ///< num_blocks
   sim::Buffer<half> values;
 };
 
@@ -36,15 +44,12 @@ class SpadenWideKernel final : public SpmvKernel {
     const mat::BitBsr16 bb = mat::BitBsr16::from_csr(a);
     auto& mem = device.memory();
     dev_.brows = bb.brows;
-    dev_.block_row_ptr = mem.upload(bb.block_row_ptr, "wide.block_row_ptr");
-    dev_.block_col = mem.upload(bb.block_col, "wide.block_col");
-    std::vector<std::uint64_t> flat;
-    flat.reserve(bb.num_blocks() * mat::BitBsr16::kWords);
-    for (const auto& words : bb.bitmap) {
-      flat.insert(flat.end(), words.begin(), words.end());
+    std::vector<BitBsr16Header> headers(bb.num_blocks());
+    for (std::size_t b = 0; b < headers.size(); ++b) {
+      headers[b] = {bb.bitmap[b], bb.block_col[b], bb.val_offset[b]};
     }
-    dev_.bitmap = mem.upload(std::move(flat), "wide.bitmap");
-    dev_.val_offset = mem.upload(bb.val_offset, "wide.val_offset");
+    dev_.block_row_ptr = mem.upload(bb.block_row_ptr, "wide.block_row_ptr");
+    dev_.headers = mem.upload(std::move(headers), "wide.headers");
     dev_.values = mem.upload(bb.values, "wide.values");
     // One warp per block-row: balance on the block-row's nonzero count
     // (bitmap popcounts, via the val_offset exclusive scan).
@@ -61,9 +66,7 @@ class SpadenWideKernel final : public SpmvKernel {
                         sim::DSpan<float> y) override {
     SPADEN_REQUIRE(x.size == ncols_ && y.size == nrows_, "x/y size mismatch");
     const auto block_row_ptr = dev_.block_row_ptr.cspan();
-    const auto block_col = dev_.block_col.cspan();
-    const auto bitmap = dev_.bitmap.cspan();
-    const auto val_offset = dev_.val_offset.cspan();
+    const auto headers = dev_.headers.cspan();
     const auto values = dev_.values.cspan();
     const mat::Index nrows = nrows_;
     const mat::Index ncols = ncols_;
@@ -77,13 +80,10 @@ class SpadenWideKernel final : public SpmvKernel {
       tc::FragB b_frag;
       tc::FragAcc acc_frag;
       for (mat::Index b = begin; b < end; ++b) {
-        // 256-bit bitmap: four scalar 64-bit loads (one contiguous sector).
-        mat::BitBsr16::Bitmap bmp;
-        for (unsigned word = 0; word < mat::BitBsr16::kWords; ++word) {
-          bmp[word] = ctx.scalar_load(bitmap, b * mat::BitBsr16::kWords + word);
-        }
-        const mat::Index bc = ctx.scalar_load(block_col, b);
-        const mat::Index offset = ctx.scalar_load(val_offset, b);
+        const BitBsr16Header header = ctx.scalar_load(headers, b);
+        const mat::BitBsr16::Bitmap& bmp = header.bitmap;
+        const mat::Index bc = header.block_col;
+        const mat::Index offset = header.val_offset;
 
         // Decode all eight registers per lane: reg r of lane lid is bitmap
         // position row*16 + col of its fragment coordinate.
@@ -161,19 +161,31 @@ class SpadenWideKernel final : public SpmvKernel {
     });
   }
 
+  /// Unpacks the headers into the format's arrays (val_offset closed by
+  /// the value count), as DeviceBitBsr::check does.
   [[nodiscard]] san::FormatReport check_format() const override {
-    return san::check_bitbsr_wide(nrows_, ncols_, dev_.block_row_ptr.host(),
-                                  dev_.block_col.host(), dev_.bitmap.host().data(),
-                                  dev_.bitmap.host().size(), dev_.val_offset.host(),
-                                  dev_.values.host().size());
+    const std::vector<BitBsr16Header>& h = dev_.headers.host();
+    std::vector<mat::Index> block_col(h.size());
+    std::vector<std::uint64_t> bitmap;
+    bitmap.reserve(h.size() * mat::BitBsr16::kWords);
+    std::vector<mat::Index> val_offset(h.size() + 1);
+    for (std::size_t b = 0; b < h.size(); ++b) {
+      block_col[b] = h[b].block_col;
+      bitmap.insert(bitmap.end(), h[b].bitmap.begin(), h[b].bitmap.end());
+      val_offset[b] = h[b].val_offset;
+    }
+    val_offset.back() = static_cast<mat::Index>(dev_.values.size());
+    return san::check_bitbsr_wide(nrows_, ncols_, dev_.block_row_ptr.host(), block_col,
+                                  bitmap.data(), bitmap.size(), val_offset,
+                                  dev_.values.size());
   }
 
+  /// Itemized as the bitBSR16 format, like DeviceBitBsr::add_footprint.
   [[nodiscard]] Footprint footprint() const override {
     Footprint fp;
     fp.add("bitbsr16.block_row_ptr", dev_.block_row_ptr.bytes());
-    fp.add("bitbsr16.block_col", dev_.block_col.bytes());
-    fp.add("bitbsr16.bitmap", dev_.bitmap.bytes());
-    fp.add("bitbsr16.val_offset", dev_.val_offset.bytes());
+    fp.add("bitbsr16.headers", dev_.headers.bytes());
+    fp.add("bitbsr16.value_count", sizeof(mat::Index));
     fp.add("bitbsr16.values", dev_.values.bytes());
     return fp;
   }

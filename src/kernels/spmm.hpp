@@ -72,10 +72,11 @@ inline constexpr mat::Index kSpmmRhsPerWarp = 64;
 /// 16-column tile of its columns into that tile's accumulator.
 ///
 /// Per column the arithmetic mirrors the Spaden SpMV kernel — same decode,
-/// same half conversion, same ascending block order per accumulator. The
+/// same half conversion, same ascending block order per accumulator, and
+/// zero x rows past ncols (stack pads here, skipped loads in SpMV). The
 /// extra terms the full fragment adds (x rows read into a portion whose A
-/// block is zero, +0 stack pads where SpMV clamps) are products with zero
-/// that add ±0 to an accumulator that is never -0. So each output column
+/// block is zero) are products with zero that add ±0 to an accumulator
+/// that is never -0. So each output column
 /// is bit-identical to one SpadenKernel::run with that column's x (the
 /// serve acceptance anchor) whenever every x entry is finite in binary16,
 /// which SpadenKernel::run_multi checks before launching it.

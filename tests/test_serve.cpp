@@ -184,7 +184,7 @@ void expect_demux_bit_exact(const mat::Csr& a, const EngineOptions& opts,
 
 // Ragged batch inputs: shapes whose ncols and nrows are not multiples of 8,
 // so the fused Spaden SpMM's last x segment runs into the stack's zero pads
-// (where the SpMV kernel clamps to x[ncols-1]) and y columns end mid-sector.
+// (where the SpMV kernel skips the loads) and y columns end mid-sector.
 struct RaggedShape {
   mat::Index nrows;
   mat::Index ncols;
@@ -193,9 +193,9 @@ struct RaggedShape {
 constexpr RaggedShape kRaggedShapes[] = {{101, 97, 1500}, {13, 203, 600}};
 constexpr mat::Index kRaggedWidths[] = {1, 5, 9, 16, 24, 33};
 
-// k right-hand sides whose last partial block column is strictly negative:
-// the SpMV kernel's clamped x[ncols-1] then meets structural zeros as -0
-// products, the fused kernel's pads as +0 ones.
+// k right-hand sides whose last partial block column is strictly negative,
+// so its entries meet structural zeros as -0 products (in the fused kernel
+// also across slots), which must leave every sum unchanged.
 std::vector<std::vector<float>> ragged_xs(mat::Index ncols, mat::Index k, std::uint64_t seed) {
   std::vector<std::vector<float>> xs;
   for (mat::Index c = 0; c < k; ++c) {

@@ -186,6 +186,117 @@ TEST(SpadenKernel, MoreCoalescedThanCsrWarp16) {
   EXPECT_LT(2 * spaden.stats.wavefronts, warp16.stats.wavefronts);
 }
 
+// ----- per-block loads of the SpMV decode ----------------------------------
+
+TEST(SpadenKernel, DecodeIssuesOneHeaderAndOnePairedXLoadPerBlock) {
+  // ncols % 8 == 0, so every block takes the paired x path. Per decoded
+  // block the "decode" range issues one broadcast header load, a value
+  // gather for each of the bitmap's even and odd bit sets that is nonempty,
+  // and one paired x load: 32 lanes of 8 bytes, one sector.
+  const mat::Csr a = mat::Csr::from_coo(mat::random_uniform(100, 96, 1400, 11));
+  const mat::BitBsr bb = mat::BitBsr::from_csr(a);
+  std::uint64_t value_gathers = 0;
+  for (const std::uint64_t bmp : bb.bitmap) {
+    value_gathers += (bmp & 0x5555'5555'5555'5555ull) != 0 ? 1 : 0;
+    value_gathers += (bmp & 0xAAAA'AAAA'AAAA'AAAAull) != 0 ? 1 : 0;
+  }
+  const std::uint64_t blocks = bb.num_blocks();
+  sim::Device device(sim::l40());
+  device.set_profile(true);
+  const sim::LaunchResult run = run_once(Method::Spaden, a, device);
+  const sim::RangeProfile* range = nullptr;
+  for (const sim::RangeProfile& r : run.profile.ranges) {
+    range = r.name == "decode" ? &r : range;
+  }
+  ASSERT_NE(range, nullptr);
+  EXPECT_EQ(range->invocations, blocks);
+  EXPECT_EQ(range->stats.mem_instructions, 2 * blocks + value_gathers);
+  EXPECT_EQ(range->stats.lane_loads, blocks + a.nnz() + 32 * blocks);
+
+  // The block decode alone: one header load (one sector) plus the value
+  // gathers, so the rest of the range is one x sector per block.
+  const DeviceBitBsr dev_bb = DeviceBitBsr::upload(device.memory(), bb);
+  const sim::LaunchResult decode =
+      device.launch("decode_only", 1, [&](sim::WarpCtx& ctx, std::uint64_t) {
+        for (std::size_t b = 0; b < blocks; ++b) {
+          (void)decode_bitbsr_block(ctx, dev_bb, static_cast<mat::Index>(b), nullptr);
+        }
+      });
+  EXPECT_EQ(decode.stats.mem_instructions, blocks + value_gathers);
+  EXPECT_EQ(range->stats.wavefronts - decode.stats.wavefronts, blocks);
+}
+
+TEST(SpadenKernel, XEdgeSegmentsReadNothingPastX) {
+  // ncols % 8 in {1, 7} and ncols < 8: the last block column's x segment
+  // extends past x. Every variant's y stays within tolerance of the fp64
+  // reference and the sanitizer (SPADEN_SANCHECK) sees no access past x.
+  // A stack column at an odd offset (not 8-byte aligned) takes the same
+  // single-load path.
+  for (const mat::Index ncols : {57u, 63u, 5u}) {
+    const mat::Csr a = mat::Csr::from_coo(mat::random_uniform(40, ncols, 4 * ncols, ncols));
+    std::vector<float> x(ncols);
+    for (mat::Index i = 0; i < ncols; ++i) {
+      x[i] = -0.9f + 0.11f * static_cast<float>(i % 17);
+    }
+    const std::vector<double> y_ref = spmv_reference(a, x);
+    const double tol = spmv_tolerance(a, /*half_precision_values=*/true);
+    for (const Method m : {Method::Spaden, Method::SpadenNoTc, Method::SpadenConventional,
+                           Method::SpadenUnpaired}) {
+      for (const std::size_t offset : {0u, 1u}) {
+        SCOPED_TRACE(testing::Message() << "ncols=" << ncols << " " << method_name(m)
+                                        << " offset=" << offset);
+        sim::Device device(sim::l40());
+        device.set_sanitize(true);
+        auto kernel = make_kernel(m);
+        kernel->prepare(device, a);
+        std::vector<float> padded(offset, 0.0f);
+        padded.insert(padded.end(), x.begin(), x.end());
+        auto xb = device.memory().upload(padded, "x");
+        auto yb = device.memory().alloc<float>(a.nrows, "y");
+        const sim::LaunchResult r =
+            kernel->run(device, xb.cspan().subspan(offset, ncols), yb.span());
+        EXPECT_TRUE(r.sanitizer.clean()) << r.sanitizer.summary();
+        for (mat::Index row = 0; row < a.nrows; ++row) {
+          EXPECT_NEAR(yb.host()[row], y_ref[row], tol) << "row " << row;
+        }
+      }
+    }
+  }
+}
+
+TEST(SpadenKernel, CorruptHeaderFieldIsANamedViolation) {
+  // spaden-verify reads the uploaded headers: a corrupted block_col or
+  // val_offset is reported by name, not decoded into a wrong y.
+  const mat::Csr a = mat::Csr::from_coo(mat::random_uniform(64, 64, 600, 13));
+  const mat::BitBsr bb = mat::BitBsr::from_csr(a);
+  ASSERT_GT(bb.block_row_ptr[1], 1u);  // block-row 0 holds blocks 0 and 1
+  const auto violated = [](const san::FormatReport& report, const std::string& name) {
+    return std::any_of(report.violations.begin(), report.violations.end(),
+                       [&](const san::Violation& v) { return v.invariant == name; });
+  };
+  sim::Device device(sim::l40());
+  {
+    DeviceBitBsr dev_bb = DeviceBitBsr::upload(device.memory(), bb);
+    EXPECT_TRUE(dev_bb.check(a.nrows, a.ncols).ok());
+    dev_bb.headers.host()[1].block_col = dev_bb.headers.host()[0].block_col;
+    const san::FormatReport report = dev_bb.check(a.nrows, a.ncols);
+    EXPECT_TRUE(violated(report, "bitbsr.col-dup")) << report.summary();
+  }
+  {
+    DeviceBitBsr dev_bb = DeviceBitBsr::upload(device.memory(), bb);
+    dev_bb.headers.host()[1].val_offset += 1;
+    const san::FormatReport report = dev_bb.check(a.nrows, a.ncols);
+    EXPECT_TRUE(violated(report, "bitbsr.popcount")) << report.summary();
+  }
+  {
+    // The last header's offset is checked against the stored value count.
+    DeviceBitBsr dev_bb = DeviceBitBsr::upload(device.memory(), bb);
+    dev_bb.headers.host().back().val_offset -= 1;
+    const san::FormatReport report = dev_bb.check(a.nrows, a.ncols);
+    EXPECT_TRUE(violated(report, "bitbsr.popcount")) << report.summary();
+  }
+}
+
 // ----- fused multi-RHS SpMM (spmm_spaden_strided) --------------------------
 
 /// One fused launch of k RHS over `a` on a profiled L40, beside a one-warp

@@ -69,7 +69,7 @@ TEST(SpadenWide, LoadsOnlyNonzeroValues) {
   // lane_loads = metadata scalar loads + x loads + exactly nnz value loads.
   const mat::BitBsr16 bb = mat::BitBsr16::from_csr(a);
   const std::uint64_t x_loads = bb.num_blocks() * 8 * sim::kWarpSize;  // 8 B-gathers/block
-  const std::uint64_t metadata = bb.num_blocks() * 6 /*4 bitmap words + col + offset*/ +
+  const std::uint64_t metadata = bb.num_blocks() /*one packed header*/ +
                                  bb.brows * 2 /*row ptrs*/;
   EXPECT_EQ(result.stats.lane_loads, a.nnz() + x_loads + metadata);
 }
