@@ -37,12 +37,13 @@ struct EngineOptions {
   /// Host threads for kernel simulation. 0 = SPADEN_SIM_THREADS env var,
   /// falling back to hardware_concurrency; 1 = the exact serial launcher.
   int sim_threads = 0;
-  /// Simulated devices (gpusim/multidevice). 1 = the classic single-device
-  /// engine. > 1 row-shards the matrix across a DeviceGroup of this spec,
-  /// models the halo exchange of x over the spec's interconnect
-  /// (apply_link_preset / SPADEN_SIM_LINK), and concatenates the per-shard
-  /// outputs — bit-identical y to a single device for every deterministic
-  /// method. Defaults to the SPADEN_SIM_DEVICES env var (1 when unset).
+  /// Simulated devices (gpusim/multidevice). 1 = one device, a group of
+  /// one on the same multiply path. > 1 row-shards the matrix across a
+  /// DeviceGroup of this spec, models the halo exchange of x over the
+  /// spec's interconnect (apply_link_preset / SPADEN_SIM_LINK), and
+  /// concatenates the per-shard outputs — bit-identical y to a single
+  /// device for every deterministic method. Defaults to the
+  /// SPADEN_SIM_DEVICES env var (1 when unset).
   int num_devices = sim::default_sim_devices();
   /// Run every launch under spaden-sancheck (memcheck + racecheck +
   /// sync-lint). Defaults to the SPADEN_SANCHECK env var. Findings land in
@@ -131,6 +132,9 @@ class SpmvEngine {
   /// Per-request outputs are bit-identical to k sequential multiply() calls.
   /// The returned result aggregates the whole batch (modeled seconds of the
   /// fused launch, gflops counting 2*nnz*k useful flops).
+  /// k = 1 is exactly multiply(xs[0], ys[0]) (with no x-generation tag).
+  /// k > 1 needs num_devices == 1 and throws spaden::Error otherwise: the
+  /// sharded halo model covers one column.
   SpmvResult multiply_batch(const std::vector<const std::vector<float>*>& xs,
                             std::vector<std::vector<float>>& ys);
   SpmvResult multiply_batch(const std::vector<std::vector<float>>& xs,

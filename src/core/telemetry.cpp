@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "gpusim/device.hpp"
+#include "gpusim/multidevice.hpp"
 
 namespace spaden {
 
@@ -59,18 +60,26 @@ void Telemetry::end_span(int index, double host_seconds, double modeled_seconds)
   }
 }
 
-void Telemetry::record_launches(const std::vector<sim::LaunchRecord>& launches,
-                                const std::vector<sim::ProfileReport>* profiles,
-                                int device) {
+void Telemetry::record_launches(const sim::DeviceGroup& group) {
   // Only the most recent multiply keeps its device timeline: drop the event
-  // buffers of reports retained by earlier calls (their launch spans and
-  // metrics stay — just not the per-warp slices).
+  // buffers of reports retained by earlier multiplies (their launch spans
+  // and metrics stay — just not the per-warp slices). Trimmed once, before
+  // any device records, so every device of this multiply keeps its slices.
   for (std::size_t i = profiles_kept_from_; i < profiles_.size(); ++i) {
     profiles_[i].events.clear();
     profiles_[i].events.shrink_to_fit();
   }
   profiles_kept_from_ = profiles_.size();
+  for (int d = 0; d < group.size(); ++d) {
+    const sim::Device& dev = group.device(d);
+    const std::vector<sim::ProfileReport>& profiles = dev.profile_log();
+    record_device_launches(dev.launch_log(), profiles.empty() ? nullptr : &profiles, d);
+  }
+}
 
+void Telemetry::record_device_launches(const std::vector<sim::LaunchRecord>& launches,
+                                       const std::vector<sim::ProfileReport>* profiles,
+                                       int device) {
   // Launches carry a batch id tagging which logical multiply they belong
   // to. When the log spans more than one id (an engine multiply_batch whose
   // method ran per-column, say), each contiguous same-id group is nested

@@ -37,6 +37,7 @@
 
 namespace spaden::sim {
 struct LaunchRecord;
+class DeviceGroup;
 }
 
 namespace spaden {
@@ -99,16 +100,15 @@ class Telemetry {
   /// `modeled_seconds` >= 0.
   void end_span(int index, double host_seconds, double modeled_seconds = -1);
 
-  /// Append one launch span per LaunchRecord under the innermost open span
-  /// (the engine calls this right after kernel->run, pairing records with
-  /// the profile reports of the same multiply when profiling was on). The
-  /// retained reports of *earlier* multiplies drop their timeline events so
-  /// memory stays bounded: the stitched trace nests per-SM device slices
-  /// under the most recent multiply's launches and keeps every engine span.
-  /// `device` tags the launches with their device index (multi-device
-  /// engines call this once per member device).
-  void record_launches(const std::vector<sim::LaunchRecord>& launches,
-                       const std::vector<sim::ProfileReport>* profiles, int device = 0);
+  /// Append one launch span per record in each device's launch log, under
+  /// the innermost open span, in device order and tagged with the device
+  /// index (the engine calls this once per multiply, right after the group
+  /// launch, pairing records with the profile reports of the same launch
+  /// when profiling was on). The retained reports of *earlier* multiplies
+  /// drop their timeline events so memory stays bounded: the stitched trace
+  /// nests per-SM device slices under the most recent multiply's launches
+  /// and keeps every engine span.
+  void record_launches(const sim::DeviceGroup& group);
 
   /// Structured stitched timeline. Layout: spans are laid out depth-first —
   /// a span starts where its previous sibling ended and lasts
@@ -130,6 +130,9 @@ class Telemetry {
   [[nodiscard]] std::string metrics_prometheus(bool include_host = true) const;
 
  private:
+  /// record_launches for one device's log.
+  void record_device_launches(const std::vector<sim::LaunchRecord>& launches,
+                              const std::vector<sim::ProfileReport>* profiles, int device);
   /// end_span without the metric recording (launch spans record their own).
   void close_span(int index, double host_seconds, double modeled_seconds);
   [[nodiscard]] double span_native_us(const SpanRecord& s) const;

@@ -1,6 +1,8 @@
 #include "kernels/sharded.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <span>
 #include <utility>
 
 #include "common/error.hpp"
@@ -95,9 +97,11 @@ void ShardedSpmv::prepare(const mat::Csr& a) {
   kernels_.clear();
   sub_.resize(static_cast<std::size_t>(n));
   kernels_.resize(static_cast<std::size_t>(n));
-  x_cache_.clear();
-  x_cache_.resize(static_cast<std::size_t>(n));  // Buffer is move-only
-  x_cache_gen_ = 0;
+  x_.clear();
+  x_.resize(static_cast<std::size_t>(n));  // Buffer is move-only
+  x_generation_ = 0;
+  y_.clear();
+  y_.resize(static_cast<std::size_t>(n));
 
   const std::uint32_t sector_bytes = group_->spec().sector_bytes;
   const std::uint64_t fps = sector_bytes / sizeof(float);
@@ -110,7 +114,7 @@ void ShardedSpmv::prepare(const mat::Csr& a) {
     ShardInfo& info = shards_[i];
     info.shard = plan[i];
     sub_[i] = extract_rows(a, info.shard.row_begin, info.shard.row_end);
-    if (!info.shard.empty()) {
+    if (!info.shard.empty() || d == 0) {
       kernels_[i] = make_kernel(method_);
       kernels_[i]->prepare(group_->device(d), sub_[i]);
     }
@@ -181,86 +185,117 @@ san::FormatReport ShardedSpmv::check_format() const {
   return first;
 }
 
-GroupResult ShardedSpmv::multiply(const std::vector<float>& x, std::vector<float>& y,
-                                  std::uint64_t x_generation) {
-  SPADEN_REQUIRE(x.size() == ncols_, "x size %zu != ncols %u", x.size(), ncols_);
-  const int n = group_->size();
-  y.assign(nrows_, 0.0f);
-  GroupResult result;
-  result.shards = shards_;
-  result.launches.reserve(static_cast<std::size_t>(n));
-  // Same upload-skip rule as SpmvEngine::multiply: the tag must match AND x
-  // must equal the cached host copy (every non-empty shard holds all of x).
-  bool x_current = x_generation != 0 && x_generation == x_cache_gen_;
-  for (std::size_t i = 0; x_current && i < kernels_.size(); ++i) {
-    if (kernels_[i] != nullptr) {
-      x_current = std::as_const(x_cache_[i]).host() == x;
-      break;
+bool ShardedSpmv::x_current(const std::vector<const std::vector<float>*>& xs,
+                            std::uint64_t x_generation) const {
+  // Device 0 always launches and every launching device holds the same x,
+  // so its host copy speaks for the group.
+  return xs.size() == 1 && x_generation != 0 && x_generation == x_generation_ &&
+         x_[0].host() == *xs[0];
+}
+
+void ShardedSpmv::upload(const std::vector<const std::vector<float>*>& xs,
+                         std::uint64_t x_generation) {
+  const auto k = static_cast<mat::Index>(xs.size());
+  if (k > 1) {
+    assert(group_->size() == 1);
+    stack_ = group_->device(0).memory().upload(
+        pack_column_stack(k, ncols_, [&](mat::Index c, mat::Index i) { return (*xs[c])[i]; }),
+        "batch.x");
+    return;
+  }
+  for (int d = 0; d < group_->size(); ++d) {
+    if (kernels_[static_cast<std::size_t>(d)] != nullptr) {
+      x_[static_cast<std::size_t>(d)] = group_->device(d).memory().upload(*xs[0], "x");
     }
   }
+  x_generation_ = x_generation;
+}
+
+GroupResult ShardedSpmv::launch(mat::Index k) {
+  const int n = group_->size();
+  assert(k == 1 || n == 1);
+  k_ = k;
+  GroupResult result;
+  result.launches.reserve(static_cast<std::size_t>(n));
   const std::uint32_t sector_bytes = group_->spec().sector_bytes;
   const std::uint64_t sectors = x_sector_count(ncols_, sector_bytes);
-  int critical = -1;
+  int critical = 0;
 
   for (int d = 0; d < n; ++d) {
     const auto i = static_cast<std::size_t>(d);
     sim::Device& dev = group_->device(d);
-    // Scope the device logs to this multiply (mirrors SpmvEngine).
     dev.clear_sanitizer_log();
     dev.clear_profile_log();
-    if (dev.launch_log_enabled()) {
-      dev.clear_launch_log();
-    }
+    dev.clear_launch_log();
     if (kernels_[i] == nullptr) {
       result.launches.emplace_back();  // empty shard: nothing launched
       continue;
     }
-    if (!x_current) {
-      x_cache_[i] = dev.memory().upload(x, "x");
-    }
-    auto y_buf = dev.memory().alloc<float>(shards_[i].shard.rows(), "y");
-    dev.set_batch_id(dev.alloc_batch_id());
-    if (n > 1) {
-      // Window the x buffer so the controller classifies remote sectors,
-      // and gate those loads behind the modeled halo transfer.
-      const std::uint64_t addr = x_cache_[i].device_addr();
-      SPADEN_REQUIRE(addr % sector_bytes == 0, "x buffer not sector aligned");
-      const OwnRange own = own_sectors(sectors, d, n);
-      sim::RemoteWindow window;
-      window.lo = addr / sector_bytes;
-      window.hi = window.lo + sectors;
-      window.own_lo = window.lo + own.lo;
-      window.own_hi = window.lo + own.hi;
-      dev.set_remote_window(window);
-      dev.set_comm_ready_cycles(group_->wire_cycles(shards_[i].halo_bytes,
-                                                    shards_[i].peers));
-    }
-    sim::LaunchResult launch = kernels_[i]->run(dev, x_cache_[i].cspan(), y_buf.span());
-    if (n > 1) {
-      dev.clear_remote_window();
-      if (dev.sched().policy == sim::SchedPolicy::Serial &&
-          shards_[i].wire_seconds > 0) {
-        // The run-to-completion launcher has no scheduler to overlap the
-        // halo fetch with compute, so the wire time is purely additive.
-        launch.time.t_comm += shards_[i].wire_seconds;
-        launch.time.total += shards_[i].wire_seconds;
+    const mat::Index rows = shards_[i].shard.rows();
+    if (k > 1) {
+      y_[i] = dev.memory().alloc<float>(k * column_stride(rows), "batch.y");
+      result.launches.push_back(kernels_[i]->run_multi(dev, stack_.cspan(), y_[i].span(), k));
+    } else {
+      y_[i] = dev.memory().alloc<float>(rows, "y");
+      // One logical multiply = one batch id, so multi-launch kernels group
+      // under a single span in the stitched trace.
+      dev.set_batch_id(dev.alloc_batch_id());
+      if (n > 1) {
+        // Window the x buffer so the controller classifies remote sectors,
+        // and gate those loads behind the modeled halo transfer.
+        const std::uint64_t addr = x_[i].device_addr();
+        SPADEN_REQUIRE(addr % sector_bytes == 0, "x buffer not sector aligned");
+        const OwnRange own = own_sectors(sectors, d, n);
+        sim::RemoteWindow window;
+        window.lo = addr / sector_bytes;
+        window.hi = window.lo + sectors;
+        window.own_lo = window.lo + own.lo;
+        window.own_hi = window.lo + own.hi;
+        dev.set_remote_window(window);
+        dev.set_comm_ready_cycles(group_->wire_cycles(shards_[i].halo_bytes,
+                                                      shards_[i].peers));
       }
+      sim::LaunchResult launch = kernels_[i]->run(dev, x_[i].cspan(), y_[i].span());
+      if (n > 1) {
+        dev.clear_remote_window();
+        if (dev.sched().policy == sim::SchedPolicy::Serial &&
+            shards_[i].wire_seconds > 0) {
+          // The run-to-completion launcher has no scheduler to overlap the
+          // halo fetch with compute, so the wire time is purely additive.
+          launch.time.t_comm += shards_[i].wire_seconds;
+          launch.time.total += shards_[i].wire_seconds;
+        }
+      }
+      result.launches.push_back(std::move(launch));
     }
-    const std::vector<float>& y_host = y_buf.host();
-    std::copy(y_host.begin(), y_host.end(),
-              y.begin() + static_cast<std::ptrdiff_t>(shards_[i].shard.row_begin));
+    const sim::LaunchResult& launch = result.launches.back();
     result.stats += launch.stats;
-    if (launch.time.total > result.modeled_seconds) {
-      result.modeled_seconds = launch.time.total;
+    if (launch.time.total > result.launches[static_cast<std::size_t>(critical)].time.total) {
       critical = d;
     }
-    result.launches.push_back(std::move(launch));
   }
-  if (critical >= 0) {
-    result.time = result.launches[static_cast<std::size_t>(critical)].time;
-  }
-  x_cache_gen_ = x_generation;
+  result.time = result.launches[static_cast<std::size_t>(critical)].time;
+  result.modeled_seconds = result.time.total;
   return result;
+}
+
+void ShardedSpmv::download(std::vector<std::vector<float>>& ys) {
+  ys.resize(k_);
+  for (mat::Index c = 0; c < k_; ++c) {
+    ys[c].resize(nrows_);
+    for (std::size_t i = 0; i < kernels_.size(); ++i) {
+      if (kernels_[i] == nullptr) {
+        continue;
+      }
+      const std::span<const float> y = stack_column(y_[i].host(), shards_[i].shard.rows(), c);
+      std::copy(y.begin(), y.end(),
+                ys[c].begin() + static_cast<std::ptrdiff_t>(shards_[i].shard.row_begin));
+    }
+  }
+  for (sim::Buffer<float>& y : y_) {
+    y = sim::Buffer<float>{};
+  }
+  stack_ = sim::Buffer<float>{};
 }
 
 Footprint ShardedSpmv::footprint() const {

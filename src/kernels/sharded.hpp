@@ -69,22 +69,22 @@ struct ShardInfo {
   double wire_seconds = 0;       ///< modeled halo transfer (DeviceGroup::wire_seconds)
 };
 
-/// Result of one sharded multiply.
+/// Result of one group launch.
 struct GroupResult {
   sim::KernelStats stats;   ///< summed over devices
   sim::TimeBreakdown time;  ///< breakdown of the slowest (critical-path) device
   double modeled_seconds = 0;  ///< max over per-device totals
   std::vector<sim::LaunchResult> launches;  ///< one per device (empty shards too)
-  std::vector<ShardInfo> shards;
 
-  [[nodiscard]] double seconds() const { return modeled_seconds; }
   [[nodiscard]] double gflops(std::uint64_t nnz) const {
     return 2.0 * static_cast<double>(nnz) / modeled_seconds / 1e9;
   }
 };
 
-/// Runs one SpMV method row-sharded across a DeviceGroup. Mirrors the
-/// single-kernel flow: construct, prepare() once, multiply() repeatedly.
+/// Runs one SpMV method row-sharded across a DeviceGroup; a group of one
+/// device is the single-device path. Construct, prepare() once, then per
+/// multiply upload() (unless x_current()), launch() and download(): three
+/// steps, so a caller can time or trace each one.
 class ShardedSpmv {
  public:
   /// The group must outlive the runner.
@@ -94,7 +94,8 @@ class ShardedSpmv {
   ShardedSpmv& operator=(ShardedSpmv&&) noexcept;
 
   /// Plan shards, build each sub-CSR, prepare one kernel per non-empty
-  /// shard on its device, and compute each shard's halo.
+  /// shard on its device, and compute each shard's halo. Device 0 always
+  /// gets a kernel, so a matrix without rows still launches once.
   void prepare(const mat::Csr& a);
 
   /// Verify every shard kernel against the fp64 host reference of its
@@ -106,12 +107,31 @@ class ShardedSpmv {
   /// failing shard's report, else the first non-empty shard's (all-ok).
   [[nodiscard]] san::FormatReport check_format() const;
 
-  /// y = A*x across the group; y is resized to nrows and is the
-  /// concatenation of the per-shard outputs. `x_generation` follows
-  /// SpmvEngine::multiply: a nonzero tag matching the previous call skips
-  /// the per-device x uploads when x also equals the cached copy.
-  GroupResult multiply(const std::vector<float>& x, std::vector<float>& y,
-                       std::uint64_t x_generation = 0);
+  /// The upload-skip rule: true when `xs` is one x, `x_generation` is
+  /// nonzero and matches the last upload's tag, AND x equals the cached
+  /// host copy. The tag alone is no proof (two servers on one registry both
+  /// number requests from 0), and the O(ncols) compare costs less than the
+  /// upload it saves.
+  [[nodiscard]] bool x_current(const std::vector<const std::vector<float>*>& xs,
+                               std::uint64_t x_generation) const;
+
+  /// Uploads the k = xs.size() right-hand sides to every device that
+  /// launches. k = 1 uploads x unpadded and caches it under `x_generation`
+  /// (every device holds all of x); k > 1 uploads their pack_column_stack
+  /// stack for the next launch only, and needs a group of one device
+  /// (RemoteWindow covers a single column).
+  void upload(const std::vector<const std::vector<float>*>& xs,
+              std::uint64_t x_generation = 0);
+
+  /// Launches the uploaded columns on every device: k = 1 run() on the
+  /// cached x, k > 1 run_multi() on the stack. Each device's sanitizer,
+  /// profile and launch logs are cleared first, so afterwards they hold
+  /// this launch's records only.
+  GroupResult launch(mat::Index k);
+
+  /// The last launch's k outputs, each the concatenation of the per-shard
+  /// ys (nrows entries). Frees the launch's device buffers.
+  void download(std::vector<std::vector<float>>& ys);
 
   [[nodiscard]] Method method() const { return method_; }
   [[nodiscard]] const std::vector<ShardInfo>& shards() const { return shards_; }
@@ -129,9 +149,12 @@ class ShardedSpmv {
   std::uint64_t nnz_ = 0;
   std::vector<ShardInfo> shards_;
   std::vector<mat::Csr> sub_;  ///< per-shard sub-CSR (kept for verify)
-  std::vector<std::unique_ptr<SpmvKernel>> kernels_;  ///< null for empty shards
-  std::vector<sim::Buffer<float>> x_cache_;           ///< per-device x
-  std::uint64_t x_cache_gen_ = 0;
+  std::vector<std::unique_ptr<SpmvKernel>> kernels_;  ///< null for empty shards but 0
+  std::vector<sim::Buffer<float>> x_;  ///< per-device cached x (k = 1)
+  std::uint64_t x_generation_ = 0;     ///< tag of x_ (0 = none)
+  sim::Buffer<float> stack_;           ///< device 0's x stack (k > 1)
+  std::vector<sim::Buffer<float>> y_;  ///< per-device outputs of the last launch
+  mat::Index k_ = 0;                   ///< columns of the last launch
 };
 
 }  // namespace spaden::kern

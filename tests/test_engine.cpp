@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -104,12 +105,15 @@ TEST(Engine, MoveSemantics) {
   EXPECT_NO_THROW((void)moved.multiply(x, y));
 }
 
-mat::Csr dense_matrix(mat::Index nrows, mat::Index ncols) {
+/// nrows x ncols with every entry of its leading dense_rows x dense_cols
+/// corner nonzero (the whole matrix by default).
+mat::Csr dense_matrix(mat::Index nrows, mat::Index ncols, mat::Index dense_rows = ~0U,
+                      mat::Index dense_cols = ~0U) {
   mat::Coo coo;
   coo.nrows = nrows;
   coo.ncols = ncols;
-  for (mat::Index r = 0; r < nrows; ++r) {
-    for (mat::Index c = 0; c < ncols; ++c) {
+  for (mat::Index r = 0; r < std::min(nrows, dense_rows); ++r) {
+    for (mat::Index c = 0; c < std::min(ncols, dense_cols); ++c) {
       coo.row.push_back(r);
       coo.col.push_back(c);
       coo.val.push_back(0.5f + 0.25f * static_cast<float>((r + c) % 3));
@@ -121,58 +125,68 @@ mat::Csr dense_matrix(mat::Index nrows, mat::Index ncols) {
 TEST(EngineEdges, DegenerateShapesThroughMultiplyAndBatch) {
   // Every method, through both the single and the batched path (the fused
   // CSR/BSR column grid, Spaden's strided SpMM, the per-column base loop),
-  // on empty and one-row shapes plus one ordinary matrix. Sancheck runs
-  // throughout: the batched launches write k disjoint y slices, so any
-  // finding is a real race or out-of-bounds access.
+  // on empty and one-row shapes, a bitBSR matrix whose edge blocks are
+  // empty, and one ordinary matrix, on one device and row-sharded across
+  // two. Sancheck runs throughout: the batched launches write k disjoint y
+  // slices, so any finding is a real race or out-of-bounds access.
   const std::pair<const char*, mat::Csr> shapes[] = {
       {"0x5", dense_matrix(0, 5)},
       {"5x0", dense_matrix(5, 0)},
       {"0x0", dense_matrix(0, 0)},
       {"1x1 dense", dense_matrix(1, 1)},
       {"3x300 dense", dense_matrix(3, 300)},
+      {"45x45 empty edge blocks", dense_matrix(45, 45, 32, 32)},
       {"96x96 random", mat::Csr::from_coo(mat::random_uniform(96, 96, 1200, 13))},
   };
   for (const kern::Method m : kern::all_methods()) {
     for (const auto& [shape, a] : shapes) {
       const double tolerance = kern::spmv_tolerance(a, kern::uses_half_values(m));
-      for (const mat::Index k : {mat::Index{1}, mat::Index{3}}) {
-        SCOPED_TRACE(std::string(kern::method_name(m)) + " " + shape + " k=" +
-                     std::to_string(k));
-        std::vector<std::vector<float>> xs(k, std::vector<float>(a.ncols));
-        Rng rng(k);
-        for (std::vector<float>& x : xs) {
-          for (float& v : x) {
-            v = rng.next_float(-1.0f, 1.0f);
+      for (const int devices : {1, 2}) {
+        for (const mat::Index k : {mat::Index{1}, mat::Index{3}}) {
+          SCOPED_TRACE(std::string(kern::method_name(m)) + " " + shape + " devices=" +
+                       std::to_string(devices) + " k=" + std::to_string(k));
+          std::vector<std::vector<float>> xs(k, std::vector<float>(a.ncols));
+          Rng rng(k);
+          for (std::vector<float>& x : xs) {
+            for (float& v : x) {
+              v = rng.next_float(-1.0f, 1.0f);
+            }
           }
-        }
-        const auto expect_close = [&](const std::vector<float>& y,
-                                      const std::vector<float>& x) {
-          ASSERT_EQ(y.size(), a.nrows);
-          const std::vector<double> ref = mat::spmv_reference(a, x);
-          for (mat::Index r = 0; r < a.nrows; ++r) {
-            EXPECT_NEAR(y[r], ref[r], tolerance) << "row " << r;
+          const auto expect_close = [&](const std::vector<float>& y,
+                                        const std::vector<float>& x) {
+            ASSERT_EQ(y.size(), a.nrows);
+            const std::vector<double> ref = mat::spmv_reference(a, x);
+            for (mat::Index r = 0; r < a.nrows; ++r) {
+              EXPECT_NEAR(y[r], ref[r], tolerance) << "row " << r;
+            }
+          };
+          EngineOptions opts;
+          opts.method = m;
+          opts.sanitize = true;
+          opts.num_devices = devices;
+          SpmvEngine engine(a, opts);
+          for (const std::vector<float>& x : xs) {
+            std::vector<float> y;
+            SpmvResult r;
+            ASSERT_NO_THROW(r = engine.multiply(x, y));
+            EXPECT_TRUE(r.sanitizer.enabled);
+            EXPECT_EQ(r.sanitizer.total(), 0U);
+            expect_close(y, x);
           }
-        };
-        EngineOptions opts;
-        opts.method = m;
-        opts.sanitize = true;
-        SpmvEngine engine(a, opts);
-        for (const std::vector<float>& x : xs) {
-          std::vector<float> y;
-          SpmvResult r;
-          ASSERT_NO_THROW(r = engine.multiply(x, y));
-          EXPECT_TRUE(r.sanitizer.enabled);
-          EXPECT_EQ(r.sanitizer.total(), 0U);
-          expect_close(y, x);
-        }
-        std::vector<std::vector<float>> ys;
-        SpmvResult batch;
-        ASSERT_NO_THROW(batch = engine.multiply_batch(xs, ys));
-        EXPECT_TRUE(batch.sanitizer.enabled);
-        EXPECT_EQ(batch.sanitizer.total(), 0U) << batch.sanitizer.summary();
-        ASSERT_EQ(ys.size(), xs.size());
-        for (mat::Index c = 0; c < k; ++c) {
-          expect_close(ys[c], xs[c]);
+          std::vector<std::vector<float>> ys;
+          if (devices > 1 && k > 1) {
+            // A batch needs one device: the halo model covers one column.
+            EXPECT_THROW((void)engine.multiply_batch(xs, ys), Error);
+            continue;
+          }
+          SpmvResult batch;
+          ASSERT_NO_THROW(batch = engine.multiply_batch(xs, ys));
+          EXPECT_TRUE(batch.sanitizer.enabled);
+          EXPECT_EQ(batch.sanitizer.total(), 0U) << batch.sanitizer.summary();
+          ASSERT_EQ(ys.size(), xs.size());
+          for (mat::Index c = 0; c < k; ++c) {
+            expect_close(ys[c], xs[c]);
+          }
         }
       }
     }

@@ -53,18 +53,30 @@ std::vector<float> run_single(kern::Method method, const mat::Csr& a,
   return y_buf.host();
 }
 
-std::vector<float> run_sharded(kern::Method method, const mat::Csr& a,
-                               const std::vector<float>& x, int devices,
-                               kern::GroupResult* out = nullptr) {
+/// One sharded multiply: y, the group result and the runner's shard plan.
+struct ShardedRun {
+  std::vector<float> y;
+  kern::GroupResult result;
+  std::vector<kern::ShardInfo> shards;
+};
+
+ShardedRun run_group(kern::ShardedSpmv& sharded, const std::vector<float>& x) {
+  ShardedRun run;
+  sharded.upload({&x});
+  run.result = sharded.launch(1);
+  std::vector<std::vector<float>> ys;
+  sharded.download(ys);
+  run.y = std::move(ys.at(0));
+  run.shards = sharded.shards();
+  return run;
+}
+
+ShardedRun run_sharded(kern::Method method, const mat::Csr& a, const std::vector<float>& x,
+                       int devices) {
   sim::DeviceGroup group(sim::l40(), devices);
   kern::ShardedSpmv sharded(group, method);
   sharded.prepare(a);
-  std::vector<float> y;
-  kern::GroupResult r = sharded.multiply(x, y);
-  if (out != nullptr) {
-    *out = std::move(r);
-  }
-  return y;
+  return run_group(sharded, x);
 }
 
 std::vector<float> dense_x(mat::Index ncols) {
@@ -188,7 +200,7 @@ TEST(ShardedSpmv, BitIdenticalToSingleDeviceAcrossMethods) {
     const std::vector<float> y1 = run_single(method, a, x);
     for (const int n : {1, 2, 4}) {
       SCOPED_TRACE(n);
-      expect_bit_identical(y1, run_sharded(method, a, x, n));
+      expect_bit_identical(y1, run_sharded(method, a, x, n).y);
     }
   }
 }
@@ -197,36 +209,34 @@ TEST(ShardedSpmv, EmptyShardsStillProduceFullY) {
   const mat::Csr a = test_matrix(40, 64, 300, 6);
   const std::vector<float> x = dense_x(a.ncols);
   const std::vector<float> y1 = run_single(kern::Method::CusparseCsr, a, x);
-  expect_bit_identical(y1, run_sharded(kern::Method::CusparseCsr, a, x, 4));
+  expect_bit_identical(y1, run_sharded(kern::Method::CusparseCsr, a, x, 4).y);
 }
 
 TEST(ShardedSpmv, SingleRowMatrixAcrossFourDevices) {
   const mat::Csr a = test_matrix(1, 128, 64, 7);
   const std::vector<float> x = dense_x(a.ncols);
   const std::vector<float> y1 = run_single(kern::Method::CusparseCsr, a, x);
-  expect_bit_identical(y1, run_sharded(kern::Method::CusparseCsr, a, x, 4));
+  expect_bit_identical(y1, run_sharded(kern::Method::CusparseCsr, a, x, 4).y);
 }
 
 // ---- halo + comm accounting ----------------------------------------------
 
 TEST(ShardedSpmv, SingleDeviceGroupHasNoHaloOrCommTime) {
   const mat::Csr a = test_matrix(512, 512, 10000, 8);
-  kern::GroupResult r;
-  (void)run_sharded(kern::Method::CusparseCsr, a, dense_x(a.ncols), 1, &r);
+  const ShardedRun r = run_sharded(kern::Method::CusparseCsr, a, dense_x(a.ncols), 1);
   ASSERT_EQ(r.shards.size(), 1u);
   EXPECT_EQ(r.shards[0].halo_bytes, 0u);
   EXPECT_EQ(r.shards[0].peers, 0);
   EXPECT_EQ(r.shards[0].wire_seconds, 0.0);
-  EXPECT_EQ(r.time.t_comm, 0.0);
-  EXPECT_EQ(r.stats.remote_sectors, 0u);
+  EXPECT_EQ(r.result.time.t_comm, 0.0);
+  EXPECT_EQ(r.result.stats.remote_sectors, 0u);
 }
 
 TEST(ShardedSpmv, DenseStripeForcesMaximalHalo) {
   const mat::Csr a = dense_stripe_matrix(256, 1024);
   const std::vector<float> x = dense_x(a.ncols);
-  kern::GroupResult r;
-  const std::vector<float> y = run_sharded(kern::Method::CusparseCsr, a, x, 4, &r);
-  expect_bit_identical(run_single(kern::Method::CusparseCsr, a, x), y);
+  const ShardedRun r = run_sharded(kern::Method::CusparseCsr, a, x, 4);
+  expect_bit_identical(run_single(kern::Method::CusparseCsr, a, x), r.y);
   const std::uint64_t x_sectors = (a.ncols + 7) / 8;  // 32 B = 8 floats
   for (const auto& info : r.shards) {
     if (info.shard.empty()) {
@@ -241,7 +251,7 @@ TEST(ShardedSpmv, DenseStripeForcesMaximalHalo) {
     EXPECT_EQ(info.peers, 3);
     EXPECT_GT(info.wire_seconds, 0.0);
   }
-  EXPECT_GT(r.stats.remote_sectors, 0u);
+  EXPECT_GT(r.result.stats.remote_sectors, 0u);
 }
 
 TEST(ShardedSpmv, SerialPolicyChargesWireTimeAdditively) {
@@ -252,16 +262,15 @@ TEST(ShardedSpmv, SerialPolicyChargesWireTimeAdditively) {
   group.set_sched(serial);
   kern::ShardedSpmv sharded(group, kern::Method::CusparseCsr);
   sharded.prepare(a);
-  std::vector<float> y;
-  const kern::GroupResult r = sharded.multiply(dense_x(a.ncols), y);
-  for (std::size_t d = 0; d < r.launches.size(); ++d) {
+  const ShardedRun r = run_group(sharded, dense_x(a.ncols));
+  for (std::size_t d = 0; d < r.result.launches.size(); ++d) {
     if (r.shards[d].shard.empty()) {
       continue;
     }
     // Run-to-completion has no overlap: t_comm is exactly the wire time.
-    EXPECT_DOUBLE_EQ(r.launches[d].time.t_comm, r.shards[d].wire_seconds);
+    EXPECT_DOUBLE_EQ(r.result.launches[d].time.t_comm, r.shards[d].wire_seconds);
   }
-  EXPECT_GT(r.time.t_comm, 0.0);
+  EXPECT_GT(r.result.time.t_comm, 0.0);
 }
 
 TEST(DeviceGroup, WireModelFollowsPresetParameters) {

@@ -259,6 +259,58 @@ TEST(EngineTelemetry, SpanTreePerMultiply) {
             std::string::npos);
 }
 
+/// One line per multiply root span: its name, then its children in order,
+/// launch spans written as "launch@<device>".
+std::vector<std::string> multiply_span_tree(const Telemetry& tel) {
+  const std::vector<SpanRecord>& spans = tel.spans();
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const SpanRecord& s = spans[i];
+    if (s.parent < 0 && (s.name == "multiply" || s.name == "multiply_batch")) {
+      lines.push_back(s.name + ":");
+    } else if (s.parent >= 0 && spans[static_cast<std::size_t>(s.parent)].parent < 0) {
+      lines.back() += " " + (s.modeled_seconds >= 0 ? "launch@" + std::to_string(s.device)
+                                                    : s.name);
+    }
+  }
+  return lines;
+}
+
+TEST(EngineTelemetry, DocumentedSpanTreeAtEveryDeviceCount) {
+  // docs/telemetry.md: multiply -> verify (first call only), upload, one
+  // launch per device tagged with its index, download -- at every device
+  // count. A repeated nonzero x generation with the same x skips the
+  // upload; a batch of k > 1 roots at multiply_batch, one of k = 1 is a
+  // multiply.
+  const mat::Csr a = test_matrix();
+  const std::vector<float> x(a.ncols, 1.0f);
+  for (const int devices : {1, 2}) {
+    SCOPED_TRACE(devices);
+    EngineOptions options = base_options();
+    options.num_devices = devices;
+    SpmvEngine engine(a, options);
+    std::vector<float> y;
+    (void)engine.multiply(x, y, /*x_generation=*/7);
+    (void)engine.multiply(x, y, /*x_generation=*/7);
+    std::string launches;
+    for (int d = 0; d < devices; ++d) {
+      launches += " launch@" + std::to_string(d);
+    }
+    std::vector<std::string> want = {
+        "multiply: verify upload" + launches + " download",
+        "multiply:" + launches + " download",
+    };
+    if (devices == 1) {
+      std::vector<std::vector<float>> ys;
+      (void)engine.multiply_batch(std::vector<std::vector<float>>(3, x), ys);
+      (void)engine.multiply_batch(std::vector<std::vector<float>>(1, x), ys);
+      want.push_back("multiply_batch: upload" + launches + " download");
+      want.push_back("multiply: upload" + launches + " download");
+    }
+    EXPECT_EQ(multiply_span_tree(*engine.telemetry()), want);
+  }
+}
+
 TEST(EngineTelemetry, ModeledMetricsByteIdenticalAcrossSimThreads) {
   EngineOptions serial = base_options();
   EngineOptions threaded = base_options();
@@ -297,47 +349,54 @@ TEST(EngineTelemetry, ZeroCostWhenDisabled) {
 
 TEST(EngineTelemetry, StitchedTraceNestsDeviceSlicesInLaunchSpans) {
   const mat::Csr a = test_matrix();
-  EngineOptions options = base_options();
-  options.profile = true;  // the stitched trace nests the profiler timeline
-  SpmvEngine engine(a, options);
-  std::vector<float> x(a.ncols, 1.0f);
-  std::vector<float> y;
-  const SpmvResult r = engine.multiply(x, y);
-  ASSERT_FALSE(r.profiles.empty());
-  const Telemetry* tel = engine.telemetry();
-  const std::vector<EngineTraceEvent> events = tel->build_trace();
+  for (const int devices : {1, 2}) {
+    SCOPED_TRACE(devices);
+    EngineOptions options = base_options();
+    options.profile = true;  // the stitched trace nests the profiler timeline
+    options.num_devices = devices;
+    SpmvEngine engine(a, options);
+    std::vector<float> x(a.ncols, 1.0f);
+    std::vector<float> y;
+    const SpmvResult r = engine.multiply(x, y);
+    ASSERT_FALSE(r.profiles.empty());
+    const Telemetry* tel = engine.telemetry();
+    const std::vector<EngineTraceEvent> events = tel->build_trace();
 
-  // Index engine spans by span id; then check every event's containment.
-  std::vector<const EngineTraceEvent*> by_span(tel->spans().size(), nullptr);
-  for (const EngineTraceEvent& e : events) {
-    if (e.pid == Telemetry::kEnginePid) {
-      by_span[static_cast<std::size_t>(e.span)] = &e;
+    // Index engine spans by span id; then check every event's containment.
+    std::vector<const EngineTraceEvent*> by_span(tel->spans().size(), nullptr);
+    for (const EngineTraceEvent& e : events) {
+      if (e.pid == Telemetry::kEnginePid) {
+        by_span[static_cast<std::size_t>(e.span)] = &e;
+      }
     }
-  }
-  constexpr double kSlackUs = 1e-6;
-  int device_events = 0;
-  for (const EngineTraceEvent& e : events) {
-    if (e.pid == Telemetry::kDevicePid) {
-      ++device_events;  // device slice inside its launch span
-      const EngineTraceEvent* launch = by_span[static_cast<std::size_t>(e.span)];
-      ASSERT_NE(launch, nullptr);
-      EXPECT_GE(e.ts_us, launch->ts_us - kSlackUs);
-      EXPECT_LE(e.ts_us + e.dur_us, launch->ts_us + launch->dur_us + kSlackUs);
-    } else if (tel->spans()[static_cast<std::size_t>(e.span)].parent >= 0) {
-      // engine child span inside its parent span
-      const int parent = tel->spans()[static_cast<std::size_t>(e.span)].parent;
-      const EngineTraceEvent* p = by_span[static_cast<std::size_t>(parent)];
-      ASSERT_NE(p, nullptr);
-      EXPECT_GE(e.ts_us, p->ts_us - kSlackUs);
-      EXPECT_LE(e.ts_us + e.dur_us, p->ts_us + p->dur_us + kSlackUs);
+    constexpr double kSlackUs = 1e-6;
+    std::vector<int> device_events(static_cast<std::size_t>(devices), 0);
+    for (const EngineTraceEvent& e : events) {
+      if (e.pid >= Telemetry::kDevicePid) {
+        // device slice inside its launch span
+        ++device_events.at(static_cast<std::size_t>(e.pid - Telemetry::kDevicePid));
+        const EngineTraceEvent* launch = by_span[static_cast<std::size_t>(e.span)];
+        ASSERT_NE(launch, nullptr);
+        EXPECT_GE(e.ts_us, launch->ts_us - kSlackUs);
+        EXPECT_LE(e.ts_us + e.dur_us, launch->ts_us + launch->dur_us + kSlackUs);
+      } else if (tel->spans()[static_cast<std::size_t>(e.span)].parent >= 0) {
+        // engine child span inside its parent span
+        const int parent = tel->spans()[static_cast<std::size_t>(e.span)].parent;
+        const EngineTraceEvent* p = by_span[static_cast<std::size_t>(parent)];
+        ASSERT_NE(p, nullptr);
+        EXPECT_GE(e.ts_us, p->ts_us - kSlackUs);
+        EXPECT_LE(e.ts_us + e.dur_us, p->ts_us + p->dur_us + kSlackUs);
+      }
     }
-  }
-  EXPECT_GT(device_events, 0);
+    for (int d = 0; d < devices; ++d) {
+      EXPECT_GT(device_events[static_cast<std::size_t>(d)], 0) << "device " << d;
+    }
 
-  const std::string json = tel->chrome_trace_json();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("spaden-telemetry"), std::string::npos);
-  EXPECT_NE(json.find("virtual SM 0"), std::string::npos);
+    const std::string json = tel->chrome_trace_json();
+    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+    EXPECT_NE(json.find("spaden-telemetry"), std::string::npos);
+    EXPECT_NE(json.find("virtual SM 0"), std::string::npos);
+  }
 }
 
 TEST(EngineTelemetry, MetricsJsonCarriesSpanAggregates) {

@@ -354,8 +354,9 @@ int cmd_serve(const Args& args) {
   serve::RegistryConfig rcfg;
   rcfg.engine.telemetry = rcfg.engine.telemetry || want_telemetry;
   rcfg.engine.profile = rcfg.engine.profile || !args.engine_trace_out.empty();
-  // Serving fuses requests with multiply_batch, which is single-device; a
-  // global SPADEN_SIM_DEVICES must not leak into the serve engines.
+  // Serving fuses requests with multiply_batch, and a batch of k > 1 needs
+  // one device (the sharded halo model covers one column); a global
+  // SPADEN_SIM_DEVICES must not leak into the serve engines.
   rcfg.engine.num_devices = 1;
 
   if (args.wall_clock) {
