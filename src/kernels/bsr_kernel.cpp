@@ -29,10 +29,10 @@ class BsrKernel final : public SpmvKernel {
   }
 
   /// One fused launch over the k-column grid (launch_column_grid).
-  sim::LaunchResult run_multi(sim::Device& device, sim::DSpan<const float> xs,
-                              sim::DSpan<float> ys, mat::Index k) override {
+  sim::LaunchResult run_multi(sim::Device& device, const XBatch& xs,
+                              sim::DSpan<float> ys) override {
     device.set_batch_id(device.alloc_batch_id());
-    return launch(device, xs, ys, k);
+    return launch(device, xs.column_stack(), ys, xs.k);
   }
 
   [[nodiscard]] san::FormatReport check_format() const override {

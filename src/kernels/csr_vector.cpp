@@ -70,10 +70,10 @@ class CsrVectorKernel final : public SpmvKernel {
   /// k * W warps no longer match the W balancing weights installed at
   /// prepare, so at T > 1 the device splits the grid into equal contiguous
   /// chunks instead.
-  sim::LaunchResult run_multi(sim::Device& device, sim::DSpan<const float> xs,
-                              sim::DSpan<float> ys, mat::Index k) override {
+  sim::LaunchResult run_multi(sim::Device& device, const XBatch& xs,
+                              sim::DSpan<float> ys) override {
     device.set_batch_id(device.alloc_batch_id());
-    return launch(device, xs, ys, k);
+    return launch(device, xs.column_stack(), ys, xs.k);
   }
 
   [[nodiscard]] san::FormatReport check_format() const override {

@@ -90,8 +90,27 @@ ColumnStrides require_column_stack(std::size_t xs_size, std::size_t ys_size, mat
   return stride;
 }
 
-sim::LaunchResult SpmvKernel::run_multi(sim::Device& device, sim::DSpan<const float> xs,
-                                        sim::DSpan<float> ys, mat::Index k) {
+sim::DSpan<const float> XBatch::column_stack() const {
+  SPADEN_REQUIRE(!fragments,
+                 "a binary16 fragment batch has no fp32 column stack; run it on the kernel "
+                 "that packed it");
+  return f32.cspan();
+}
+
+XBatch SpmvKernel::upload_batch(sim::Device& device,
+                                const std::vector<const std::vector<float>*>& xs) {
+  XBatch batch;
+  batch.k = static_cast<mat::Index>(xs.size());
+  batch.f32 = device.memory().upload(
+      pack_column_stack(batch.k, ncols_, [&](mat::Index c, mat::Index i) { return (*xs[c])[i]; }),
+      "batch.x");
+  return batch;
+}
+
+sim::LaunchResult SpmvKernel::run_multi(sim::Device& device, const XBatch& batch,
+                                        sim::DSpan<float> ys) {
+  const mat::Index k = batch.k;
+  const sim::DSpan<const float> xs = batch.column_stack();
   const ColumnStrides stride = require_column_stack(xs.size, ys.size, k, ncols_, nrows_);
   sim::LaunchResult agg;
   for (mat::Index c = 0; c < k; ++c) {

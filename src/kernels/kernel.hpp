@@ -33,6 +33,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/half.hpp"
 #include "gpusim/device.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/verify.hpp"
@@ -80,6 +81,27 @@ struct Footprint {
   }
 };
 
+/// Two binary16 values in one 32-bit word: what one lane holds in a
+/// tensor-core fragment register pair.
+struct HalfPair {
+  half lo;
+  half hi;
+};
+
+/// k right-hand sides uploaded for one batched launch
+/// (SpmvKernel::upload_batch), in the layout of the kernel that packed
+/// them: an fp32 column stack, or Spaden's binary16 fragment stack.
+struct XBatch {
+  mat::Index k = 0;
+  bool fragments = false;     ///< h16 holds the batch (f32 is then empty)
+  sim::Buffer<float> f32;     ///< column stack (pack_column_stack)
+  sim::Buffer<HalfPair> h16;  ///< fragment stack (pack_fragment_stack)
+
+  /// The fp32 column stack; a fragment batch has none, and only the kernel
+  /// that packed it can read it.
+  [[nodiscard]] sim::DSpan<const float> column_stack() const;
+};
+
 class SpmvKernel {
  public:
   virtual ~SpmvKernel() = default;
@@ -95,14 +117,20 @@ class SpmvKernel {
   [[nodiscard]] virtual sim::LaunchResult run(sim::Device& device, sim::DSpan<const float> x,
                                               sim::DSpan<float> y) = 0;
 
+  /// Packs k = xs.size() right-hand sides (ncols entries each) on the host
+  /// and uploads them in the layout this kernel's run_multi reads. The base
+  /// packs the fp32 column stack of pack_column_stack below; Spaden's
+  /// tensor-core kernel packs a binary16 fragment stack instead
+  /// (kern::pack_fragment_stack) unless an entry is outside binary16 range.
+  [[nodiscard]] virtual XBatch upload_batch(sim::Device& device,
+                                            const std::vector<const std::vector<float>*>& xs);
+
   /// k multiplies against one prepared matrix (the spaden-serve batch path):
-  /// `xs` holds k right-hand sides as a column-major stack and `ys` the k
-  /// outputs likewise. The column strides are read from the spans:
-  /// xs.size / k (at least ncols) and ys.size / k (at least nrows). RHS c
-  /// occupies [c*stride, c*stride + ncols) of xs; output c is written to
-  /// [c*stride, c*stride + nrows) of ys, pads untouched. SpmvEngine::
-  /// multiply_batch passes the sector-aligned stacks of column_stride /
-  /// pack_column_stack below, which Spaden's fused SpMM requires.
+  /// `xs` holds k = xs.k right-hand sides, normally from upload_batch, and
+  /// `ys` the k outputs as a column-major stack whose column stride is
+  /// ys.size / k (at least nrows); output c is written to
+  /// [c*stride, c*stride + nrows) of ys, pads untouched. An fp32 column
+  /// stack's stride is likewise f32.size / k (at least ncols).
   /// Contract: per-RHS results are bit-identical to k sequential run()
   /// calls. Every method the serve registry can pick
   /// serves a batch in one launch tagged with one batch id: Spaden runs
@@ -112,9 +140,8 @@ class SpmvKernel {
   /// runs the kernel once per column: trivially bit-identical, each column
   /// its own batch id, modeled time the sum of the per-column launches,
   /// each paying its own t_launch.
-  [[nodiscard]] virtual sim::LaunchResult run_multi(sim::Device& device,
-                                                   sim::DSpan<const float> xs,
-                                                   sim::DSpan<float> ys, mat::Index k);
+  [[nodiscard]] virtual sim::LaunchResult run_multi(sim::Device& device, const XBatch& xs,
+                                                   sim::DSpan<float> ys);
 
   [[nodiscard]] virtual Footprint footprint() const = 0;
 
@@ -142,12 +169,11 @@ class SpmvKernel {
 };
 
 /// Column stride of a multi-RHS stack of length-n columns: n rounded up to
-/// 8 floats (one 32-byte sector), so every column starts on a sector and
-/// each 8-float segment a fused SpMM warp reads is exactly one sector.
+/// 8 floats (one 32-byte sector), so every column starts on a sector.
 [[nodiscard]] constexpr std::size_t column_stride(std::size_t n) { return (n + 7) / 8 * 8; }
 
-/// Builds the column-major stack of k length-n columns that run_multi
-/// reads: `at(c, i)` gives entry i of column c, which lands at
+/// Builds the fp32 column-major stack of k length-n columns (the base
+/// upload_batch layout): `at(c, i)` gives entry i of column c, which lands at
 /// c * column_stride(n) + i; the pad entries [n, column_stride(n)) of each
 /// column are zero.
 template <typename At>

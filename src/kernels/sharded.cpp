@@ -198,9 +198,7 @@ void ShardedSpmv::upload(const std::vector<const std::vector<float>*>& xs,
   const auto k = static_cast<mat::Index>(xs.size());
   if (k > 1) {
     assert(group_->size() == 1);
-    stack_ = group_->device(0).memory().upload(
-        pack_column_stack(k, ncols_, [&](mat::Index c, mat::Index i) { return (*xs[c])[i]; }),
-        "batch.x");
+    batch_ = kernels_[0]->upload_batch(group_->device(0), xs);
     return;
   }
   for (int d = 0; d < group_->size(); ++d) {
@@ -234,7 +232,7 @@ GroupResult ShardedSpmv::launch(mat::Index k) {
     const mat::Index rows = shards_[i].shard.rows();
     if (k > 1) {
       y_[i] = dev.memory().alloc<float>(k * column_stride(rows), "batch.y");
-      result.launches.push_back(kernels_[i]->run_multi(dev, stack_.cspan(), y_[i].span(), k));
+      result.launches.push_back(kernels_[i]->run_multi(dev, batch_, y_[i].span()));
     } else {
       y_[i] = dev.memory().alloc<float>(rows, "y");
       // One logical multiply = one batch id, so multi-launch kernels group
@@ -295,7 +293,7 @@ void ShardedSpmv::download(std::vector<std::vector<float>>& ys) {
   for (sim::Buffer<float>& y : y_) {
     y = sim::Buffer<float>{};
   }
-  stack_ = sim::Buffer<float>{};
+  batch_ = XBatch{};
 }
 
 Footprint ShardedSpmv::footprint() const {

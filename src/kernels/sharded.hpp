@@ -117,14 +117,15 @@ class ShardedSpmv {
 
   /// Uploads the k = xs.size() right-hand sides to every device that
   /// launches. k = 1 uploads x unpadded and caches it under `x_generation`
-  /// (every device holds all of x); k > 1 uploads their pack_column_stack
-  /// stack for the next launch only, and needs a group of one device
-  /// (RemoteWindow covers a single column).
+  /// (every device holds all of x); k > 1 uploads them in the layout the
+  /// method's kernel packs (SpmvKernel::upload_batch) for the next launch
+  /// only, and needs a group of one device (RemoteWindow covers a single
+  /// column).
   void upload(const std::vector<const std::vector<float>*>& xs,
               std::uint64_t x_generation = 0);
 
   /// Launches the uploaded columns on every device: k = 1 run() on the
-  /// cached x, k > 1 run_multi() on the stack. Each device's sanitizer,
+  /// cached x, k > 1 run_multi() on the packed batch. Each device's sanitizer,
   /// profile and launch logs are cleared first, so afterwards they hold
   /// this launch's records only.
   GroupResult launch(mat::Index k);
@@ -152,7 +153,7 @@ class ShardedSpmv {
   std::vector<std::unique_ptr<SpmvKernel>> kernels_;  ///< null for empty shards but 0
   std::vector<sim::Buffer<float>> x_;  ///< per-device cached x (k = 1)
   std::uint64_t x_generation_ = 0;     ///< tag of x_ (0 = none)
-  sim::Buffer<float> stack_;           ///< device 0's x stack (k > 1)
+  XBatch batch_;                       ///< device 0's packed batch (k > 1)
   std::vector<sim::Buffer<float>> y_;  ///< per-device outputs of the last launch
   mat::Index k_ = 0;                   ///< columns of the last launch
 };

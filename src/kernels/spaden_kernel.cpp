@@ -15,7 +15,6 @@
 // isolating the bitBSR-format contribution from the tensor-core
 // contribution in the Fig. 8 breakdown.
 #include <algorithm>
-#include <cmath>
 #include <tuple>
 
 #include "common/bitops.hpp"
@@ -36,16 +35,6 @@ struct DecodedSlot {
   sim::Lanes<float> b_val1;  ///< x[seg*8 + 2*(lid%4)]
   sim::Lanes<float> b_val2;  ///< x[seg*8 + 2*(lid%4) + 1]
 };
-
-/// True when every entry of the x stack converts to a finite binary16
-/// value (NaN compares false). A host-side scan of the packed stack, the
-/// check a serving host makes while packing; it is not charged to the
-/// modeled launch.
-bool finite_in_half(sim::DSpan<const float> xs) {
-  const float limit = static_cast<float>(half::max());
-  return std::all_of(xs.data, xs.data + xs.size,
-                     [limit](float v) { return std::fabs(v) <= limit; });
-}
 
 class SpadenKernel final : public SpmvKernel {
  public:
@@ -252,25 +241,47 @@ class SpadenKernel final : public SpmvKernel {
     });
   }
 
-  sim::LaunchResult run_multi(sim::Device& device, sim::DSpan<const float> xs,
-                              sim::DSpan<float> ys, mat::Index k) override {
-    // Only the paper's pairing TC variant has a fused multi-RHS kernel; the
-    // ablations keep the (bit-identical) sequential base path. Up to
-    // kSpmmRhsPerWarp columns the fused launch has one warp per block-row
-    // pair, so the pair-sized balancing weights installed at prepare
-    // apply; a wider batch has a multiple of that warp count and falls
-    // back to the contiguous partition.
-    //
-    // The fused kernel also multiplies each slot's x rows by the other
-    // slot's zero A block. That adds ±0 while x is finite in binary16, but
-    // 0 * inf is NaN and would reach the paired block-row, which run()
-    // never does; such a batch takes the base path to stay bit-identical.
-    if (variant_ != SpadenVariant::TensorCore || !finite_in_half(xs)) {
-      return SpmvKernel::run_multi(device, xs, ys, k);
+  /// The paper's pairing TC variant packs its batch as a binary16
+  /// fragment stack for the fused multi-RHS kernel; the ablations keep the
+  /// fp32 stack and the (bit-identical) sequential base path.
+  ///
+  /// The fused kernel also multiplies each slot's x rows by the other
+  /// slot's zero A block. That adds ±0 while x is finite in binary16, but
+  /// 0 * inf is NaN and would reach the paired block-row, which run()
+  /// never does. The pack records finiteness in the same host pass (not
+  /// charged to the modeled launch, like any host pack), and a batch with
+  /// an entry outside binary16 range or NaN is re-packed as an fp32 stack
+  /// for the base path, to stay bit-identical.
+  XBatch upload_batch(sim::Device& device,
+                      const std::vector<const std::vector<float>*>& xs) override {
+    if (variant_ == SpadenVariant::TensorCore) {
+      const auto k = static_cast<mat::Index>(xs.size());
+      FragmentStack stack = pack_fragment_stack(
+          k, ncols_, [&](mat::Index c, mat::Index i) { return (*xs[c])[i]; });
+      if (stack.finite) {
+        XBatch batch;
+        batch.k = k;
+        batch.fragments = true;
+        batch.h16 = device.memory().upload(std::move(stack.words), "batch.x");
+        return batch;
+      }
+    }
+    return SpmvKernel::upload_batch(device, xs);
+  }
+
+  /// A fragment batch runs the fused SpMM. Up to kSpmmRhsPerWarp columns
+  /// its launch has one warp per block-row pair, so the pair-sized
+  /// balancing weights installed at prepare apply; a wider batch has a
+  /// multiple of that warp count and falls back to the contiguous
+  /// partition.
+  sim::LaunchResult run_multi(sim::Device& device, const XBatch& xs,
+                              sim::DSpan<float> ys) override {
+    if (!xs.fragments) {
+      return SpmvKernel::run_multi(device, xs, ys);
     }
     device.set_batch_id(device.alloc_batch_id());
-    return spmm_spaden_strided(device, bitbsr_, decode_cache_.get(), xs, ys, k, nrows_,
-                               ncols_);
+    return spmm_spaden_strided(device, bitbsr_, decode_cache_.get(), xs.h16.cspan(), ys, xs.k,
+                               nrows_, ncols_);
   }
 
   [[nodiscard]] san::FormatReport check_format() const override {

@@ -84,7 +84,8 @@ SpmmResult spmm_spaden(sim::Device& device, const mat::Csr& a, const mat::Dense&
   decode_cache.build_if_enabled(bb_host);
   const mat::Index k = b.ncols;
   auto b_dev = device.memory().upload(
-      pack_column_stack(k, b.nrows, [&](mat::Index c, mat::Index i) { return b.at(i, c); }),
+      pack_fragment_stack(k, b.nrows, [&](mat::Index c, mat::Index i) { return b.at(i, c); })
+          .words,
       "spmm.b");
   auto c_dev = device.memory().alloc<float>(k * column_stride(a.nrows), "spmm.c");
 
@@ -104,20 +105,28 @@ SpmmResult spmm_spaden(sim::Device& device, const mat::Csr& a, const mat::Dense&
 
 sim::LaunchResult spmm_spaden_strided(sim::Device& device, const DeviceBitBsr& a,
                                       const BitBsrDecodeCache* cache,
-                                      sim::DSpan<const float> xs, sim::DSpan<float> ys,
+                                      sim::DSpan<const HalfPair> xs, sim::DSpan<float> ys,
                                       mat::Index k, mat::Index nrows, mat::Index ncols) {
-  const ColumnStrides stride = require_column_stack(xs.size, ys.size, k, ncols, nrows);
-  SPADEN_REQUIRE(stride.x % 8 == 0,
-                 "spmm_spaden_strided needs sector-aligned x columns: stride %zu is not a "
-                 "multiple of 8 (kern::column_stride)",
-                 stride.x);
+  SPADEN_REQUIRE(k >= 1, "spmm_spaden_strided needs at least one right-hand side");
   // Lane indices below are 32-bit, as on the device: a larger stack would
-  // wrap to an in-bounds wrong element.
-  SPADEN_REQUIRE(xs.size <= UINT32_MAX && ys.size <= UINT32_MAX,
-                 "column stack of %zu x / %zu y entries overflows 32-bit lane indices",
-                 xs.size, ys.size);
-  const auto x_stride = static_cast<std::uint32_t>(stride.x);
-  const auto y_stride = static_cast<std::uint32_t>(stride.y);
+  // wrap to an in-bounds wrong element. Checked from the shape alone,
+  // before the sizes.
+  const std::uint64_t x_words = fragment_stack_words(k, ncols);
+  const auto bcols = static_cast<mat::Index>((std::uint64_t{ncols} + 7) / 8);
+  SPADEN_REQUIRE(x_words <= UINT32_MAX,
+                 "binary16 x stack of %llu column groups x %u block columns x 32 lanes "
+                 "overflows 32-bit lane indices",
+                 static_cast<unsigned long long>((std::uint64_t{k} + 7) / 8), bcols);
+  SPADEN_REQUIRE(xs.size == x_words,
+                 "x stack of %zu words is not the binary16 fragment stack of k=%u columns "
+                 "of %u rows (%llu words, kern::pack_fragment_stack)",
+                 xs.size, k, ncols, static_cast<unsigned long long>(x_words));
+  SPADEN_REQUIRE(ys.size % k == 0 && ys.size / k >= nrows,
+                 "y stack of %zu entries is not k=%u columns of at least %u entries", ys.size,
+                 k, nrows);
+  SPADEN_REQUIRE(ys.size <= UINT32_MAX,
+                 "y stack of %zu entries overflows 32-bit lane indices", ys.size);
+  const auto y_stride = static_cast<std::uint32_t>(ys.size / k);
   const auto block_row_ptr = a.block_row_ptr.cspan();
   const mat::Index brows = a.brows;
   const std::uint64_t pairs = (brows + 1) / 2;
@@ -167,41 +176,42 @@ sim::LaunchResult spmm_spaden_strided(sim::Device& device, const DeviceBitBsr& a
         const DecodedBlock dec = decode_bitbsr_block(ctx, a, a_idx, cache);
         // Per-column vector decode: in the B portion of (this slot's row
         // half, column half h) of tile t, lane holds the column of RHS
-        // first + 16t + 8h + lane/4 and loads its rows 2*(lane%4) and +1 as
-        // one 8-byte pair from that column's sector-aligned 8-float
-        // segment, so each 8x8 x tile is 8 sectors in one instruction. Rows
-        // past ncols read the stack's zero pads, which only multiply
-        // structural zeros; columns past k clamp to the last RHS, whose
-        // spurious outputs the extraction mask drops.
-        unsigned loads = 0;
+        // first + 16t + 8h + lane/4 and its rows 2*(lane%4) and +1 as one
+        // binary16 word of the fragment stack, so each 8x8 x tile is 32
+        // consecutive words (4 sectors) in one instruction, loaded straight
+        // into the register pair. Rows past ncols read the stack's zero
+        // pads, which only multiply structural zeros; lanes of columns past
+        // k load nothing and keep zero B halves, whose outputs the
+        // extraction mask drops.
         for (mat::Index t = 0; t < tiles; ++t) {
           for (unsigned h = 0; h < halves(t); ++h) {
             const mat::Index col0 = first + 16 * t + 8 * h;
+            const std::uint32_t word0 = (col0 / 8 * bcols + dec.block_col) * sim::kWarpSize;
+            const mat::Index live_lanes = 4 * std::min<mat::Index>(k - col0, 8);
+            const std::uint32_t mask =
+                live_lanes == sim::kWarpSize ? sim::kFullMask : (1u << live_lanes) - 1;
             sim::Lanes<std::uint32_t> xidx{};
             for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-              const std::uint32_t c_eff = std::min(col0 + lane / 4, k - 1);
-              xidx[lane] = c_eff * x_stride + dec.block_col * 8 + ((lane & 3u) << 1);
+              xidx[lane] = word0 + lane;
             }
             ctx.charge(sim::OpClass::IntAlu, sim::kWarpSize);
-            const auto [bv1, bv2] = ctx.gather2(xs, xidx);
+            const auto bv = ctx.gather(xs, xidx, mask);
             const unsigned b_reg = 2 * tc::portion_pair(slot, h);
             for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-              b_frags[t].x(lane, b_reg) = half(bv1[lane]);
-              b_frags[t].x(lane, b_reg + 1) = half(bv2[lane]);
+              b_frags[t].x(lane, b_reg) = bv[lane].lo;
+              b_frags[t].x(lane, b_reg + 1) = bv[lane].hi;
             }
-            ++loads;
           }
         }
         ctx.range_pop();
-        // Direct register writes: the A portion once, then the converted
-        // x pairs of every load above.
+        // Direct register writes of the A portion; the x loads above
+        // already landed in B's registers.
         ctx.range_push("mma");
         for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
           a_frag.x(lane, a_reg) = dec.a_val1[lane];
           a_frag.x(lane, a_reg + 1) = dec.a_val2[lane];
         }
-        ctx.charge(sim::OpClass::RegMove, (2 + 2 * loads) * sim::kWarpSize);
-        ctx.charge(sim::OpClass::Convert, 2 * loads * sim::kWarpSize);
+        ctx.charge(sim::OpClass::RegMove, 2 * sim::kWarpSize);
         ctx.range_pop();
       }
       const sim::ProfRange prof(ctx, "mma");

@@ -14,7 +14,14 @@
 //                 up to 16 RHS columns per MMA
 #pragma once
 
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "common/half.hpp"
 #include "gpusim/device.hpp"
+#include "kernels/kernel.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/dense.hpp"
 
@@ -35,9 +42,9 @@ struct SpmmResult {
 /// read coalesced, fp32 throughout.
 SpmmResult spmm_csr(sim::Device& device, const mat::Csr& a, const mat::Dense& b);
 
-/// Tensor-core bitBSR SpMM: B is packed into a column-major stack and run
-/// through spmm_spaden_strided, then unpacked into row-major C; values in
-/// binary16, accumulation in fp32.
+/// Tensor-core bitBSR SpMM: B is packed into a binary16 fragment stack and
+/// run through spmm_spaden_strided, then C is unpacked into row-major
+/// order; values in binary16, accumulation in fp32.
 SpmmResult spmm_spaden(sim::Device& device, const mat::Csr& a, const mat::Dense& b);
 
 /// RHS columns one warp of spmm_spaden_strided holds in registers. An
@@ -50,21 +57,63 @@ SpmmResult spmm_spaden(sim::Device& device, const mat::Csr& a, const mat::Dense&
 /// (max_batch 32) runs one warp per block-row pair.
 inline constexpr mat::Index kSpmmRhsPerWarp = 64;
 
+/// Words of the binary16 fragment stack of k columns of n rows:
+/// ceil(k/8) column groups x ceil(n/8) block columns x 32 lanes, in 64 bits
+/// so a caller can check it against the kernel's 32-bit lane indices.
+[[nodiscard]] constexpr std::uint64_t fragment_stack_words(mat::Index k, mat::Index n) {
+  return (std::uint64_t{k} + 7) / 8 * ((std::uint64_t{n} + 7) / 8) * sim::kWarpSize;
+}
+
+/// A host-packed binary16 fragment stack (pack_fragment_stack).
+struct FragmentStack {
+  std::vector<HalfPair> words;
+  /// Every entry is within binary16 range (|v| <= 65504, not NaN), so it
+  /// converts to a finite half.
+  bool finite = true;
+};
+
+/// Packs k length-n columns (`at(c, i)` gives entry i of column c) in one
+/// host pass into the order spmm_spaden_strided loads fragment B in. For
+/// 8-column group g, block column b and lane l, word (g * bcols + b) * 32 + l
+/// holds the two halves lane l writes into its B register pair: rows
+/// 8b + 2*(l%4) and +1 of column 8g + l/4, each half(float) of the entry.
+/// A warp's load of one (group, block column) is then 32 consecutive words,
+/// 4 sectors. Rows past n and columns past k are zero pads. The same pass
+/// records whether every entry is finite in binary16.
+template <typename At>
+[[nodiscard]] FragmentStack pack_fragment_stack(mat::Index k, mat::Index n, At&& at) {
+  const std::size_t group_words = (std::size_t{n} + 7) / 8 * sim::kWarpSize;
+  const float limit = static_cast<float>(half::max());
+  FragmentStack stack;
+  stack.words.resize(fragment_stack_words(k, n));
+  for (mat::Index c = 0; c < k; ++c) {
+    HalfPair* column = stack.words.data() + c / 8 * group_words + c % 8 * 4;
+    for (mat::Index i = 0; i < n; ++i) {
+      const float v = at(c, i);
+      stack.finite = stack.finite && std::fabs(v) <= limit;
+      HalfPair& word = column[i / 8 * sim::kWarpSize + i % 8 / 2];
+      (i % 2 == 0 ? word.lo : word.hi) = half(v);
+    }
+  }
+  return stack;
+}
+
 /// Strided multi-RHS SpMM over an *already prepared* device bitBSR — the
-/// spaden-serve request-fusion path. X and Y are column-major stacks of k
-/// SpMV vectors whose column strides are xs.size / k and ys.size / k (RHS c
-/// at X[c*x_stride..], output c at Y[c*y_stride..]), so per-request results
-/// demultiplex as column slices. The x stride must be sector-aligned with
-/// zero pads past ncols (kern::pack_column_stack), and k * stride must fit
-/// the kernel's 32-bit lane indices.
+/// spaden-serve request-fusion path. X is the pack_fragment_stack stack of
+/// k SpMV vectors; Y is a column-major fp32 stack of the k outputs with
+/// column stride ys.size / k (output c at Y[c*y_stride..]), so per-request
+/// results demultiplex as column slices. The x stack's
+/// fragment_stack_words(k, ncols) and the y stack's size must fit the
+/// kernel's 32-bit lane indices.
 ///
 /// Fragment layout (paper §3's portion map: TL = x[0,1], BL = x[2,3],
 /// TR = x[4,5], BR = x[6,7]). A holds the slot-0 block in TL and the
 /// slot-1 block in BR. Per 16-column RHS tile, B holds slot 0's x tile in
 /// TL (RHS tile+0..7) and TR (tile+8..15), slot 1's in BL and BR, so the
 /// accumulator's four portions are A1·X(c1) and A2·X(c2) over 16 RHS. Each
-/// lane loads its two B rows with one 8-byte gather2 per portion: a tile
-/// with 8 or fewer live columns issues one per slot, a full tile two.
+/// lane loads its two B halves of a portion as one 32-bit word, straight
+/// into the register pair: a tile with 8 or fewer live columns issues one
+/// load per slot, a full tile two. Lanes of columns past k load nothing.
 ///
 /// Each warp covers one block-row pair and up to kSpmmRhsPerWarp RHS
 /// columns, so the launch has pairs * ceil(k / kSpmmRhsPerWarp) warps. It
@@ -72,17 +121,18 @@ inline constexpr mat::Index kSpmmRhsPerWarp = 64;
 /// 16-column tile of its columns into that tile's accumulator.
 ///
 /// Per column the arithmetic mirrors the Spaden SpMV kernel — same decode,
-/// same half conversion, same ascending block order per accumulator, and
-/// zero x rows past ncols (stack pads here, skipped loads in SpMV). The
-/// extra terms the full fragment adds (x rows read into a portion whose A
-/// block is zero) are products with zero that add ±0 to an accumulator
-/// that is never -0. So each output column
-/// is bit-identical to one SpadenKernel::run with that column's x (the
-/// serve acceptance anchor) whenever every x entry is finite in binary16,
-/// which SpadenKernel::run_multi checks before launching it.
+/// same half(float) x values (converted by the pack instead of the load),
+/// same ascending block order per accumulator, and zero x rows past ncols
+/// (stack pads here, skipped loads in SpMV). The extra terms the full
+/// fragment adds (x rows read into a portion whose A block is zero) are
+/// products with zero that add ±0 to an accumulator that is never -0. So
+/// each output column is bit-identical to one SpadenKernel::run with that
+/// column's x (the serve acceptance anchor) whenever every x entry is
+/// finite in binary16, which SpadenKernel::upload_batch checks while
+/// packing.
 sim::LaunchResult spmm_spaden_strided(sim::Device& device, const DeviceBitBsr& a,
                                       const BitBsrDecodeCache* cache,
-                                      sim::DSpan<const float> xs, sim::DSpan<float> ys,
+                                      sim::DSpan<const HalfPair> xs, sim::DSpan<float> ys,
                                       mat::Index k, mat::Index nrows, mat::Index ncols);
 
 /// Error bound for comparing an SpMM result against the fp64 reference.

@@ -162,10 +162,12 @@ TEST(Kernels, RunMultiAtOneColumnIsRun) {
       device.set_sim_threads(1);
       auto kernel = make_kernel(m);
       kernel->prepare(device, a);
-      auto xb = device.memory().upload(x);
+      XBatch xb;
+      xb.k = 1;
+      xb.f32 = device.memory().upload(x);
       auto yb = device.memory().alloc<float>(a.nrows);
-      const sim::LaunchResult r = multi ? kernel->run_multi(device, xb.cspan(), yb.span(), 1)
-                                        : kernel->run(device, xb.cspan(), yb.span());
+      const sim::LaunchResult r = multi ? kernel->run_multi(device, xb, yb.span())
+                                        : kernel->run(device, xb.f32.cspan(), yb.span());
       return std::make_pair(r, yb.host());
     };
     const auto [single, y_single] = launch(false);

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "kernels/bitbsr_decode.hpp"
@@ -323,8 +326,12 @@ BatchedRun run_batched(const mat::Csr& a, mat::Index k) {
   sim::Device device(sim::l40());
   device.set_profile(true);
   const DeviceBitBsr dev_bb = DeviceBitBsr::upload(device.memory(), run.bb);
-  auto xs = device.memory().upload(pack_column_stack(
-      k, a.ncols, [](mat::Index c, mat::Index i) { return 0.01f * static_cast<float>(c + i); }));
+  auto xs = device.memory().upload(
+      pack_fragment_stack(k, a.ncols,
+                          [](mat::Index c, mat::Index i) {
+                            return 0.01f * static_cast<float>(c + i);
+                          })
+          .words);
   auto ys = device.memory().alloc<float>(k * column_stride(a.nrows));
   run.batch = spmm_spaden_strided(device, dev_bb, nullptr, xs.cspan(), ys.span(), k, a.nrows,
                                   a.ncols);
@@ -339,13 +346,14 @@ BatchedRun run_batched(const mat::Csr& a, mat::Index k) {
 /// 101 x 97: 7 block-row pairs, ncols % 8 == 1.
 mat::Csr small_ragged() { return mat::Csr::from_coo(mat::random_uniform(101, 97, 1500, 9)); }
 
-TEST(SpadenKernel, BatchedXTileIsEightSectorsInOneLoad) {
-  // ncols % 8 == 1: the last block column's x segment is one entry plus 7
-  // pads, and without padding most segments would straddle two sectors.
-  // Every decoded block slot of an 8-column tile must load its 8x8 x tile
-  // as exactly 8 wavefronts in one instruction (one sector per RHS
-  // column); the rest of the "decode" range is the block decode itself,
-  // measured here by decoding every stored block on its own.
+TEST(SpadenKernel, BatchedXTileIsFourSectorsInOneLoad) {
+  // ncols % 8 == 1: the last block column's x segment is one row plus 7
+  // pads. Each decoded block slot loads every live 8-column group of its
+  // x tile as one 32-bit gather of 32 consecutive binary16 words: 4
+  // wavefronts in one instruction (one sector per 2 RHS columns), where
+  // the fp32 column stack took one sector per column. The rest of the
+  // "decode" range is the block decode itself, measured here by decoding
+  // every stored block on its own.
   {
     const BatchedRun run = run_batched(small_ragged(), 8);
     const sim::RangeProfile* range = run.range("decode");
@@ -354,11 +362,22 @@ TEST(SpadenKernel, BatchedXTileIsEightSectorsInOneLoad) {
     ASSERT_GT(slots, 0u);
     EXPECT_EQ(range->invocations, slots);
     EXPECT_EQ(range->stats.mem_instructions - run.decode.stats.mem_instructions, slots);
-    EXPECT_EQ(range->stats.wavefronts - run.decode.stats.wavefronts, 8 * slots);
+    EXPECT_EQ(range->stats.wavefronts - run.decode.stats.wavefronts, 4 * slots);
     EXPECT_EQ(range->stats.lane_loads - run.decode.stats.lane_loads, 32 * slots);
   }
+  // k = 2: the 24 lanes of columns past k are masked off and load
+  // nothing, so the 8 live lanes read one sector.
+  {
+    const BatchedRun run = run_batched(small_ragged(), 2);
+    const sim::RangeProfile* range = run.range("decode");
+    ASSERT_NE(range, nullptr);
+    const std::uint64_t slots = run.bb.num_blocks();
+    EXPECT_EQ(range->stats.mem_instructions - run.decode.stats.mem_instructions, slots);
+    EXPECT_EQ(range->stats.wavefronts - run.decode.stats.wavefronts, slots);
+    EXPECT_EQ(range->stats.lane_loads - run.decode.stats.lane_loads, 8 * slots);
+  }
   // A full 16-column tile fills both column halves of the slot's B
-  // portions: two paired loads, 8 sectors each.
+  // portions: two loads, 4 sectors each.
   const BatchedRun run = run_batched(small_ragged(), 16);
   ASSERT_EQ(run.batch.stats.warps_launched, run.pairs());
   const sim::RangeProfile* range = run.range("decode");
@@ -366,8 +385,60 @@ TEST(SpadenKernel, BatchedXTileIsEightSectorsInOneLoad) {
   const std::uint64_t slots = run.bb.num_blocks();
   EXPECT_EQ(range->invocations, slots);
   EXPECT_EQ(range->stats.mem_instructions - run.decode.stats.mem_instructions, 2 * slots);
-  EXPECT_EQ(range->stats.wavefronts - run.decode.stats.wavefronts, 16 * slots);
+  EXPECT_EQ(range->stats.wavefronts - run.decode.stats.wavefronts, 8 * slots);
   EXPECT_EQ(range->stats.lane_loads - run.decode.stats.lane_loads, 64 * slots);
+}
+
+TEST(SpadenKernel, BatchedIsSequentialSpmvsAtEveryWidth) {
+  // On a ragged matrix (last block column partial), each batch width runs
+  // the binary16 fragment stack through SpadenKernel's upload_batch and
+  // run_multi. Every output column must be byte-identical to one run()
+  // on that column, and the x loads per decoded block must be one sector
+  // per 2 live RHS columns of each 8-column group, summed over the
+  // kSpmmRhsPerWarp-column warps that decode the block.
+  const mat::Csr a = small_ragged();
+  struct Width {
+    mat::Index k;
+    std::uint64_t x_wavefronts;  ///< per stored block, over all its warps
+  };
+  for (const Width w : {Width{2, 1}, Width{5, 3}, Width{8, 4}, Width{9, 5}, Width{16, 8},
+                        Width{17, 9}, Width{21, 11}, Width{32, 16}, Width{33, 17},
+                        Width{64, 32}, Width{65, 33}}) {
+    SCOPED_TRACE(testing::Message() << "k=" << w.k);
+    std::vector<std::vector<float>> xs(w.k, std::vector<float>(a.ncols));
+    std::vector<const std::vector<float>*> ptrs;
+    for (mat::Index c = 0; c < w.k; ++c) {
+      for (mat::Index i = 0; i < a.ncols; ++i) {
+        xs[c][i] = 0.37f * static_cast<float>((3 * c + 5 * i) % 23) - 4.1f;
+      }
+      ptrs.push_back(&xs[c]);
+    }
+    sim::Device device(sim::l40());
+    device.set_sim_threads(1);
+    auto kernel = make_kernel(Method::Spaden);
+    kernel->prepare(device, a);
+    const XBatch batch = kernel->upload_batch(device, ptrs);
+    ASSERT_TRUE(batch.fragments);
+    auto ys = device.memory().alloc<float>(w.k * column_stride(a.nrows));
+    (void)kernel->run_multi(device, batch, ys.span());
+    for (mat::Index c = 0; c < w.k; ++c) {
+      auto x = device.memory().upload(xs[c]);
+      auto y = device.memory().alloc<float>(a.nrows);
+      (void)kernel->run(device, x.cspan(), y.span());
+      const std::span<const float> batched = stack_column(ys.host(), a.nrows, c);
+      ASSERT_EQ(std::memcmp(batched.data(), y.host().data(), a.nrows * sizeof(float)), 0)
+          << "column " << c;
+    }
+
+    const BatchedRun run = run_batched(a, w.k);
+    const sim::RangeProfile* range = run.range("decode");
+    ASSERT_NE(range, nullptr);
+    const std::uint64_t warps_per_pair = (w.k + kSpmmRhsPerWarp - 1) / kSpmmRhsPerWarp;
+    EXPECT_EQ(range->stats.wavefronts - warps_per_pair * run.decode.stats.wavefronts,
+              w.x_wavefronts * run.bb.num_blocks());
+    EXPECT_EQ(range->stats.mem_instructions - warps_per_pair * run.decode.stats.mem_instructions,
+              (w.k + 7) / 8 * run.bb.num_blocks());
+  }
 }
 
 TEST(SpadenKernel, BatchedDecodesEachBlockOncePerWarp) {
@@ -405,22 +476,32 @@ TEST(SpadenKernel, BatchedMmaCountIsPairIterationsTimesSixteenColumnTiles) {
 }
 
 TEST(SpadenKernel, BatchedStackPastThirtyTwoBitIndicesRejected) {
-  // k * stride >= 2^32 would wrap the kernel's 32-bit lane indices to an
-  // in-bounds wrong element; the shape is checked before any launch, so
-  // size-only spans (no backing storage) suffice.
+  // The binary16 stack's groups * bcols * 32 words must stay below 2^32,
+  // or the kernel's 32-bit lane indices would wrap to an in-bounds wrong
+  // element. The shape is checked before the stack's size and before any
+  // launch, so size-only spans (no backing storage) suffice.
   const mat::Csr a = mat::Csr::from_coo(mat::random_uniform(8, 8, 20, 3));
   sim::Device device(sim::l40());
   const DeviceBitBsr dev_bb = DeviceBitBsr::upload(device.memory(), mat::BitBsr::from_csr(a));
-  constexpr mat::Index k = 128;
-  constexpr mat::Index ncols = 33'554'440;  // 128 * 33'554'440 > 2^32
-  const sim::DSpan<const float> xs{nullptr, 0, k * column_stride(ncols)};
+  constexpr mat::Index k = 128;                // 16 column groups
+  constexpr mat::Index ncols = 67'108'864;     // 2^23 block columns: 2^32 words
   const sim::DSpan<float> ys{nullptr, 0, k * column_stride(a.nrows)};
-  try {
-    (void)spmm_spaden_strided(device, dev_bb, nullptr, xs, ys, k, a.nrows, ncols);
-    FAIL() << "a stack past 32-bit lane indices was accepted";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("32-bit"), std::string::npos) << e.what();
-  }
+  const auto attempt = [&](mat::Index n) -> std::string {
+    const sim::DSpan<const HalfPair> xs{nullptr, 0, 0};
+    try {
+      (void)spmm_spaden_strided(device, dev_bb, nullptr, xs, ys, k, a.nrows, n);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  const std::string past = attempt(ncols);
+  EXPECT_NE(past.find("32-bit lane indices"), std::string::npos) << past;
+  // One block column fewer fits: the shape passes, and the empty span
+  // then fails the size check instead.
+  const std::string fits = attempt(ncols - 8);
+  EXPECT_EQ(fits.find("32-bit"), std::string::npos) << fits;
+  EXPECT_NE(fits.find("fragment stack"), std::string::npos) << fits;
 }
 
 }  // namespace
