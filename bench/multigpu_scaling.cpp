@@ -77,8 +77,9 @@ analysis::MethodRun run_method_multi(const sim::DeviceSpec& spec, kern::Method m
     return analysis::run_method(spec, method, a, matrix_name);
   }
   sim::DeviceGroup group(spec, num_devices);
-  group.set_sched(sim::default_engine_sched());
-  group.set_shared_l2(sim::default_engine_shared_l2());
+  const sim::SchedConfig sched = sim::default_engine_sched();
+  group.set_sched(sched);
+  group.set_shared_l2(sim::engine_shared_l2(sched));
   kern::ShardedSpmv sharded(group, method);
 
   analysis::MethodRun run;

@@ -14,8 +14,9 @@ MethodRun run_method(const sim::DeviceSpec& spec, kern::Method method, const mat
   // Figures run under the engine defaults (rr + shared L2 unless the
   // SPADEN_SIM_SCHED / SPADEN_SIM_SHARED_L2 env vars say otherwise), so the
   // headline numbers and the SpmvEngine agree.
-  device.set_sched(sim::default_engine_sched());
-  device.set_shared_l2(sim::default_engine_shared_l2());
+  const sim::SchedConfig sched = sim::default_engine_sched();
+  device.set_sched(sched);
+  device.set_shared_l2(sim::engine_shared_l2(sched));
   auto kernel = kern::make_kernel(method);
   kernel->prepare(device, a);
 

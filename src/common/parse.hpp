@@ -1,11 +1,12 @@
 // Checked string-to-number parsing (cert-err34-c): std::atoi/atof return 0
 // silently on garbage and parse "12abc" as 12; every env var and CLI flag
 // goes through these instead, so a typo is a hard error, not a silent
-// default.
+// default. env_flag is the one reader of the on/off SPADEN_* switches.
 #pragma once
 
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <optional>
 
 namespace spaden {
@@ -37,6 +38,13 @@ inline std::optional<double> parse_double(const char* s) {
     return std::nullopt;
   }
   return v;
+}
+
+/// On/off environment switch: true when `name` is set to anything but ""
+/// or "0" (so "1", "yes" and "off" all switch it on).
+inline bool env_flag(const char* name) {
+  const char* env = std::getenv(name);
+  return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
 }
 
 }  // namespace spaden

@@ -54,17 +54,18 @@ struct EngineOptions {
   /// SpmvResult::profiles; modeled time is unaffected.
   bool profile = sim::default_profile();
   /// Warp scheduling policy of the simulator (gpusim/sched): serial =
-  /// run-to-completion (bit-for-bit the classic launcher), rr / gto
-  /// interleave resident warps so the cache models see realistic access
-  /// streams and the latency model can expose uncovered stalls.
+  /// run-to-completion (bit-for-bit the classic launcher), rr interleaves
+  /// resident warps so the cache models see realistic access streams and
+  /// the latency model can expose uncovered stalls.
   /// SPADEN_SIM_SCHED wins when set (including "serial"); otherwise the
   /// engine defaults to rr with an occupancy-derived resident window.
   sim::SchedConfig sched = sim::default_engine_sched();
   /// Model the L2 as one shared set-sharded cache across virtual SMs
   /// instead of per-SM capacity slices. SPADEN_SIM_SHARED_L2 wins when set
-  /// (including "0"); otherwise the engine defaults to the shared L2 the
-  /// interleaved timing constants were calibrated for.
-  bool shared_l2 = sim::default_engine_shared_l2();
+  /// (including "0"); otherwise the L2 is shared exactly when `sched`
+  /// interleaves (sim::engine_shared_l2) — the pairing the interleaved
+  /// timing constants were calibrated for.
+  bool shared_l2 = sim::engine_shared_l2(sched);
   /// Run spaden-verify (matrix/verify.hpp) over the uploaded device-resident
   /// format right after prepare() and throw spaden::Error on any structural
   /// violation. Defaults to the SPADEN_VERIFY_FORMAT env var.

@@ -3,21 +3,18 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/parse.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/multidevice.hpp"
 
 namespace spaden {
 
-bool default_telemetry() {
-  const char* env = std::getenv("SPADEN_TELEMETRY");
-  return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
-}
+bool default_telemetry() { return env_flag("SPADEN_TELEMETRY"); }
 
 Telemetry::Telemetry() = default;
 

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/error.hpp"
 #include "common/parse.hpp"
@@ -26,26 +25,16 @@ void Device::set_sim_threads(int threads) {
   threads_ = threads;  // caches and pool follow at the next launch
 }
 
-bool default_sancheck() {
-  const char* env = std::getenv("SPADEN_SANCHECK");
-  return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
-}
+bool default_sancheck() { return env_flag("SPADEN_SANCHECK"); }
 
-bool default_shared_l2() {
-  const char* env = std::getenv("SPADEN_SIM_SHARED_L2");
-  return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
-}
+bool default_shared_l2() { return env_flag("SPADEN_SIM_SHARED_L2"); }
 
-bool default_engine_shared_l2() {
+bool engine_shared_l2(const SchedConfig& sched) {
   const char* env = std::getenv("SPADEN_SIM_SHARED_L2");
   if (env != nullptr && env[0] != '\0') {
-    return std::strcmp(env, "0") != 0;  // env always wins, including "0"
+    return default_shared_l2();  // env always wins, including "0"
   }
-  // Pair the L2 model with the scheduling default: interleaved scheduling
-  // was calibrated against the shared set-sharded L2, while an explicit
-  // SPADEN_SIM_SCHED=serial keeps the pre-recalibration slice L2 so serial
-  // runs stay bit-for-bit reproducible against historical outputs.
-  return default_engine_sched().policy != SchedPolicy::Serial;
+  return sched.policy != SchedPolicy::Serial;
 }
 
 void Device::ensure_caches() {
@@ -85,13 +74,11 @@ std::vector<std::uint64_t> Device::partition_bounds(std::string_view name,
   // weights instead of a stale set.
   const std::vector<std::uint64_t>* weights = nullptr;
   std::uint64_t total_weight = 0;
-  if (partition_ == WarpPartition::NnzBalanced) {
-    const std::vector<std::uint64_t>& keyed = launch_warp_weights(name);
-    if (keyed.size() == num_warps) {
-      weights = &keyed;
-    } else if (warp_weights_.size() == num_warps) {
-      weights = &warp_weights_;
-    }
+  const std::vector<std::uint64_t>& keyed = launch_warp_weights(name);
+  if (keyed.size() == num_warps) {
+    weights = &keyed;
+  } else if (warp_weights_.size() == num_warps) {
+    weights = &warp_weights_;
   }
   if (weights != nullptr) {
     for (const std::uint64_t weight : *weights) {

@@ -37,13 +37,13 @@
 // default warps run to completion in grid order within a chunk rather than
 // the hardware's interleaved schedule, which gives the cache models mildly
 // optimistic temporal locality. The warp scheduler (gpusim/sched,
-// set_sched / SPADEN_SIM_SCHED / --sched) closes this: `rr` and `gto`
-// interleave an occupancy-limited window of resident warps per virtual SM
-// on stackful fibers, deterministic at a fixed thread count, and
-// additionally model issue/latency cycles so stalls nothing could cover
-// feed estimate_time's t_stall term. `serial` (the raw-Device default; the
-// engine defaults to rr + shared L2 since the recalibration) is the classic
-// launcher bit-for-bit.
+// set_sched / SPADEN_SIM_SCHED / --sched) closes this: `rr` interleaves an
+// occupancy-limited window of resident warps per virtual SM on stackful
+// fibers, deterministic at a fixed thread count, and additionally models
+// issue/latency cycles so stalls nothing could cover feed estimate_time's
+// t_stall term. `serial` (the raw-Device default; the engine defaults to
+// rr + shared L2 since the recalibration) is the classic launcher
+// bit-for-bit.
 #pragma once
 
 #include <algorithm>
@@ -85,12 +85,15 @@ namespace spaden::sim {
 /// anything but "" or "0" enables the shared set-sharded L2 on new devices.
 [[nodiscard]] bool default_shared_l2();
 
-/// Shared-L2 default for SpmvEngine devices: SPADEN_SIM_SHARED_L2 wins when
-/// set (including "0" to force slices), otherwise the shared set-sharded L2
-/// is ON — the configuration the interleaved timing constants were
-/// calibrated for (tools/calibrate_sched.py). Raw Device construction keeps
-/// the conservative default_shared_l2() (off unless the env asks).
-[[nodiscard]] bool default_engine_shared_l2();
+/// Shared-L2 setting paired with scheduling config `sched` (SpmvEngine, the
+/// CLI and the figure benches): SPADEN_SIM_SHARED_L2 wins when set
+/// (including "0" to force slices); otherwise the L2 is shared exactly when
+/// `sched` interleaves — the configuration the interleaved timing constants
+/// were calibrated for (tools/calibrate_sched.py) — and serial keeps the
+/// slice L2 so serial runs stay bit-for-bit reproducible against historical
+/// outputs. Raw Device construction keeps the conservative
+/// default_shared_l2() (off unless the env asks).
+[[nodiscard]] bool engine_shared_l2(const SchedConfig& sched);
 
 /// One entry of the Device's opt-in launch log (spaden-telemetry): the
 /// per-launch identity and cost summary the engine turns into launch spans.
@@ -156,8 +159,8 @@ class Device {
   void set_sim_threads(int threads);
 
   /// Warp scheduling (gpusim/sched): policy Serial runs warps to completion
-  /// in grid order (the classic launcher, bit-for-bit); RoundRobin and Gto
-  /// interleave an occupancy-limited window of resident warps per virtual
+  /// in grid order (the classic launcher, bit-for-bit); RoundRobin
+  /// interleaves an occupancy-limited window of resident warps per virtual
   /// SM, giving the cache models realistic access streams. Deterministic at
   /// a fixed sim_threads() with the default slice L2.
   [[nodiscard]] const SchedConfig& sched() const { return sched_; }
@@ -171,19 +174,15 @@ class Device {
   [[nodiscard]] bool shared_l2() const { return shared_l2_on_; }
   void set_shared_l2(bool enabled) { shared_l2_on_ = enabled; }
 
-  /// How the parallel launcher splits the warp grid across virtual SMs.
-  /// NnzBalanced (the default) picks contiguous boundaries by warp-weight
-  /// prefix sums (weights from set_warp_weights); with no matching weights
-  /// it falls back to the contiguous equal-count split, so kernels that
-  /// install no weights behave exactly like Contiguous. RoundRobinStripe
-  /// spreads neighbouring warps across SMs (warp w on SM w mod T).
-  [[nodiscard]] WarpPartition partition() const { return partition_; }
-  void set_partition(WarpPartition partition) { partition_ = partition; }
-  /// Per-warp weights (e.g. nnz per warp) consumed by NnzBalanced. Used by
-  /// launches whose warp count equals weights.size(); ignored otherwise.
-  /// Kernels derive and install these in do_prepare (block-row popcounts
-  /// for the bitmap formats, row extents for the CSR family), so the engine
-  /// balances power-law matrices automatically.
+  /// Per-warp weights (e.g. nnz per warp) that split the warp grid across
+  /// virtual SMs: the parallel launcher always gives each SM one contiguous
+  /// warp range, cut where the weight prefix sum crosses equal shares when
+  /// the weights match the launch's warp count, and in equal warp counts
+  /// otherwise (see partition_bounds). Kernels derive and install these in
+  /// do_prepare (block-row popcounts for the bitmap formats, row extents
+  /// for the CSR family), so the engine balances power-law matrices
+  /// automatically; clearing them after prepare selects the equal-count
+  /// split.
   void set_warp_weights(std::vector<std::uint64_t> weights) {
     warp_weights_ = std::move(weights);
   }
@@ -394,10 +393,10 @@ class Device {
   /// never holds two L2 models at once.
   void ensure_caches();
   void ensure_pool();
-  /// Per-SM warp-range boundaries (t_count + 1 entries) for the configured
-  /// partition: contiguous equal-count chunks, or contiguous chunks whose
-  /// boundaries equalize the per-warp weight prefix sums (NnzBalanced).
-  /// `name` selects launch-keyed weights before the global vector.
+  /// Per-SM warp-range boundaries (t_count + 1 entries): contiguous chunks
+  /// whose boundaries equalize the per-warp weight prefix sums, or
+  /// equal-count chunks when no weights match the launch. `name` selects
+  /// launch-keyed weights before the global vector.
   [[nodiscard]] std::vector<std::uint64_t> partition_bounds(std::string_view name,
                                                             std::uint64_t num_warps) const;
   /// Print a non-clean per-launch report to stderr (out-of-line: keeps
@@ -411,11 +410,6 @@ class Device {
     (*static_cast<Kernel*>(kernel))(ctx, warp);
   }
 
-  /// Run warps {start + i*stride : i in [0, count)} on `ctx`: the classic
-  /// run-to-completion loop for policy Serial, or the fiber scheduler for
-  /// rr/gto (which also models issue/latency cycles and charges exposed
-  /// stalls). stride 1 is a contiguous range; stride T the round-robin
-  /// stripe. `num_warps` is the full launch's warp count (window sizing).
   /// Construct-or-reconfigure the pooled scheduler of virtual SM `sm`.
   /// launch() sized sched_pool_ before the workers started, so concurrent
   /// workers only ever touch their own element.
@@ -424,20 +418,23 @@ class Device {
     const int window = resident_window(spec_, sched_, num_warps);
     const double comm = remote_on_ ? comm_ready_cycles_ : 0;
     if (slot == nullptr) {
-      slot = std::make_unique<WarpScheduler>(sched_.policy, window, &timing_spec(), comm);
+      slot = std::make_unique<WarpScheduler>(window, timing_spec(), comm);
     } else {
-      slot->reconfigure(sched_.policy, window, &timing_spec(), comm);
+      slot->reconfigure(window, timing_spec(), comm);
     }
     return *slot;
   }
 
+  /// Run warps [start, start + count) on `ctx`: the classic
+  /// run-to-completion loop for policy Serial, or the fiber scheduler for
+  /// rr (which also models issue/latency cycles and charges exposed
+  /// stalls). `num_warps` is the full launch's warp count (window sizing).
   template <typename Kernel>
-  void run_warps(WarpCtx& ctx, std::uint64_t start, std::uint64_t stride,
-                 std::uint64_t count, std::uint64_t num_warps, std::size_t sm_index,
-                 Kernel& kernel, SanShard* shard, ProfShard* pshard) {
+  void run_warps(WarpCtx& ctx, std::uint64_t start, std::uint64_t count,
+                 std::uint64_t num_warps, std::size_t sm_index, Kernel& kernel,
+                 SanShard* shard, ProfShard* pshard) {
     if (sched_.policy == SchedPolicy::Serial) {
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t w = start + i * stride;
+      for (std::uint64_t w = start; w < start + count; ++w) {
         if (shard != nullptr) {
           shard->begin_warp(w);
         }
@@ -452,7 +449,7 @@ class Device {
     } else {
       using K = std::remove_reference_t<Kernel>;
       WarpScheduler& sched = pooled_scheduler(sm_index, num_warps);
-      sched.run(ctx, start, stride, count,
+      sched.run(ctx, start, count,
                 const_cast<void*>(static_cast<const void*>(std::addressof(kernel))),
                 &Device::invoke_kernel<K>);
     }
@@ -470,7 +467,7 @@ class Device {
     if (pshard != nullptr) {
       pshard->attach(&stats);
     }
-    run_warps(ctx, 0, 1, num_warps, num_warps, 0, kernel, shard, pshard);
+    run_warps(ctx, 0, num_warps, num_warps, 0, kernel, shard, pshard);
     if (pshard != nullptr) {
       pshard->finish();
     }
@@ -482,15 +479,13 @@ class Device {
                     std::vector<ProfShard>* pshards) {
     ensure_pool();
     const auto t_count = static_cast<std::uint64_t>(threads_);
-    const bool stripe = partition_ == WarpPartition::RoundRobinStripe;
-    const std::vector<std::uint64_t> bounds =
-        stripe ? std::vector<std::uint64_t>{} : partition_bounds(name, num_warps);
+    const std::vector<std::uint64_t> bounds = partition_bounds(name, num_warps);
     const RemoteWindow* remote = remote_on_ ? &remote_window_ : nullptr;
     std::vector<KernelStats> local_stats(t_count);
     std::vector<std::exception_ptr> errors(t_count);
     SharedL2* shared = shared_l2_.get();
     pool_->run([this, &bounds, &kernel, &local_stats, &errors, shards, pshards, shared,
-                remote, stripe, t_count, num_warps](int worker) {
+                remote](int worker) {
       const auto t = static_cast<std::uint64_t>(worker);
       try {
         VirtualSm& sm = sms_[t];
@@ -504,15 +499,8 @@ class Device {
         if (pshard != nullptr) {
           pshard->attach(&local_stats[t]);
         }
-        if (stripe) {
-          const std::uint64_t count =
-              num_warps > t ? (num_warps - t + t_count - 1) / t_count : 0;
-          run_warps(ctx, t, t_count, count, num_warps, static_cast<std::size_t>(t), kernel,
-                    shard, pshard);
-        } else {
-          run_warps(ctx, bounds[t], 1, bounds[t + 1] - bounds[t], bounds.back(),
-                    static_cast<std::size_t>(t), kernel, shard, pshard);
-        }
+        run_warps(ctx, bounds[t], bounds[t + 1] - bounds[t], bounds.back(),
+                  static_cast<std::size_t>(t), kernel, shard, pshard);
         if (pshard != nullptr) {
           pshard->finish();
         }
@@ -543,7 +531,6 @@ class Device {
   /// the striped shared L2 only at T>1 with shared_l2_on_.
   std::vector<VirtualSm> sms_;
   std::unique_ptr<SharedL2> shared_l2_;
-  WarpPartition partition_ = WarpPartition::NnzBalanced;
   std::vector<std::uint64_t> warp_weights_;
   /// Launch-name-keyed weight sets (set_launch_warp_weights); linear scan —
   /// kernels install at most a couple of entries.

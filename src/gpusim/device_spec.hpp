@@ -49,8 +49,7 @@ struct DeviceSpec {
   // Cache. The L1 capacity is a single-cache proxy for the per-SM L1s: each
   // virtual SM owns one SM-sized L1, and the warps it hosts — sequential
   // under the serial scheduling policy, an interleaved resident window under
-  // rr/gto (gpusim/sched) — see approximately the locality each real L1
-  // would.
+  // rr (gpusim/sched) — see approximately the locality each real L1 would.
   std::uint64_t l1_capacity_bytes = 128 * 1024;
   int l1_ways = 8;
   std::uint64_t l2_capacity_bytes = 0;
@@ -91,9 +90,8 @@ struct DeviceSpec {
   /// flight before the first use stalls them; the scheduler gives each
   /// resident warp this many in-flight slots, charges every memory op its
   /// raw level latency, and only suspends the warp when all slots hold
-  /// outstanding ops (gto keeps the older interval accounting and divides
-  /// its interval latency by this credit instead). Calibrated per
-  /// architecture by tools/calibrate_sched.py.
+  /// outstanding ops. Calibrated per architecture by
+  /// tools/calibrate_sched.py.
   double mem_parallelism_ilv = 4.0;
   /// Fraction of the virtual SMs' measured exposed-stall cycles charged as
   /// device wall-clock (t_stall). The scheduler replays an entire SM

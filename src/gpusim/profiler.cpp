@@ -7,14 +7,12 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 
 namespace spaden::sim {
 
-bool default_profile() {
-  const char* env = std::getenv("SPADEN_PROFILE");
-  return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
-}
+bool default_profile() { return env_flag("SPADEN_PROFILE"); }
 
 std::uint16_t ProfShard::intern(const char* name) {
   for (std::size_t i = 0; i < ranges_.size(); ++i) {

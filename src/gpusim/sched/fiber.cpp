@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 #if defined(SPADEN_FIBER_FAST)
 // void spaden_fiber_switch(void** save_sp, void* target_sp)
@@ -90,10 +91,7 @@ std::size_t default_fiber_stack_bytes() {
 }
 
 bool Fiber::stack_debug() {
-  static const bool on = [] {
-    const char* env = std::getenv("SPADEN_SIM_FIBER_STACK_DEBUG");
-    return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
-  }();
+  static const bool on = env_flag("SPADEN_SIM_FIBER_STACK_DEBUG");
   return on;
 }
 

@@ -10,48 +10,35 @@
 namespace spaden::sim {
 
 const char* sched_policy_name(SchedPolicy p) {
-  switch (p) {
-    case SchedPolicy::Serial:
-      return "serial";
-    case SchedPolicy::RoundRobin:
-      return "rr";
-    case SchedPolicy::Gto:
-      return "gto";
-  }
-  return "?";
+  return p == SchedPolicy::Serial ? "serial" : "rr";
 }
 
-SchedPolicy sched_policy_by_name(const std::string& name) {
-  if (name == "serial") {
-    return SchedPolicy::Serial;
+SchedConfig parse_sched(const std::string& spec, const char* source) {
+  SchedConfig cfg;
+  std::string policy = spec;
+  if (const auto colon = policy.find(':'); colon != std::string::npos) {
+    const std::optional<long> window = parse_long(policy.c_str() + colon + 1);
+    SPADEN_REQUIRE(window && *window >= 1 && *window <= 1024,
+                   "%s window in '%s' is not an integer in [1, 1024]", source, spec.c_str());
+    cfg.window = static_cast<int>(*window);
+    policy.resize(colon);
   }
-  if (name == "rr") {
-    return SchedPolicy::RoundRobin;
+  if (policy == "rr") {
+    cfg.policy = SchedPolicy::RoundRobin;
+  } else {
+    SPADEN_REQUIRE(policy == "serial",
+                   "%s: unknown scheduling policy '%s' (expected serial|rr[:window])", source,
+                   policy.c_str());
   }
-  if (name == "gto") {
-    return SchedPolicy::Gto;
-  }
-  SPADEN_REQUIRE(false, "unknown scheduling policy '%s' (expected serial|rr|gto)",
-                 name.c_str());
-  return SchedPolicy::Serial;  // unreachable
+  return cfg;
 }
 
 SchedConfig default_sched() {
-  SchedConfig cfg;
   const char* env = std::getenv("SPADEN_SIM_SCHED");
   if (env == nullptr || env[0] == '\0') {
-    return cfg;
+    return SchedConfig{};
   }
-  std::string spec(env);
-  if (const auto colon = spec.find(':'); colon != std::string::npos) {
-    const std::optional<long> window = parse_long(spec.c_str() + colon + 1);
-    SPADEN_REQUIRE(window && *window >= 1 && *window <= 1024,
-                   "SPADEN_SIM_SCHED window in '%s' is not an integer in [1, 1024]", env);
-    cfg.window = static_cast<int>(*window);
-    spec.resize(colon);
-  }
-  cfg.policy = sched_policy_by_name(spec);
-  return cfg;
+  return parse_sched(env, "SPADEN_SIM_SCHED");
 }
 
 SchedConfig default_engine_sched() {

@@ -1,9 +1,9 @@
 // Scheduling policy configuration for the warp scheduler (src/gpusim/sched/).
 //
 // `serial` is the classic launcher: every warp runs to completion in grid
-// order, bit-for-bit the pre-scheduler behaviour. `rr` and `gto` interleave
-// an occupancy-limited window of resident warps per virtual SM, which is
-// what the cache models need to see realistic (less optimistic) temporal
+// order, bit-for-bit the pre-scheduler behaviour. `rr` interleaves an
+// occupancy-limited window of resident warps per virtual SM, which is what
+// the cache models need to see realistic (less optimistic) temporal
 // locality — see docs/performance_model.md for the measured drift.
 #pragma once
 
@@ -17,13 +17,10 @@ namespace spaden::sim {
 /// Which resident warp advances at each yield point.
 enum class SchedPolicy : std::uint8_t {
   Serial = 0,  ///< run-to-completion in grid order (the classic launcher)
-  RoundRobin,  ///< switch to the next resident warp at every memory op
-  Gto,         ///< greedy-then-oldest: run until an L2 miss, then the oldest
+  RoundRobin,  ///< switch to the next ready resident warp (scoreboard model)
 };
 
 [[nodiscard]] const char* sched_policy_name(SchedPolicy p);
-/// Parse "serial" | "rr" | "gto"; throws on anything else.
-[[nodiscard]] SchedPolicy sched_policy_by_name(const std::string& name);
 
 struct SchedConfig {
   SchedPolicy policy = SchedPolicy::Serial;
@@ -33,9 +30,14 @@ struct SchedConfig {
   bool operator==(const SchedConfig&) const = default;
 };
 
-/// Environment default: SPADEN_SIM_SCHED = "serial" | "rr" | "gto", with an
-/// optional ":window" suffix (e.g. "rr:8") to pin the resident window.
-/// Unset means serial — a raw Device stays the classic launcher.
+/// Parse "serial" | "rr" with an optional ":window" suffix (e.g. "rr:8")
+/// that pins the resident window to an integer in [1, 1024]. The one
+/// parser behind SPADEN_SIM_SCHED and the CLI's --sched; `source` names
+/// the variable or flag in the error thrown on anything else.
+[[nodiscard]] SchedConfig parse_sched(const std::string& spec, const char* source);
+
+/// Environment default: parse_sched(SPADEN_SIM_SCHED). Unset means serial —
+/// a raw Device stays the classic launcher.
 [[nodiscard]] SchedConfig default_sched();
 
 /// Engine-level scheduling default (EngineOptions::sched): SPADEN_SIM_SCHED
@@ -51,18 +53,5 @@ struct SchedConfig {
 /// derivation (still clamped to the device maximum).
 [[nodiscard]] int resident_window(const DeviceSpec& spec, const SchedConfig& cfg,
                                   std::uint64_t num_warps);
-
-/// How the parallel launcher splits the warp grid across virtual SMs.
-/// Contiguous and NnzBalanced produce contiguous ascending warp ranges (the
-/// invariant that makes the profiler/sanitizer shard merge reproduce serial
-/// event order); RoundRobinStripe interleaves the grid — SM t runs warps
-/// {w : w mod T == t} — so merged event/range *order* may differ from
-/// serial while staying deterministic at a fixed thread count.
-enum class WarpPartition : std::uint8_t {
-  Contiguous = 0,   ///< equal warp counts: ceil(n/T) warps per SM
-  NnzBalanced,      ///< equal per-warp weight (e.g. nnz) per SM; falls back
-                    ///< to Contiguous when no matching weights are installed
-  RoundRobinStripe, ///< warp w on SM (w mod T): neighbouring warps spread out
-};
 
 }  // namespace spaden::sim

@@ -8,21 +8,16 @@
 
 namespace spaden::sim {
 
-WarpScheduler::WarpScheduler(SchedPolicy policy, int window, const DeviceSpec* spec,
-                             double comm_ready_cycles) {
-  reconfigure(policy, window, spec, comm_ready_cycles);
+WarpScheduler::WarpScheduler(int window, const DeviceSpec& spec, double comm_ready_cycles) {
+  reconfigure(window, spec, comm_ready_cycles);
 }
 
-void WarpScheduler::reconfigure(SchedPolicy policy, int window, const DeviceSpec* spec,
-                                double comm_ready_cycles) {
-  SPADEN_REQUIRE(policy != SchedPolicy::Serial,
-                 "WarpScheduler requires an interleaving policy (rr|gto)");
+void WarpScheduler::reconfigure(int window, const DeviceSpec& spec, double comm_ready_cycles) {
   SPADEN_REQUIRE(window >= 1, "resident window %d must be >= 1", window);
   SPADEN_REQUIRE(comm_ready_cycles >= 0, "comm_ready_cycles %g must be >= 0",
                  comm_ready_cycles);
-  policy_ = policy;
   window_ = window;
-  spec_ = spec;
+  spec_ = &spec;
   comm_ready_ = comm_ready_cycles;
 }
 
@@ -44,7 +39,6 @@ void WarpScheduler::arm(Slot& slot, std::uint64_t warp) {
   slot.ready_at = 0;  // a fresh warp can issue immediately
   slot.live = true;
   slot.fresh = true;
-  slot.stalled = false;
   slot.draining = false;
   slot.inflight_n = 0;
   slot.fiber.start(&WarpScheduler::fiber_entry, &slot);
@@ -57,7 +51,7 @@ void WarpScheduler::retire(std::size_t s) {
     (void)slot.fiber.high_water();  // fold this warp into the process max
   }
   if (next_idx_ < count_) {
-    arm(slot, start_ + next_idx_++ * stride_);  // rotate the next warp in
+    arm(slot, start_ + next_idx_++);  // rotate the next warp in
   } else {
     slot.live = false;
     if (s < 64) {
@@ -78,26 +72,6 @@ double WarpScheduler::issue_cycles(const KernelStats& d) const {
                       (static_cast<double>(s.cuda_cores_per_sm) * s.cuda_issue_efficiency);
   const double tc = tc_flops_per_cycle_ > 0 ? d.tc_flops() / tc_flops_per_cycle_ : 0.0;
   return std::max({lsu, cuda, tc});
-}
-
-double WarpScheduler::completion_latency(const KernelStats& d) const {
-  // gto interval accounting: a warp suspends at the L2 miss that ended its
-  // residency, so the interval's deltas classify the level that served it:
-  // any DRAM bytes mean the load waited on device memory, any L2 sectors
-  // mean an L1 miss served by L2, otherwise the L1 had it. The raw
-  // load-to-use latency is divided by the per-warp memory-parallelism
-  // credit: suspending once per interval would otherwise model a single
-  // outstanding request per warp, while real warps keep several loads in
-  // flight before the first use stalls them. (rr models that parallelism
-  // explicitly with per-warp scoreboard slots — see op_latency.)
-  const double mlp = std::max(1.0, spec_->mem_parallelism_ilv);
-  if (d.dram_bytes > 0) {
-    return static_cast<double>(spec_->dram_latency_cycles) / mlp;
-  }
-  if (d.sectors > 0) {
-    return static_cast<double>(spec_->l2_latency_cycles) / mlp;
-  }
-  return static_cast<double>(spec_->l1_latency_cycles) / mlp;
 }
 
 double WarpScheduler::op_latency() {
@@ -127,59 +101,31 @@ double WarpScheduler::op_latency() {
 std::size_t WarpScheduler::pick() {
   const std::size_t n = slots_.size();
   for (;;) {
-    if (policy_ == SchedPolicy::RoundRobin) {
-      if (n <= 64) {
-        // Loose-rr ready-mask: iterate only the live slots (cursor first,
-        // then the wrap-around word) and check readiness lazily against the
-        // clock — not-ready warps are skipped without scanning the window.
-        // Selection order matches the plain scan exactly.
-        const std::uint64_t all = ~std::uint64_t{0};
-        const std::uint64_t high = live_mask_ & (all << rr_next_);
-        const std::uint64_t low = live_mask_ & ~(all << rr_next_);
-        for (std::uint64_t m : {high, low}) {
-          while (m != 0) {
-            const auto s = static_cast<std::size_t>(std::countr_zero(m));
-            if (!timing_ || slots_[s]->ready_at <= now_) {
-              rr_next_ = (s + 1) % n;
-              return s;
-            }
-            m &= m - 1;
-          }
-        }
-      } else {
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::size_t s = (rr_next_ + i) % n;
-          if (slots_[s]->live && (!timing_ || slots_[s]->ready_at <= now_)) {
+    if (n <= 64) {
+      // Loose-rr ready-mask: iterate only the live slots (cursor first,
+      // then the wrap-around word) and check readiness lazily against the
+      // clock — not-ready warps are skipped without scanning the window.
+      // Selection order matches the plain scan exactly.
+      const std::uint64_t all = ~std::uint64_t{0};
+      const std::uint64_t high = live_mask_ & (all << rr_next_);
+      const std::uint64_t low = live_mask_ & ~(all << rr_next_);
+      for (std::uint64_t m : {high, low}) {
+        while (m != 0) {
+          const auto s = static_cast<std::size_t>(std::countr_zero(m));
+          if (slots_[s]->ready_at <= now_) {
             rr_next_ = (s + 1) % n;
             return s;
           }
+          m &= m - 1;
         }
       }
     } else {
-      // Greedy-then-oldest: the oldest (smallest warp id) ready live warp
-      // that is not marked stalled; when every ready warp is stalled, the
-      // modeled memory returned — clear the marks and take the oldest
-      // outright.
-      std::size_t best = n;
-      for (std::size_t s = 0; s < n; ++s) {
-        if (slots_[s]->live && !slots_[s]->stalled &&
-            (!timing_ || slots_[s]->ready_at <= now_) &&
-            (best == n || slots_[s]->warp < slots_[best]->warp)) {
-          best = s;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t s = (rr_next_ + i) % n;
+        if (slots_[s]->live && slots_[s]->ready_at <= now_) {
+          rr_next_ = (s + 1) % n;
+          return s;
         }
-      }
-      if (best == n) {
-        for (std::size_t s = 0; s < n; ++s) {
-          if (slots_[s]->live && (!timing_ || slots_[s]->ready_at <= now_)) {
-            slots_[s]->stalled = false;
-            if (best == n || slots_[s]->warp < slots_[best]->warp) {
-              best = s;
-            }
-          }
-        }
-      }
-      if (best != n) {
-        return best;
       }
     }
     // Nothing ready. Without the latency model that means no live warp at
@@ -214,19 +160,7 @@ void WarpScheduler::yield_point() {
     return;  // no other resident warp to switch to
   }
   Slot& slot = *slots_[current_];
-  if (policy_ == SchedPolicy::Gto) {
-    if (stats_->dram_bytes == dram_mark_) {
-      return;  // no L2 miss during this residency: stay greedy
-    }
-    slot.stalled = true;
-    slot.fiber.yield();
-    return;
-  }
-  if (!timing_) {
-    slot.fiber.yield();  // pure interleaving: switch at every memory op
-    return;
-  }
-  // rr scoreboard: the op just charged occupies an in-flight slot until its
+  // Scoreboard: the op just charged occupies an in-flight slot until its
   // completion cycle. The warp only suspends when every slot holds a
   // genuinely outstanding op — that is the instruction-grained refinement
   // that replaces one fiber switch per op with one per filled scoreboard.
@@ -275,12 +209,11 @@ void WarpScheduler::yield_point() {
   slot.fiber.yield();
 }
 
-void WarpScheduler::run(WarpCtx& ctx, std::uint64_t start, std::uint64_t stride,
-                        std::uint64_t count, void* kernel, KernelBody body) {
+void WarpScheduler::run(WarpCtx& ctx, std::uint64_t start, std::uint64_t count, void* kernel,
+                        KernelBody body) {
   if (count == 0) {
     return;
   }
-  SPADEN_REQUIRE(stride >= 1, "warp stride must be >= 1");
   ctx_ = &ctx;
   kernel_ = kernel;
   body_ = body;
@@ -288,7 +221,6 @@ void WarpScheduler::run(WarpCtx& ctx, std::uint64_t start, std::uint64_t stride,
   san_ = ctx.sanitizer();
   prof_ = ctx.profiler();
   start_ = start;
-  stride_ = stride;
   count_ = count;
   next_idx_ = 0;
   const std::size_t window = static_cast<std::size_t>(
@@ -304,15 +236,15 @@ void WarpScheduler::run(WarpCtx& ctx, std::uint64_t start, std::uint64_t stride,
     slots_.back()->owner = this;
   }
   for (auto& slot : slots_) {
-    arm(*slot, start_ + next_idx_++ * stride_);
+    arm(*slot, start_ + next_idx_++);
   }
   live_count_ = window;
   rr_next_ = 0;
   live_mask_ = window >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << window) - 1;
   // The latency model needs >1 resident warp (a lone warp has nothing to
   // cover its latency with — and the rr:1 window must stay bit-identical to
-  // the serial launcher) and a device spec to read latencies from.
-  timing_ = spec_ != nullptr && window > 1;
+  // the serial launcher).
+  timing_ = window > 1;
   now_ = 0;
   pending_stall_ = 0;
   pending_comm_ = 0;
@@ -364,9 +296,7 @@ void WarpScheduler::run(WarpCtx& ctx, std::uint64_t start, std::uint64_t stride,
         prof_->resume_warp(slot.prof_state);
       }
     }
-    slot.stalled = false;
     current_ = s;
-    dram_mark_ = stats_->dram_bytes;
     if (timing_) {
       // Charge accumulated stall cycles now, after the incoming warp's
       // profiler ranges were reopened: the exposure ends where this warp
@@ -387,18 +317,7 @@ void WarpScheduler::run(WarpCtx& ctx, std::uint64_t start, std::uint64_t stride,
     }
     const bool suspended = slot.fiber.resume();
     if (timing_) {
-      const KernelStats delta = *stats_ - interval_snap_;
-      now_ += issue_cycles(delta);
-      if (suspended && policy_ == SchedPolicy::Gto) {
-        // Interval accounting; rr set ready_at at the yield point from the
-        // warp's own scoreboard (earliest in-flight completion). An interval
-        // that touched halo sectors additionally waits for the modeled
-        // transfer (interval-grained comm gating under gto).
-        slot.ready_at = now_ + completion_latency(delta);
-        if (delta.remote_sectors > 0 && slot.ready_at < comm_ready_) {
-          slot.ready_at = comm_ready_;
-        }
-      }
+      now_ += issue_cycles(*stats_ - interval_snap_);
     }
     if (suspended) {
       if (san_ != nullptr) {
@@ -414,7 +333,7 @@ void WarpScheduler::run(WarpCtx& ctx, std::uint64_t start, std::uint64_t stride,
       if (error_) {
         break;  // abandon the remaining fibers, rethrow below
       }
-      if (timing_ && policy_ == SchedPolicy::RoundRobin && slot.inflight_n > 0) {
+      if (timing_ && slot.inflight_n > 0) {
         double last = 0;
         for (int i = 0; i < slot.inflight_n; ++i) {
           last = std::max(last, slot.inflight[static_cast<std::size_t>(i)]);

@@ -5,35 +5,30 @@
 // cache models register as optimistic temporal locality. Real SM schedulers
 // instead keep a window of resident warps and switch between them at memory
 // operations. This class reproduces that: each resident warp runs on a
-// stackful Fiber, every WarpCtx memory operation is a yield point, and the
-// policy (rr / gto) decides which resident warp advances next. When a warp
+// stackful Fiber, every WarpCtx memory operation is a yield point, and
+// round-robin picks which resident warp advances next. When a warp
 // finishes, its slot is refilled with the next warp of the SM's range, like
 // a fresh thread block rotating in.
 //
-// Latency model: when a DeviceSpec is attached, the scheduler keeps a
-// virtual SM clock (in cycles). Each residency interval advances the clock
-// by the issue cost of what the warp charged (LSU wavefronts, CUDA lane-ops,
-// tensor-core FLOPs — whichever pipe is the bottleneck). Under rr each
-// resident warp additionally owns a small scoreboard of in-flight memory
-// ops (spec.mem_parallelism_ilv slots — the per-warp MLP the old model
-// approximated by dividing latencies): a memory op that finds a free slot
-// records its completion cycle and the warp *keeps running*; only when
-// every slot holds a genuinely outstanding op does the warp suspend, until
-// the earliest completion frees a slot. This is the instruction-grained
-// latency refinement: latencies are charged raw per level (L1/L2/DRAM,
-// classified per op from the counter stream) instead of divided by a flat
-// parallelism credit, and fiber switches happen once per filled scoreboard
-// instead of once per op. gto keeps the classic interval accounting: run
-// until an L2 miss, then suspend for the interval's classified latency
-// (divided by the parallelism credit). The policy only picks among *ready*
-// warps; when every warp is waiting, the clock jumps to the earliest
-// completion and the gap is charged to KernelStats::exposed_stall_cycles —
-// the cycles nothing could cover, which estimate_time turns into the
-// additive t_stall term. With a single resident warp (or no spec) the
-// accounting is off and the counter stays 0, preserving serial-mode
-// byte-identity.
+// Latency model: the scheduler keeps a virtual SM clock (in cycles). Each
+// residency interval advances the clock by the issue cost of what the warp
+// charged (LSU wavefronts, CUDA lane-ops, tensor-core FLOPs — whichever
+// pipe is the bottleneck). Each resident warp owns a small scoreboard of
+// in-flight memory ops (spec.mem_parallelism_ilv slots — the per-warp MLP
+// the old model approximated by dividing latencies): a memory op that finds
+// a free slot records its completion cycle and the warp *keeps running*;
+// only when every slot holds a genuinely outstanding op does the warp
+// suspend, until the earliest completion frees a slot. Latencies are
+// charged raw per level (L1/L2/DRAM, classified per op from the counter
+// stream), and fiber switches happen once per filled scoreboard instead of
+// once per op. Round-robin only picks among *ready* warps; when every warp
+// is waiting, the clock jumps to the earliest completion and the gap is
+// charged to KernelStats::exposed_stall_cycles — the cycles nothing could
+// cover, which estimate_time turns into the additive t_stall term. With a
+// single resident warp the accounting is off and the counter stays 0, so
+// the rr:1 window is bit-identical to the serial launcher.
 //
-// Determinism: the schedule is a pure function of the policy and of the
+// Determinism: the schedule is a pure function of the window and of the
 // counter stream the warps produce, so with the per-SM slice L2
 // (SPADEN_SIM_SHARED_L2=0) counters, profiles and numerics are
 // byte-identical run-to-run at any fixed SPADEN_SIM_THREADS, and the
@@ -63,7 +58,6 @@
 #include "gpusim/profiler.hpp"
 #include "gpusim/sanitizer.hpp"
 #include "gpusim/sched/fiber.hpp"
-#include "gpusim/sched/policy.hpp"
 #include "gpusim/stats.hpp"
 
 namespace spaden::sim {
@@ -77,32 +71,29 @@ using KernelBody = void (*)(void* kernel, WarpCtx& ctx, std::uint64_t warp);
 class WarpScheduler {
  public:
   /// `window` is the resident-warp count per SM (see resident_window()).
-  /// `spec` enables the latency model (nullptr: pure interleaving, no stall
-  /// accounting); pass the spec whose issue constants match the policy —
-  /// Device uses timing_spec(). `comm_ready_cycles` is the SM-clock cycle
-  /// (from run() start) the modeled halo transfer lands: memory ops that
-  /// touch remote sectors (KernelStats::remote_sectors movement) cannot
-  /// complete before it, so halo-touching warps suspend while local warps
-  /// keep issuing — the comm/compute overlap. 0 = no interconnect (exact
-  /// pre-multi-device behavior).
-  WarpScheduler(SchedPolicy policy, int window, const DeviceSpec* spec = nullptr,
-                double comm_ready_cycles = 0);
+  /// `spec` supplies the latency model's constants; Device passes
+  /// timing_spec(), which must outlive the scheduler's runs.
+  /// `comm_ready_cycles` is the SM-clock cycle (from run() start) the
+  /// modeled halo transfer lands: memory ops that touch remote sectors
+  /// (KernelStats::remote_sectors movement) cannot complete before it, so
+  /// halo-touching warps suspend while local warps keep issuing — the
+  /// comm/compute overlap. 0 = no interconnect (exact pre-multi-device
+  /// behavior).
+  WarpScheduler(int window, const DeviceSpec& spec, double comm_ready_cycles = 0);
 
   /// Re-point a pooled scheduler at a (possibly) new configuration before
   /// run(). Fiber slots — and their stacks — are reused when the effective
   /// window is unchanged, which is the arena pooling that removes the
   /// per-launch stack allocation traffic.
-  void reconfigure(SchedPolicy policy, int window, const DeviceSpec* spec = nullptr,
-                   double comm_ready_cycles = 0);
+  void reconfigure(int window, const DeviceSpec& spec, double comm_ready_cycles = 0);
 
-  /// Run warps {start + i*stride : i in [0, count)} of `body` interleaved
-  /// over the resident window (stride 1 = one contiguous SM range; stride T
-  /// = round-robin striping). Registers itself as ctx's yield sink for the
+  /// Run warps [start, start + count) of `body` interleaved over the
+  /// resident window. Registers itself as ctx's yield sink for the
   /// duration of the call and drives ctx's attached sanitizer/profiler
   /// shards through warp begin/suspend/resume/end. Rethrows the first
   /// kernel exception after abandoning the remaining fibers.
-  void run(WarpCtx& ctx, std::uint64_t start, std::uint64_t stride, std::uint64_t count,
-           void* kernel, KernelBody body);
+  void run(WarpCtx& ctx, std::uint64_t start, std::uint64_t count, void* kernel,
+           KernelBody body);
 
   /// Yield point, invoked by WarpCtx from inside the executing warp's fiber
   /// at the end of every memory operation.
@@ -120,13 +111,12 @@ class WarpScheduler {
     double ready_at = 0;   ///< virtual-clock cycle the pending memory op completes
     bool live = false;
     bool fresh = true;     ///< shards not yet told about this warp
-    bool stalled = false;  ///< gto: the last residency ended on an L2 miss
-    /// rr: the warp body returned but in-flight memory ops are still
+    /// The warp body returned but in-flight memory ops are still
     /// outstanding; the slot is freed (retired or re-armed) only once the
     /// clock passes the last completion — warps cannot retire ahead of
     /// their scoreboard, so tail latencies stay visible as exposed stalls.
     bool draining = false;
-    /// rr scoreboard: completion cycles of this warp's in-flight memory ops.
+    /// Scoreboard: completion cycles of this warp's in-flight memory ops.
     std::array<double, kMaxScoreboard> inflight{};
     int inflight_n = 0;
     SanShard::WarpState san_state{};
@@ -138,21 +128,17 @@ class WarpScheduler {
   void arm(Slot& slot, std::uint64_t warp);
   /// Free slot `s`: rotate the next unlaunched warp in, or mark it dead.
   void retire(std::size_t s);
-  /// Next slot to resume, per policy. Advances the virtual clock past a
+  /// Next ready slot in round-robin order. Advances the virtual clock past a
   /// stall (accumulating pending_stall_) when no live warp is ready.
   /// Pre: live_count_ > 0.
   [[nodiscard]] std::size_t pick();
   /// Cycles the issuing pipes need for one residency interval's charges.
   [[nodiscard]] double issue_cycles(const KernelStats& delta) const;
-  /// Load-to-use latency of the memory level that served the interval's
-  /// last (suspending) memory instruction (gto interval accounting).
-  [[nodiscard]] double completion_latency(const KernelStats& delta) const;
   /// Raw latency of the memory op just charged, classified from the
-  /// since-last-op counter marks (rr scoreboard accounting). Updates the
+  /// since-last-op counter marks (scoreboard accounting). Updates the
   /// marks and op_was_remote_ (the op touched halo sectors).
   [[nodiscard]] double op_latency();
 
-  SchedPolicy policy_;
   int window_;
   const DeviceSpec* spec_ = nullptr;
   WarpCtx* ctx_ = nullptr;
@@ -162,20 +148,18 @@ class WarpScheduler {
   SanShard* san_ = nullptr;
   ProfShard* prof_ = nullptr;
   std::uint64_t start_ = 0;
-  std::uint64_t stride_ = 1;
   std::uint64_t next_idx_ = 0;  ///< next unlaunched warp index in [0, count_)
   std::uint64_t count_ = 0;
   std::size_t live_count_ = 0;
   std::size_t current_ = 0;
   std::size_t rr_next_ = 0;        ///< round-robin cursor
   std::uint64_t live_mask_ = 0;    ///< bit per live slot (windows <= 64; pick fast path)
-  std::uint64_t dram_mark_ = 0;    ///< stats_->dram_bytes when current_ resumed
   std::uint64_t op_dram_mark_ = 0;    ///< stats_->dram_bytes after the previous memory op
   std::uint64_t op_sector_mark_ = 0;  ///< stats_->sectors after the previous memory op
   std::uint64_t op_remote_mark_ = 0;  ///< stats_->remote_sectors after the previous op
   bool op_was_remote_ = false;     ///< the op just classified touched halo sectors
-  int scoreboard_slots_ = 1;       ///< per-warp in-flight memory ops (rr)
-  bool timing_ = false;            ///< latency model active this run
+  int scoreboard_slots_ = 1;       ///< per-warp in-flight memory ops
+  bool timing_ = false;            ///< latency model active (window > 1) this run
   double now_ = 0;                 ///< virtual SM clock, cycles since run() start
   double comm_ready_ = 0;          ///< cycle the modeled halo transfer lands (0 = none)
   double pending_stall_ = 0;     ///< stall cycles awaiting charge (+ residue < 1)

@@ -5,9 +5,8 @@
 // the block's grid column.
 #pragma once
 
+#include <array>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "common/bitops.hpp"
@@ -26,15 +25,15 @@ struct DecodedBlock {
 /// Decoded-block stream cache: the bitmap decode of a block (lane masks and
 /// prefix-popcount rank tables) depends only on the block's bitmap, so it is
 /// redundant across every warp, iteration and launch that touches the block.
-/// Kernels opt in at prepare time by building this arena, keyed by block id,
-/// and passing it to decode_bitbsr_block; it is read-only during launches,
+/// The Spaden SpMV and SpMM build this arena at prepare time, keyed by block
+/// id, and pass it to decode_bitbsr_block; it is read-only during launches,
 /// so any number of simulation threads can share it.
 ///
 /// Determinism contract: the cache removes *host* work only (the per-lane
 /// bit tests and popcounts). The cached decode charges exactly the same
 /// counters and issues exactly the same scalar loads and gathers as the
-/// uncached path, so modeled results are bit-identical with the cache on or
-/// off. `SPADEN_SIM_DECODE_CACHE=0` disables it (A/B testing).
+/// uncached path (`cache == nullptr`, the reference the tests compare
+/// against), so modeled results are bit-identical either way.
 class BitBsrDecodeCache {
  public:
   struct Entry {
@@ -44,20 +43,9 @@ class BitBsrDecodeCache {
     std::array<std::uint8_t, sim::kWarpSize> pc2{};  ///< prefix popcount at 2*lid + 1
   };
 
-  /// Honors the SPADEN_SIM_DECODE_CACHE kill switch (default enabled).
-  /// Read per call, not cached, so tests can flip the env between runs.
-  [[nodiscard]] static bool enabled() {
-    const char* env = std::getenv("SPADEN_SIM_DECODE_CACHE");
-    return env == nullptr || env[0] == '\0' || std::strcmp(env, "0") != 0;
-  }
-
-  /// Build the per-block tables from the host format; no-op when disabled.
-  void build_if_enabled(const mat::BitBsr& a) {
-    entries_.clear();
-    if (!enabled()) {
-      return;
-    }
-    entries_.resize(a.num_blocks());
+  /// Build the per-block tables from the host format.
+  void build(const mat::BitBsr& a) {
+    entries_.assign(a.num_blocks(), Entry{});
     for (std::size_t i = 0; i < a.num_blocks(); ++i) {
       Entry& e = entries_[i];
       const std::uint64_t bmp = a.bitmap[i];
@@ -76,10 +64,6 @@ class BitBsrDecodeCache {
     }
   }
 
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
-  /// Null when the cache was not built (opt-out or disabled); otherwise a
-  /// pointer suitable for decode_bitbsr_block.
-  [[nodiscard]] const BitBsrDecodeCache* get() const { return empty() ? nullptr : this; }
   [[nodiscard]] const Entry& entry(mat::Index a_idx) const {
     return entries_[static_cast<std::size_t>(a_idx)];
   }

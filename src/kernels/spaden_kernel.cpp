@@ -59,7 +59,7 @@ class SpadenKernel final : public SpmvKernel {
     const mat::BitBsr bb = mat::BitBsr::from_csr(a);
     // Per-warp balancing weights from the block-row bitmap popcounts
     // (val_offset is their exclusive scan): a warp's decode/MMA work scales
-    // with the nonzeros of the block-row(s) it owns, so the NnzBalanced
+    // with the nonzeros of the block-row(s) it owns, so the nnz-balanced
     // partition equalizes real work per virtual SM on power-law matrices.
     const bool paired = variant_ != SpadenVariant::Unpaired;
     const auto brow_nnz = [&](mat::Index r) -> std::uint64_t {
@@ -81,7 +81,7 @@ class SpadenKernel final : public SpmvKernel {
     bitbsr_ = DeviceBitBsr::upload(device.memory(), bb);
     // Prepare-time hint: share the bitmap decode tables across all warps
     // and launches (modeled work is unchanged; see BitBsrDecodeCache).
-    decode_cache_.build_if_enabled(bb);
+    decode_cache_.build(bb);
   }
 
   sim::LaunchResult run(sim::Device& device, sim::DSpan<const float> x,
@@ -280,7 +280,7 @@ class SpadenKernel final : public SpmvKernel {
       return SpmvKernel::run_multi(device, xs, ys);
     }
     device.set_batch_id(device.alloc_batch_id());
-    return spmm_spaden_strided(device, bitbsr_, decode_cache_.get(), xs.h16.cspan(), ys, xs.k,
+    return spmm_spaden_strided(device, bitbsr_, &decode_cache_, xs.h16.cspan(), ys, xs.k,
                                nrows_, ncols_);
   }
 
@@ -305,7 +305,7 @@ class SpadenKernel final : public SpmvKernel {
   DecodedSlot decode(sim::WarpCtx& ctx, sim::DSpan<const float> x, mat::Index ncols,
                      mat::Index a_idx) {
     DecodedSlot out{};
-    const DecodedBlock block = decode_bitbsr_block(ctx, bitbsr_, a_idx, decode_cache_.get());
+    const DecodedBlock block = decode_bitbsr_block(ctx, bitbsr_, a_idx, &decode_cache_);
     out.a_val1 = block.a_val1;
     out.a_val2 = block.a_val2;
 

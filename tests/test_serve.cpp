@@ -278,23 +278,20 @@ TEST(ServeBatch, RaggedBatchesAreSancheckClean) {
 TEST(ServeBatch, ColumnGridDemuxBitExactAtFourSimThreads) {
   // The fused CSR/BSR column grid spreads each column's warps over four
   // virtual SMs sharing one L2; every warp still does exactly its column's
-  // SpMV arithmetic, so the demux stays bit-exact under either interleaving
+  // SpMV arithmetic, so the demux stays bit-exact under the interleaving
   // scheduler.
   const mat::Csr a = small_matrix(96, 1200, 7);
   std::vector<std::vector<float>> xs;
   for (std::uint64_t c = 0; c < 4; ++c) {
     xs.push_back(random_x(96, 40 + c));
   }
-  for (const sim::SchedPolicy policy : {sim::SchedPolicy::RoundRobin, sim::SchedPolicy::Gto}) {
-    for (const kern::Method m : {kern::Method::CusparseCsr, kern::Method::CusparseBsr}) {
-      EngineOptions opts = serve::pinned_engine_options();
-      opts.method = m;
-      opts.sim_threads = 4;
-      opts.sched = sim::SchedConfig{policy, 0};
-      opts.shared_l2 = true;
-      SCOPED_TRACE(sim::sched_policy_name(policy));
-      expect_demux_bit_exact(a, opts, xs);
-    }
+  for (const kern::Method m : {kern::Method::CusparseCsr, kern::Method::CusparseBsr}) {
+    EngineOptions opts = serve::pinned_engine_options();
+    opts.method = m;
+    opts.sim_threads = 4;
+    opts.sched = sim::SchedConfig{sim::SchedPolicy::RoundRobin, 0};
+    opts.shared_l2 = true;
+    expect_demux_bit_exact(a, opts, xs);
   }
 }
 

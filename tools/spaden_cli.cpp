@@ -2,7 +2,7 @@
 //
 //   spaden info <matrix>                 structure + format recommendation
 //   spaden spmv <matrix> [--method M] [--device l40|v100] [--iters N] [--threads T]
-//               [--sched serial|rr|gto] [--shared-l2|--no-shared-l2]
+//               [--sched serial|rr[:window]] [--shared-l2|--no-shared-l2]
 //               [--sancheck] [--profile out.json] [--trace out.json]
 //               [--metrics out.prom] [--metrics-json out.json]
 //               [--engine-trace out.json]
@@ -17,7 +17,6 @@
 // Table 1 dataset (synthesized at --scale, default 0.25).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -46,7 +45,7 @@ struct Args {
   int iters = 1;
   int threads = 0;  // 0 = SPADEN_SIM_THREADS / hardware default
   int devices = 0;  // --devices N; 0 = SPADEN_SIM_DEVICES / 1
-  std::string sched;  // --sched serial|rr|gto[:window]; "" = SPADEN_SIM_SCHED
+  std::string sched;  // --sched serial|rr[:window]; "" = SPADEN_SIM_SCHED
   int shared_l2 = -1;  // --shared-l2 / --no-shared-l2; -1 = engine default
   bool sancheck = false;
   std::string profile_out;  // --profile FILE: spaden-prof JSON report
@@ -175,26 +174,10 @@ int cmd_spmv(const Args& args) {
     options.num_devices = args.devices;
   }
   if (!args.sched.empty()) {
-    std::string policy = args.sched;
-    if (const auto colon = policy.find(':'); colon != std::string::npos) {
-      const std::optional<long> window = parse_long(policy.c_str() + colon + 1);
-      SPADEN_REQUIRE(window.has_value(), "--sched window in '%s' is not an integer",
-                     args.sched.c_str());
-      options.sched.window = static_cast<int>(*window);
-      policy.resize(colon);
-    }
-    options.sched.policy = sim::sched_policy_by_name(policy);
+    options.sched = sim::parse_sched(args.sched, "--sched");
   }
-  if (args.shared_l2 >= 0) {
-    options.shared_l2 = args.shared_l2 != 0;
-  } else if (const char* l2_env = std::getenv("SPADEN_SIM_SHARED_L2");
-             (l2_env == nullptr || l2_env[0] == '\0') &&
-             options.sched.policy == sim::SchedPolicy::Serial) {
-    // Pair an explicitly serial CLI policy with the pre-recalibration slice
-    // L2, mirroring default_engine_shared_l2(): --sched serial stays
-    // bit-for-bit reproducible against historical outputs.
-    options.shared_l2 = false;
-  }
+  options.shared_l2 =
+      args.shared_l2 >= 0 ? args.shared_l2 != 0 : sim::engine_shared_l2(options.sched);
   options.sanitize = options.sanitize || args.sancheck;
   // Any telemetry output implies telemetry; the stitched trace additionally
   // needs the profiler's device timeline to nest under the launch spans.
@@ -493,7 +476,7 @@ int main(int argc, char** argv) {
           "                                  by the modeled interconnect (default\n"
           "                                  SPADEN_SIM_DEVICES or 1; link preset from\n"
           "                                  SPADEN_SIM_LINK: nvlink|pcie)\n"
-          "                [--sched P]       warp scheduling: serial|rr|gto[:window]\n"
+          "                [--sched P]       warp scheduling: serial|rr[:window]\n"
           "                                  (default rr; serial = pre-recalibration mode)\n"
           "                [--shared-l2|--no-shared-l2]\n"
           "                                  shared set-sharded L2 vs per-SM slices\n"
