@@ -1,7 +1,6 @@
 #include "analysis/recommend.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 #include "analysis/experiment.hpp"
@@ -9,7 +8,6 @@
 #include "core/spaden.hpp"
 #include "matrix/bitbsr.hpp"
 #include "matrix/bsr.hpp"
-#include "matrix/ell.hpp"
 
 namespace spaden::analysis {
 
@@ -30,49 +28,6 @@ Recommendation recommend(const mat::Csr& a, const sim::DeviceSpec& device,
   // --- storage assessments -----------------------------------------------
   rec.formats.push_back(
       {"CSR", per_nnz(a.row_ptr.size() * 4 + nnz * 8, nnz), true, "the safe default"});
-
-  {
-    mat::Index max_row = 0;
-    for (mat::Index r = 0; r < a.nrows; ++r) {
-      max_row = std::max(max_row, a.row_nnz(r));
-    }
-    const double pad = a.nrows == 0 ? 0.0
-                                    : static_cast<double>(max_row) * a.nrows /
-                                          static_cast<double>(nnz);
-    const bool ok = pad < 3.0;
-    rec.formats.push_back({"ELL",
-                           per_nnz(static_cast<std::size_t>(static_cast<double>(nnz) * pad) * 8,
-                                   nnz),
-                           ok,
-                           ok ? strfmt("padding factor %.2f", pad)
-                              : strfmt("padding factor %.2f — row lengths too skewed", pad)});
-    const mat::Hyb hyb = mat::Hyb::from_csr(a);
-    rec.formats.push_back(
-        {"HYB",
-         per_nnz(hyb.ell.col_idx.size() * 4 + hyb.ell.val.size() * 4 + hyb.coo.nnz() * 12,
-                 nnz),
-         true, strfmt("%zu entries overflow to COO", hyb.coo.nnz())});
-  }
-
-  {
-    // DIA viability: count populated diagonals without materializing.
-    std::map<long long, bool> diagonals;
-    bool too_many = false;
-    for (mat::Index r = 0; r < a.nrows && !too_many; ++r) {
-      for (mat::Index i = a.row_ptr[r]; i < a.row_ptr[r + 1]; ++i) {
-        diagonals[static_cast<long long>(a.col_idx[i]) - r] = true;
-        too_many = diagonals.size() > 512;
-      }
-    }
-    if (too_many) {
-      rec.formats.push_back({"DIA", 0.0, false, "more than 512 populated diagonals"});
-    } else {
-      rec.formats.push_back(
-          {"DIA",
-           per_nnz(diagonals.size() * (4 + static_cast<std::size_t>(a.nrows) * 4), nnz),
-           true, strfmt("%zu diagonals", diagonals.size())});
-    }
-  }
 
   const mat::BitBsr bb = mat::BitBsr::from_csr(a);
   {

@@ -2,10 +2,10 @@
 // bitmap & blocking" direction of the paper's conclusion, distilled into an
 // analysis pass.
 //
-// Given a matrix, computes each candidate format's storage cost and a
-// structural suitability verdict (the paper's §5.1 selection criteria for
-// Spaden, fill thresholds for BSR/ELL/DIA), and ranks the SpMV-capable
-// formats by modeled throughput on a chosen device.
+// Given a matrix, computes the storage cost and a structural suitability
+// verdict (block fill for BSR) of each format the engine can serve — CSR,
+// BSR 8x8 and bitBSR — and ranks the SpMV methods over them by modeled
+// throughput on a chosen device.
 #pragma once
 
 #include <string>
@@ -18,9 +18,9 @@
 namespace spaden::analysis {
 
 struct FormatAssessment {
-  std::string format;        ///< "CSR", "ELL", "HYB", "DIA", "BSR 8x8", "bitBSR"
+  std::string format;        ///< "CSR", "BSR 8x8", "bitBSR"
   double bytes_per_nnz = 0;  ///< storage cost
-  bool suitable = true;      ///< structural fit (e.g. DIA needs few diagonals)
+  bool suitable = true;      ///< structural fit (BSR needs >50% block fill)
   std::string note;          ///< one-line rationale
 };
 

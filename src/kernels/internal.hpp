@@ -11,7 +11,6 @@
 
 namespace spaden::kern {
 
-std::unique_ptr<SpmvKernel> make_csr_scalar();
 std::unique_ptr<SpmvKernel> make_csr_vector();   // cuSPARSE CSR stand-in
 std::unique_ptr<SpmvKernel> make_bsr_kernel();   // cuSPARSE BSR stand-in
 std::unique_ptr<SpmvKernel> make_lightspmv();

@@ -12,8 +12,6 @@ namespace spaden::kern {
 
 std::string_view method_name(Method m) {
   switch (m) {
-    case Method::CsrScalar:
-      return "CSR Scalar";
     case Method::CusparseCsr:
       return "cuSPARSE CSR";
     case Method::CusparseBsr:
@@ -52,11 +50,10 @@ const std::vector<Method>& figure6_methods() {
 
 const std::vector<Method>& all_methods() {
   static const std::vector<Method> kMethods = {
-      Method::CsrScalar, Method::CusparseCsr, Method::CusparseBsr,
-      Method::LightSpmv, Method::Gunrock,     Method::Dasp,
-      Method::Spaden,    Method::SpadenNoTc,  Method::CsrWarp16,
-      Method::CsrAdaptive, Method::SpadenConventional, Method::SpadenUnpaired,
-      Method::SpadenWide,
+      Method::CusparseCsr,        Method::CusparseBsr,    Method::LightSpmv,
+      Method::Gunrock,            Method::Dasp,           Method::Spaden,
+      Method::SpadenNoTc,         Method::CsrWarp16,      Method::CsrAdaptive,
+      Method::SpadenConventional, Method::SpadenUnpaired, Method::SpadenWide,
   };
   return kMethods;
 }

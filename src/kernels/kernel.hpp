@@ -10,7 +10,6 @@
 //   Spaden      — bitBSR + pairing tensor-core kernel (the paper's method)
 //   SpadenNoTc  — Spaden's bitBSR decode on CUDA cores (ablation, Fig. 8)
 //   CsrWarp16   — CSR with 16 rows per warp, uncoalesced (ablation, Fig. 8)
-//   CsrScalar   — textbook one-thread-per-row CSR (reference baseline)
 //   CsrAdaptive — row-block load-balanced CSR (CSR-Adaptive, SC'14)
 //   SpadenConventional — Spaden filling fragments through the documented
 //                 WMMA staging path instead of direct registers (ablation
@@ -40,9 +39,11 @@
 
 namespace spaden::kern {
 
+// Values are never reused: a deleted method leaves its value unassigned, so
+// the names of value-parameterized tests (gtest prints each parameter's
+// bytes) stay the same across a deletion. 0 names no method.
 enum class Method {
-  CsrScalar,
-  CusparseCsr,
+  CusparseCsr = 1,
   CusparseBsr,
   LightSpmv,
   Gunrock,

@@ -6,8 +6,6 @@ namespace spaden::kern {
 
 std::unique_ptr<SpmvKernel> make_kernel(Method m) {
   switch (m) {
-    case Method::CsrScalar:
-      return make_csr_scalar();
     case Method::CusparseCsr:
       return make_csr_vector();
     case Method::CusparseBsr:

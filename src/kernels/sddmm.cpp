@@ -78,7 +78,7 @@ SddmmResult sddmm_spaden(sim::Device& device, const mat::Csr& pattern, const mat
   auto v_dev = device.memory().upload(v.data, "sddmm.v");
   auto out_dev = device.memory().alloc<float>(pattern.nnz(), "sddmm.out");
 
-  // Block-row ids per block (bitCOO-style view) so one warp can address any
+  // Block-row ids per block (a coordinate view) so one warp can address any
   // block without walking block_row_ptr.
   std::vector<mat::Index> block_rows;
   block_rows.reserve(bb_host.num_blocks());

@@ -122,22 +122,6 @@ bool check_offsets(Checker& c, const std::string& fmt, const std::vector<Index>&
   return true;
 }
 
-/// 64-bit mask of the in-bounds bits of an 8x8 block at (brow, bcol).
-std::uint64_t valid_bits8(Index brow, Index bcol, Index nrows, Index ncols) {
-  std::uint64_t mask = 0;
-  for (unsigned r = 0; r < 8; ++r) {
-    if (std::uint64_t{brow} * 8 + r >= nrows) {
-      continue;
-    }
-    for (unsigned ci = 0; ci < 8; ++ci) {
-      if (std::uint64_t{bcol} * 8 + ci < ncols) {
-        mask |= std::uint64_t{1} << (r * 8 + ci);
-      }
-    }
-  }
-  return mask;
-}
-
 }  // namespace
 
 std::string FormatReport::summary() const {
@@ -383,74 +367,6 @@ FormatReport check_bitbsr_wide(Index nrows, Index ncols,
   return report;
 }
 
-FormatReport check_bitcoo(Index nrows, Index ncols, const std::vector<Index>& block_row,
-                          const std::vector<Index>& block_col,
-                          const std::vector<std::uint64_t>& bitmap,
-                          const std::vector<Index>& val_offset, std::size_t nvalues) {
-  FormatReport report;
-  report.format = "bitCOO";
-  Checker c(&report);
-  const Index brows = (nrows + 7) / 8;
-  const Index bcols = (ncols + 7) / 8;
-  const std::size_t blocks = bitmap.size();
-  c.require(block_row.size() == blocks && block_col.size() == blocks, [&] {
-    return Violation{"bitcoo.array-sizes", "block_row/block_col",
-                     strfmt("block_row has %zu and block_col %zu entries but %zu bitmaps "
-                            "are stored",
-                            block_row.size(), block_col.size(), blocks)};
-  });
-  const bool coords_ok = block_row.size() == blocks && block_col.size() == blocks;
-  const bool offs_ok = check_offsets(c, "bitcoo", val_offset, blocks, nvalues);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    if (coords_ok) {
-      c.require(block_row[b] < brows && block_col[b] < bcols, [&] {
-        return Violation{"bitcoo.coord-bounds", strfmt("block %zu", b),
-                         strfmt("(%u, %u) out of the %u x %u block grid", block_row[b],
-                                block_col[b], brows, bcols)};
-      });
-      if (b > 0) {
-        const bool sorted = block_row[b - 1] < block_row[b] ||
-                            (block_row[b - 1] == block_row[b] && block_col[b - 1] < block_col[b]);
-        c.require(sorted, [&] {
-          return Violation{"bitcoo.block-order", strfmt("block %zu", b),
-                           strfmt("(%u, %u) does not follow (%u, %u): blocks must be "
-                                  "(row, col)-sorted with no duplicates",
-                                  block_row[b], block_col[b], block_row[b - 1],
-                                  block_col[b - 1])};
-        });
-      }
-    }
-    c.require(bitmap[b] != 0, [&] {
-      return Violation{"bitcoo.empty-block", strfmt("block %zu", b),
-                       "stored block has an all-zero bitmap (empty blocks must be "
-                       "dropped by conversion)"};
-    });
-    if (offs_ok) {
-      const std::int64_t delta =
-          static_cast<std::int64_t>(val_offset[b + 1]) - static_cast<std::int64_t>(val_offset[b]);
-      c.require(std::popcount(bitmap[b]) == delta, [&] {
-        return Violation{"bitcoo.popcount", strfmt("block %zu", b),
-                         strfmt("bitmap popcount %d != stored value count %lld (values "
-                                "would be misindexed from this block on)",
-                                std::popcount(bitmap[b]), static_cast<long long>(delta))};
-      });
-    }
-    if (coords_ok && block_row[b] < brows && block_col[b] < bcols) {
-      const std::uint64_t valid = valid_bits8(block_row[b], block_col[b], nrows, ncols);
-      c.require((bitmap[b] & ~valid) == 0, [&] {
-        return Violation{"bitcoo.padding-bits",
-                         strfmt("block %zu (block-row %u, block-col %u)", b, block_row[b],
-                                block_col[b]),
-                         strfmt("bitmap sets bits beyond the %u x %u matrix "
-                                "(invalid bits 0x%016llx)",
-                                nrows, ncols,
-                                static_cast<unsigned long long>(bitmap[b] & ~valid))};
-      });
-    }
-  }
-  return report;
-}
-
 FormatReport check_format(const mat::Csr& a) {
   return check_csr(a.nrows, a.ncols, a.row_ptr, a.col_idx, a.val.size());
 }
@@ -475,11 +391,6 @@ FormatReport check_format(const mat::BitBsr16& a) {
                            a.bitmap.empty() ? nullptr : a.bitmap.front().data(),
                            a.bitmap.size() * mat::BitBsr16::kWords, a.val_offset,
                            a.values.size());
-}
-
-FormatReport check_format(const mat::BitCoo& a) {
-  return check_bitcoo(a.nrows, a.ncols, a.block_row, a.block_col, a.bitmap, a.val_offset,
-                      a.values.size());
 }
 
 bool default_verify_format() { return env_flag("SPADEN_VERIFY_FORMAT"); }

@@ -23,7 +23,6 @@
 //   <fmt>.col-bounds        column indices are < ncols (or bcols)
 //   <fmt>.col-order         column indices ascend within a row
 //   <fmt>.col-dup           no duplicate column within a row
-//   bitcoo.block-order      coordinate blocks sorted by (row, col), no dups
 //   bit*.empty-block        every stored block has at least one set bit
 //   bit*.popcount           popcount(bitmap[b]) == val_offset[b+1] - val_offset[b]
 //   bit*.val-offset-*       exclusive scan starts at 0, is monotone, ends at nnz
@@ -37,7 +36,6 @@
 
 #include "matrix/bitbsr.hpp"
 #include "matrix/bitbsr_wide.hpp"
-#include "matrix/bitcoo.hpp"
 #include "matrix/bsr.hpp"
 #include "matrix/coo.hpp"
 #include "matrix/csr.hpp"
@@ -97,11 +95,6 @@ FormatReport check_bitbsr_wide(Index nrows, Index ncols,
                                const std::uint64_t* bitmap_words, std::size_t bitmap_len,
                                const std::vector<Index>& val_offset, std::size_t nvalues);
 
-FormatReport check_bitcoo(Index nrows, Index ncols, const std::vector<Index>& block_row,
-                          const std::vector<Index>& block_col,
-                          const std::vector<std::uint64_t>& bitmap,
-                          const std::vector<Index>& val_offset, std::size_t nvalues);
-
 // --- host-struct conveniences ----------------------------------------------
 
 FormatReport check_format(const mat::Csr& a);
@@ -109,7 +102,6 @@ FormatReport check_format(const mat::Coo& a);
 FormatReport check_format(const mat::Bsr& a);
 FormatReport check_format(const mat::BitBsr& a);
 FormatReport check_format(const mat::BitBsr16& a);
-FormatReport check_format(const mat::BitCoo& a);
 
 /// SPADEN_VERIFY_FORMAT env gate for EngineOptions::verify_format: any
 /// non-empty value other than "0" enables the post-prepare check.

@@ -38,6 +38,7 @@ EngineOptions pinned_engine_options(const sim::DeviceSpec& device) {
   // SPADEN_PROFILE env default the plain engine constructor would read —
   // serve reports must not change when the ambient simulator config does.
   o.sim_threads = default_serve_sim_threads();
+  o.num_devices = 1;
   o.sched = sim::SchedConfig{sim::SchedPolicy::RoundRobin, 0};
   o.shared_l2 = true;
   o.sanitize = false;
@@ -54,9 +55,10 @@ Handle MatrixRegistry::add(std::string name, mat::Csr a) {
   Entry e;
   e.name = std::move(name);
   e.matrix = std::move(a);
-  const analysis::Recommendation rec =
-      analysis::recommend(e.matrix, config_.engine.device, config_.benchmark_recommend);
-  e.method = config_.benchmark_recommend ? rec.best_method : rec.heuristic_method;
+  SPADEN_REQUIRE(e.matrix.nnz() > 0, "cannot serve an empty matrix '%s'", e.name.c_str());
+  e.method = config_.benchmark_recommend
+                 ? analysis::recommend(e.matrix, config_.engine.device, true).best_method
+                 : SpmvEngine::auto_select(e.matrix);
   const Handle h = next_handle_++;
   entries_.emplace(h, std::move(e));
   return h;

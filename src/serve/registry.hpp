@@ -34,10 +34,11 @@ using Handle = std::uint32_t;
 /// contract requires byte-identical reports regardless of the ambient
 /// simulator configuration, so these options deliberately IGNORE
 /// SPADEN_SIM_THREADS / SPADEN_SIM_SCHED / SPADEN_SIM_SHARED_L2 /
-/// SPADEN_SANCHECK / SPADEN_PROFILE. Simulation runs on
-/// SPADEN_SERVE_SIM_THREADS host threads (default 1) with the round-robin
-/// scheduler and the shared L2 — a configuration whose modeled times are
-/// byte-identical run-to-run. Telemetry keeps its SPADEN_TELEMETRY default.
+/// SPADEN_SIM_DEVICES / SPADEN_SANCHECK / SPADEN_PROFILE. Simulation runs on
+/// one device and SPADEN_SERVE_SIM_THREADS host threads (default 1) with
+/// the round-robin scheduler and the shared L2 — a configuration whose
+/// modeled times are byte-identical run-to-run. Telemetry keeps its
+/// SPADEN_TELEMETRY default.
 [[nodiscard]] EngineOptions pinned_engine_options(const sim::DeviceSpec& device = sim::l40());
 
 /// SPADEN_SERVE_SIM_THREADS: host threads for serve-owned engines

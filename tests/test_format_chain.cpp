@@ -31,22 +31,18 @@ TEST_P(FormatChainTest, AllRepresentationsAgreeOnSpmv) {
     }
   };
   check(spmv_host(a, x), "csr", 1e-3);
-  check(spmv_host(Ell::from_csr(a), x), "ell", 1e-3);
-  check(spmv_host(Hyb::from_csr(a), x), "hyb", 1e-3);
   check(spmv_host(Bsr::from_csr(a, 8), x), "bsr", 1e-3);
   check(spmv_host(BitBsr::from_csr(a), x), "bitbsr", 0.05);
-  check(spmv_host(BitCoo::from_csr(a), x), "bitcoo", 0.05);
 }
 
 TEST_P(FormatChainTest, LongConversionChainPreservesStructure) {
   const auto [seed, nrows, ncols, nnz] = GetParam();
   const Csr a = Csr::from_coo(random_uniform(nrows, ncols, nnz, seed + 100));
-  // CSR -> BSR -> CSR -> bitBSR -> bitCOO -> bitBSR -> CSR: structure must
-  // be bit-identical; values pass once through binary16.
+  // CSR -> BSR -> CSR -> bitBSR -> CSR: structure must be bit-identical;
+  // values pass once through binary16.
   const Csr via_bsr = Bsr::from_csr(a, 8).to_csr();
   EXPECT_EQ(via_bsr, a);
-  const Csr chained =
-      BitCoo::from_bitbsr(BitBsr::from_csr(via_bsr)).to_bitbsr().to_csr();
+  const Csr chained = BitBsr::from_csr(via_bsr).to_csr();
   EXPECT_EQ(chained.row_ptr, a.row_ptr);
   EXPECT_EQ(chained.col_idx, a.col_idx);
   for (std::size_t i = 0; i < a.nnz(); ++i) {

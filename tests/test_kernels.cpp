@@ -215,7 +215,7 @@ TEST(Kernels, FootprintOrderingMatchesFigure10b) {
 TEST(Kernels, MethodNamesAndRegistry) {
   EXPECT_EQ(method_name(Method::Spaden), "Spaden");
   EXPECT_EQ(method_name(Method::CusparseCsr), "cuSPARSE CSR");
-  EXPECT_EQ(all_methods().size(), 13u);
+  EXPECT_EQ(all_methods().size(), 12u);
   EXPECT_EQ(figure6_methods().size(), 6u);
   for (const Method m : all_methods()) {
     EXPECT_EQ(make_kernel(m)->method(), m);

@@ -194,8 +194,8 @@ TEST(ShardedSpmv, BitIdenticalToSingleDeviceAcrossMethods) {
   const std::vector<float> x = dense_x(a.ncols);
   for (const kern::Method method :
        {kern::Method::CusparseCsr, kern::Method::LightSpmv, kern::Method::CsrAdaptive,
-        kern::Method::CsrScalar, kern::Method::CsrWarp16, kern::Method::Spaden,
-        kern::Method::SpadenNoTc, kern::Method::Dasp}) {
+        kern::Method::CsrWarp16, kern::Method::Spaden, kern::Method::SpadenNoTc,
+        kern::Method::Dasp}) {
     SCOPED_TRACE(std::string(kern::method_name(method)));
     const std::vector<float> y1 = run_single(method, a, x);
     for (const int n : {1, 2, 4}) {

@@ -81,6 +81,12 @@ TEST(ServeRegistry, MethodFollowsRecommendation) {
       analysis::recommend(a, reg.config().engine.device, /*benchmark_methods=*/false);
   EXPECT_EQ(reg.method_of(h), rec.heuristic_method);
   EXPECT_EQ(reg.acquire(h).chosen_method(), rec.heuristic_method);
+
+  mat::Csr empty;
+  empty.nrows = 4;
+  empty.ncols = 4;
+  empty.row_ptr = {0, 0, 0, 0, 0};
+  EXPECT_THROW((void)reg.add("empty", empty), Error);
 }
 
 // ------------------------------------------------------------ batch former
@@ -306,15 +312,17 @@ TEST(ServeReplay, ExportsByteIdenticalAcrossSimConfigs) {
 
   // The serve determinism contract: pinned engine options ignore the
   // ambient simulator env, so the exports must not move a byte across
-  // thread counts or scheduler policies.
+  // thread counts, scheduler policies or device counts.
   setenv("SPADEN_SIM_THREADS", "1", 1);
   setenv("SPADEN_SIM_SCHED", "serial", 1);
   const serve::ReplayResult first = serve::run_replay(spec);
   setenv("SPADEN_SIM_THREADS", "4", 1);
   setenv("SPADEN_SIM_SCHED", "rr", 1);
+  setenv("SPADEN_SIM_DEVICES", "2", 1);
   const serve::ReplayResult second = serve::run_replay(spec);
   unsetenv("SPADEN_SIM_THREADS");
   unsetenv("SPADEN_SIM_SCHED");
+  unsetenv("SPADEN_SIM_DEVICES");
 
   EXPECT_TRUE(first.demux_ok);
   EXPECT_TRUE(second.demux_ok);
@@ -422,7 +430,7 @@ TEST(ServeServer, ServersSharingARegistryNeverReuseAStaleX) {
 TEST(ServeEngineHooks, BatchIdsNestLaunchesUnderBatchSpans) {
   EngineOptions opts = serve::pinned_engine_options();
   opts.telemetry = true;
-  opts.method = kern::Method::CsrScalar;  // base run_multi: one launch/column
+  opts.method = kern::Method::CsrWarp16;  // base run_multi: one launch/column
   SpmvEngine engine(small_matrix(64, 512, 9), opts);
   std::vector<std::vector<float>> xs = {random_x(64, 50), random_x(64, 51),
                                         random_x(64, 52)};

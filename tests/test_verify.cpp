@@ -50,8 +50,6 @@ TEST(Verify, EveryConversionOfARandomMatrixIsClean) {
   EXPECT_TRUE(check_format(bb).ok()) << check_format(bb).summary();
   const mat::BitBsr16 bw = mat::BitBsr16::from_csr(a);
   EXPECT_TRUE(check_format(bw).ok()) << check_format(bw).summary();
-  const mat::BitCoo bc = mat::BitCoo::from_csr(a);
-  EXPECT_TRUE(check_format(bc).ok()) << check_format(bc).summary();
 }
 
 TEST(Verify, CleanSummaryIsOneLine) {
@@ -203,24 +201,6 @@ TEST(Verify, BitBsr16FlippedWordBreaksPopcount) {
   bw.bitmap[0][1] ^= 2;
   const FormatReport report = check_format(bw);
   EXPECT_TRUE(has_violation(report, "bitbsr16.popcount")) << report.summary();
-}
-
-// ----- bitCOO corruptions ----------------------------------------------------
-
-TEST(Verify, BitCooOutOfOrderBlocksAreReported) {
-  mat::BitCoo bc = mat::BitCoo::from_csr(test_matrix());
-  ASSERT_GE(bc.num_blocks(), 2u);
-  std::swap(bc.block_row.front(), bc.block_row.back());
-  std::swap(bc.block_col.front(), bc.block_col.back());
-  const FormatReport report = check_format(bc);
-  EXPECT_TRUE(has_violation(report, "bitcoo.block-order")) << report.summary();
-}
-
-TEST(Verify, BitCooCoordinateOutOfGridIsReported) {
-  mat::BitCoo bc = mat::BitCoo::from_csr(test_matrix());
-  bc.block_col[0] = (bc.ncols + 7) / 8 + 1;
-  const FormatReport report = check_format(bc);
-  EXPECT_TRUE(has_violation(report, "bitcoo.coord-bounds")) << report.summary();
 }
 
 // ----- engine integration ----------------------------------------------------

@@ -281,7 +281,6 @@ int cmd_verify(const Args& args) {
   run(san::check_format(mat::Bsr::from_csr(a)));
   run(san::check_format(mat::BitBsr::from_csr(a)));
   run(san::check_format(mat::BitBsr16::from_csr(a)));
-  run(san::check_format(mat::BitCoo::from_csr(a)));
   if (violations != 0) {
     std::printf("spaden-verify: %llu violation(s) total\n",
                 static_cast<unsigned long long>(violations));
@@ -337,10 +336,6 @@ int cmd_serve(const Args& args) {
   serve::RegistryConfig rcfg;
   rcfg.engine.telemetry = rcfg.engine.telemetry || want_telemetry;
   rcfg.engine.profile = rcfg.engine.profile || !args.engine_trace_out.empty();
-  // Serving fuses requests with multiply_batch, and a batch of k > 1 needs
-  // one device (the sharded halo model covers one column); a global
-  // SPADEN_SIM_DEVICES must not leak into the serve engines.
-  rcfg.engine.num_devices = 1;
 
   if (args.wall_clock) {
     // AsyncServer: a dispatcher thread forms batches under host-time
