@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "kernels/sharded.hpp"
 #include "matrix/generate.hpp"
@@ -199,7 +200,7 @@ int main() {
   for (std::size_t i = 0; i < 3; ++i) {
     const int n = kDeviceCounts[i];
     const unsigned exp = static_cast<unsigned>(base) + static_cast<unsigned>(i);
-    const std::string name = "rmat" + std::to_string(exp);
+    const std::string name = strfmt("rmat%u", exp);
     std::fprintf(stderr, "[gen] %s (2^%u vertices, R-MAT)...\n", name.c_str(), exp);
     const mat::Csr a = mat::Csr::from_coo(mat::rmat(exp, 16.0, /*seed=*/exp));
     const analysis::MethodRun run =
@@ -209,10 +210,10 @@ int main() {
       t1 = run.modeled_seconds;
     }
     const double eff = run.modeled_seconds > 0 ? t1 / run.modeled_seconds : 0.0;
-    weak.add_row({name, "x" + std::to_string(n), std::to_string(a.nnz()),
+    weak.add_row({name, strfmt("x%d", n), std::to_string(a.nnz()),
                   fmt_double(run.modeled_seconds * 1e6, 2), fmt_double(eff, 2)});
     if (n > 1) {
-      json.add_metric("weak_efficiency@" + std::to_string(n), eff);
+      json.add_metric(strfmt("weak_efficiency@%d", n), eff);
     }
   }
   std::printf("\n");

@@ -17,12 +17,17 @@ MethodRun run_method(const sim::DeviceSpec& spec, kern::Method method, const mat
   const sim::SchedConfig sched = sim::default_engine_sched();
   device.set_sched(sched);
   device.set_shared_l2(sim::engine_shared_l2(sched));
+  return run_method(device, method, a, matrix_name);
+}
+
+MethodRun run_method(sim::Device& device, kern::Method method, const mat::Csr& a,
+                     const std::string& matrix_name) {
   auto kernel = kern::make_kernel(method);
   kernel->prepare(device, a);
 
   MethodRun run;
   run.method = method;
-  run.device_name = spec.name;
+  run.device_name = device.spec().name;
   run.matrix_name = matrix_name;
   run.nnz = a.nnz();
   run.prep_seconds = kernel->prep_seconds();

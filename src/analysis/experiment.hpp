@@ -48,6 +48,10 @@ struct MethodRun {
 /// runs once to warm the modeled L2 and once timed.
 MethodRun run_method(const sim::DeviceSpec& spec, kern::Method method, const mat::Csr& a,
                      const std::string& matrix_name);
+/// The same on a caller-configured fresh device (thread count, scheduling
+/// and L2 as the caller set them, not the SPADEN_SIM_* defaults).
+MethodRun run_method(sim::Device& device, kern::Method method, const mat::Csr& a,
+                     const std::string& matrix_name);
 
 /// Geometric mean of a positive series (the paper's speedup aggregation).
 double geomean(const std::vector<double>& values);

@@ -135,9 +135,6 @@ SpmvResult SpmvEngine::Impl::execute(const std::vector<const std::vector<float>*
     result.sanitizer.merge(dev.sanitizer_log());
     result.profiles.insert(result.profiles.end(), dev.profile_log().begin(),
                            dev.profile_log().end());
-    if (group.size() > 1) {
-      result.device_profiles.push_back(dev.profile_log());
-    }
   }
   if (tel != nullptr) {
     met::MetricsRegistry& reg = tel->metrics();

@@ -92,10 +92,6 @@ struct SpmvResult {
   /// multi-device engine this is the per-device logs concatenated in device
   /// order.
   std::vector<sim::ProfileReport> profiles;
-  /// Per-device profile logs (outer index = device) when the engine runs
-  /// sharded across more than one device. Empty at num_devices == 1, so
-  /// single-device result handling — and its JSON — is unchanged.
-  std::vector<std::vector<sim::ProfileReport>> device_profiles;
 };
 
 /// Preprocessing record (paper Fig. 10).

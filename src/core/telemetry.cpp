@@ -138,7 +138,7 @@ double Telemetry::span_native_us(const SpanRecord& s) const {
   return (s.modeled_seconds >= 0 ? s.modeled_seconds : s.host_seconds) * 1e6;
 }
 
-std::vector<EngineTraceEvent> Telemetry::build_trace() const {
+std::vector<sim::TraceEvent> Telemetry::build_trace() const {
   const std::size_t n = spans_.size();
   std::vector<std::vector<int>> kids(n);
   std::vector<int> roots;
@@ -152,7 +152,7 @@ std::vector<EngineTraceEvent> Telemetry::build_trace() const {
 
   // Per-span device slices at base 0, so the launch span can stretch to the
   // slice extent before timestamps are assigned.
-  std::map<int, std::pair<std::vector<sim::TraceSlice>, double>> device;
+  std::map<int, std::pair<std::vector<sim::TraceEvent>, double>> device;
   for (std::size_t i = 0; i < n; ++i) {
     const int pi = spans_[i].profile_index;
     if (pi < 0) {
@@ -162,7 +162,7 @@ std::vector<EngineTraceEvent> Telemetry::build_trace() const {
     if (report.events.empty()) {
       continue;
     }
-    std::vector<sim::TraceSlice> slices;
+    std::vector<sim::TraceEvent> slices;
     const double extent = sim::collect_launch_slices(report, 0, slices);
     device.emplace(static_cast<int>(i), std::make_pair(std::move(slices), extent));
   }
@@ -198,25 +198,20 @@ std::vector<EngineTraceEvent> Telemetry::build_trace() const {
     }
   }
 
-  std::vector<EngineTraceEvent> events;
+  std::vector<sim::TraceEvent> events;
   for (std::size_t i = 0; i < n; ++i) {
-    EngineTraceEvent e;
+    sim::TraceEvent e;
     e.name = spans_[i].name;
-    e.pid = kEnginePid;
-    e.tid = 0;
+    e.pid = sim::kEnginePid;
     e.ts_us = ts[i];
     e.dur_us = dur[i];
     e.span = static_cast<int>(i);
+    e.host_clock = spans_[i].modeled_seconds < 0;
     events.push_back(std::move(e));
     if (const auto it = device.find(static_cast<int>(i)); it != device.end()) {
-      for (const sim::TraceSlice& s : it->second.first) {
-        EngineTraceEvent d;
-        d.name = s.name;
-        d.pid = kDevicePid + spans_[i].device;
-        d.tid = s.sm;
-        d.warp = s.warp;
-        d.ts_us = ts[i] + s.ts_us;
-        d.dur_us = s.dur_us;
+      for (sim::TraceEvent& d : it->second.first) {
+        d.pid = sim::kDevicePid + spans_[i].device;
+        d.ts_us += ts[i];
         d.span = static_cast<int>(i);
         events.push_back(std::move(d));
       }
@@ -225,95 +220,8 @@ std::vector<EngineTraceEvent> Telemetry::build_trace() const {
   return events;
 }
 
-namespace {
-
-void trace_meta(JsonWriter& w, const char* kind, int pid, int tid, const std::string& name) {
-  w.begin_object();
-  w.field("name", kind);
-  w.field("ph", "M");
-  w.field("pid", pid);
-  if (tid >= 0) {
-    w.field("tid", tid);
-  }
-  w.key("args");
-  w.begin_object();
-  w.field("name", name);
-  w.end_object();
-  w.end_object();
-}
-
-}  // namespace
-
 std::string Telemetry::chrome_trace_json() const {
-  const std::vector<EngineTraceEvent> events = build_trace();
-  JsonWriter w(/*pretty=*/false);
-  w.begin_object();
-  w.key("traceEvents");
-  w.begin_array();
-
-  trace_meta(w, "process_name", kEnginePid, -1, "spaden engine (host)");
-  trace_meta(w, "thread_name", kEnginePid, 0, "engine phases");
-  trace_meta(w, "process_name", kDevicePid, -1, "gpusim device (modeled)");
-  // One chrome process per device pid: tid lanes are that device's virtual
-  // SMs. Device 0 keeps the historical name so single-device traces are
-  // byte-identical; further devices (gpusim/multidevice) append after it.
-  std::map<int, int> max_sm;  // device pid -> max tid seen
-  for (const EngineTraceEvent& e : events) {
-    if (e.pid >= kDevicePid) {
-      auto [it, inserted] = max_sm.emplace(e.pid, e.tid);
-      if (!inserted) {
-        it->second = std::max(it->second, e.tid);
-      }
-    }
-  }
-  if (const auto it = max_sm.find(kDevicePid); it != max_sm.end()) {
-    for (int sm = 0; sm <= it->second; ++sm) {
-      trace_meta(w, "thread_name", kDevicePid, sm, strfmt("virtual SM %d", sm));
-    }
-  }
-  for (const auto& [pid, sms] : max_sm) {
-    if (pid == kDevicePid) {
-      continue;
-    }
-    trace_meta(w, "process_name", pid, -1,
-               strfmt("gpusim device %d (modeled)", pid - kDevicePid));
-    for (int sm = 0; sm <= sms; ++sm) {
-      trace_meta(w, "thread_name", pid, sm, strfmt("virtual SM %d", sm));
-    }
-  }
-
-  for (const EngineTraceEvent& e : events) {
-    w.begin_object();
-    w.field("name", e.name);
-    w.field("ph", "X");
-    w.field("pid", e.pid);
-    w.field("tid", e.tid);
-    w.field("ts", e.ts_us);
-    w.field("dur", e.dur_us);
-    w.key("args");
-    w.begin_object();
-    if (e.pid >= kDevicePid) {
-      w.field("warp", e.warp);
-      w.field("clock", "modeled");
-    } else {
-      w.field("span", e.span);
-      w.field("clock", spans_[static_cast<std::size_t>(e.span)].modeled_seconds >= 0
-                           ? "modeled"
-                           : "host");
-    }
-    w.end_object();
-    w.end_object();
-  }
-
-  w.end_array();
-  w.field("displayTimeUnit", "ms");
-  w.key("otherData");
-  w.begin_object();
-  w.field("generator", "spaden-telemetry");
-  w.field("schema", met::kMetricsSchema);
-  w.end_object();
-  w.end_object();
-  return w.take();
+  return sim::chrome_trace_json(build_trace());
 }
 
 std::string Telemetry::metrics_json(bool include_host) const {

@@ -14,8 +14,9 @@
 //    SpMV-as-a-service roadmap item reports through;
 //  * the span tree is exported as a *stitched* chrome-trace timeline: engine
 //    phase spans on one lane, and inside each launch span the launch's
-//    ProfileReport per-SM warp slices (profiler trace writer reused), so one
-//    document walks from CSR ingest down to individual warp events.
+//    ProfileReport per-SM warp slices (gpusim's TraceEvents and trace
+//    writer), so one document walks from CSR ingest down to individual warp
+//    events.
 //
 // Determinism contract (tested): modeled-time metrics are a pure function
 // of the bucket counts and the fixed boundary table in common/metrics, so
@@ -58,29 +59,13 @@ struct SpanRecord {
   /// device timeline was captured (-1 otherwise).
   int profile_index = -1;
   /// Device index of a launch span (gpusim/multidevice): its device slices
-  /// render under chrome pid kDevicePid + device. 0 on a single device.
+  /// render under chrome pid sim::kDevicePid + device. 0 on a single device.
   int device = 0;
   bool open = true;
 };
 
-/// One event of the stitched trace in structured form (the chrome-trace
-/// JSON is rendered from these; tests assert on them directly).
-struct EngineTraceEvent {
-  std::string name;
-  int pid = 0;   ///< kEnginePid or kDevicePid
-  int tid = 0;   ///< 0 on the engine lane; virtual SM index on the device
-  std::uint64_t warp = 0;
-  double ts_us = 0;
-  double dur_us = 0;
-  int span = -1;  ///< owning span index: self for engine spans, the
-                  ///< enclosing launch span for device slices
-};
-
 class Telemetry {
  public:
-  static constexpr int kEnginePid = 0;
-  static constexpr int kDevicePid = 1;
-
   Telemetry();
 
   /// Labels stamped on every metric this Telemetry records (the engine sets
@@ -117,8 +102,9 @@ class Telemetry {
   /// extent) and host µs otherwise — so containment (child ⊆ parent, device
   /// slice ⊆ launch span) holds by construction. One timeline necessarily
   /// mixes the two clock domains; args distinguish them.
-  [[nodiscard]] std::vector<EngineTraceEvent> build_trace() const;
-  /// The stitched timeline as a chrome://tracing JSON document.
+  [[nodiscard]] std::vector<sim::TraceEvent> build_trace() const;
+  /// The stitched timeline as a chrome://tracing JSON document
+  /// (sim::chrome_trace_json of build_trace()).
   [[nodiscard]] std::string chrome_trace_json() const;
 
   /// {"schema": spaden-metrics-v1, "metrics": [...], "host_metrics": [...],

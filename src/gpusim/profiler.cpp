@@ -1,12 +1,13 @@
 #include "gpusim/profiler.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
+#include <map>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/metrics.hpp"
 #include "common/parse.hpp"
 #include "common/table.hpp"
 
@@ -139,7 +140,7 @@ ProfileReport profile_analyze(std::string kernel_name, const DeviceSpec& spec,
   ProfileReport report;
   report.enabled = true;
   report.kernel_name = std::move(kernel_name);
-  report.device_name = spec.name;
+  report.spec = spec;
   report.stats = launch_stats;
   report.time = launch_time;
   report.occupancy = launch_occupancy(spec, launch_stats.warps_launched);
@@ -221,7 +222,7 @@ std::string ProfileReport::summary() const {
   std::string out = strfmt(
       "=== spaden-prof: %s on %s ===\n"
       "warps %llu, occupancy %.3f, modeled %.3f us (bound by %s), %llu timeline events%s\n",
-      kernel_name.c_str(), device_name.c_str(),
+      kernel_name.c_str(), spec.name.c_str(),
       static_cast<unsigned long long>(stats.warps_launched), occupancy, time.total * 1e6,
       time.bound_by(), static_cast<unsigned long long>(events.size()),
       truncated ? " [truncated]" : "");
@@ -274,7 +275,7 @@ void ProfileReport::to_json(JsonWriter& w, bool include_sms) const {
   w.begin_object();
   w.field("schema", kProfSchema);
   w.field("kernel", kernel_name);
-  w.field("device", device_name);
+  w.field("device", spec.name);
   w.field("occupancy", occupancy);
   w.field("truncated", truncated);
   w.key("stats");
@@ -319,13 +320,6 @@ void ProfileReport::to_json(JsonWriter& w, bool include_sms) const {
 
 namespace {
 
-/// Specs are carried by name only in the report; rebuild for trace timing.
-const DeviceSpec& spec_for_trace(const std::string& name) {
-  static const DeviceSpec l40_spec = l40();
-  static const DeviceSpec v100_spec = v100();
-  return name == v100_spec.name ? v100_spec : l40_spec;
-}
-
 double component_us(const DeviceSpec& spec, const KernelStats& now, const KernelStats& then,
                     double occupancy) {
   KernelStats delta = now - then;
@@ -333,18 +327,17 @@ double component_us(const DeviceSpec& spec, const KernelStats& now, const Kernel
   return estimate_component_time(spec, delta, occupancy).total * 1e6;
 }
 
-void trace_event(JsonWriter& w, std::string_view name, int pid, int sm, std::uint64_t warp,
-                 double ts_us, double dur_us) {
+void trace_meta(JsonWriter& w, const char* kind, int pid, int tid, const std::string& name) {
   w.begin_object();
-  w.field("name", name);
-  w.field("ph", "X");
+  w.field("name", kind);
+  w.field("ph", "M");
   w.field("pid", pid);
-  w.field("tid", sm);
-  w.field("ts", ts_us);
-  w.field("dur", dur_us);
+  if (tid >= 0) {
+    w.field("tid", tid);
+  }
   w.key("args");
   w.begin_object();
-  w.field("warp", warp);
+  w.field("name", name);
   w.end_object();
   w.end_object();
 }
@@ -352,8 +345,7 @@ void trace_event(JsonWriter& w, std::string_view name, int pid, int sm, std::uin
 }  // namespace
 
 double collect_launch_slices(const ProfileReport& launch, double base_us,
-                             std::vector<TraceSlice>& out) {
-  const DeviceSpec& spec = spec_for_trace(launch.device_name);
+                             std::vector<TraceEvent>& out) {
   std::vector<double> cursor_us(std::max<std::size_t>(launch.sms.size(), 1), base_us);
   // Per-SM replay state: the warp currently open on that lane plus the
   // range stack (events arrive grouped by shard, i.e. by SM).
@@ -381,8 +373,9 @@ double collect_launch_slices(const ProfileReport& launch, double base_us,
         if (!o.in_warp) {
           break;  // begin fell past the event cap
         }
-        const double dur = component_us(spec, e.snap, o.warp_snap, launch.occupancy);
-        out.push_back(TraceSlice{launch.kernel_name, sm, o.warp, o.warp_ts_us, dur});
+        const double dur = component_us(launch.spec, e.snap, o.warp_snap, launch.occupancy);
+        out.push_back(
+            TraceEvent{launch.kernel_name, kDevicePid, sm, o.warp, o.warp_ts_us, dur});
         cursor_us[static_cast<std::size_t>(sm)] = o.warp_ts_us + dur;
         o.in_warp = false;
         break;
@@ -399,12 +392,12 @@ double collect_launch_slices(const ProfileReport& launch, double base_us,
         const auto [name_id, snap] = o.stack.back();
         o.stack.pop_back();
         const double ts =
-            o.warp_ts_us + component_us(spec, snap, o.warp_snap, launch.occupancy);
-        const double dur = component_us(spec, e.snap, snap, launch.occupancy);
+            o.warp_ts_us + component_us(launch.spec, snap, o.warp_snap, launch.occupancy);
+        const double dur = component_us(launch.spec, e.snap, snap, launch.occupancy);
         const std::string name = name_id < launch.range_names.size()
                                      ? launch.range_names[name_id]
                                      : std::string("range");
-        out.push_back(TraceSlice{name, sm, o.warp, ts, dur});
+        out.push_back(TraceEvent{name, kDevicePid, sm, o.warp, ts, dur});
         break;
       }
     }
@@ -416,108 +409,81 @@ double collect_launch_slices(const ProfileReport& launch, double base_us,
   return end_us;
 }
 
-std::string chrome_trace_json(const std::vector<ProfileReport>& launches) {
+std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
   JsonWriter w(/*pretty=*/false);
   w.begin_object();
   w.key("traceEvents");
   w.begin_array();
 
-  int max_sm = 0;
-  for (const ProfileReport& launch : launches) {
-    max_sm = std::max(max_sm, static_cast<int>(launch.sms.size()));
+  trace_meta(w, "process_name", kEnginePid, -1, "spaden engine (host)");
+  trace_meta(w, "thread_name", kEnginePid, 0, "engine phases");
+  trace_meta(w, "process_name", kDevicePid, -1, "gpusim device (modeled)");
+  // One chrome process per device pid: tid lanes are that device's virtual
+  // SMs. Device 0's process is always named; devices 1.. of a
+  // gpusim/multidevice group get theirs when they have slices.
+  std::map<int, int> max_sm;  // device pid -> max tid seen
+  for (const TraceEvent& e : events) {
+    if (e.pid >= kDevicePid) {
+      auto [it, inserted] = max_sm.emplace(e.pid, e.tid);
+      if (!inserted) {
+        it->second = std::max(it->second, e.tid);
+      }
+    }
   }
-  for (int sm = 0; sm < std::max(max_sm, 1); ++sm) {
-    w.begin_object();
-    w.field("name", "thread_name");
-    w.field("ph", "M");
-    w.field("pid", 0);
-    w.field("tid", sm);
-    w.key("args");
-    w.begin_object();
-    w.field("name", strfmt("virtual SM %d", sm));
-    w.end_object();
-    w.end_object();
+  if (const auto it = max_sm.find(kDevicePid); it != max_sm.end()) {
+    for (int sm = 0; sm <= it->second; ++sm) {
+      trace_meta(w, "thread_name", kDevicePid, sm, strfmt("virtual SM %d", sm));
+    }
+  }
+  for (const auto& [pid, sms] : max_sm) {
+    if (pid == kDevicePid) {
+      continue;
+    }
+    trace_meta(w, "process_name", pid, -1,
+               strfmt("gpusim device %d (modeled)", pid - kDevicePid));
+    for (int sm = 0; sm <= sms; ++sm) {
+      trace_meta(w, "thread_name", pid, sm, strfmt("virtual SM %d", sm));
+    }
   }
 
-  double launch_base_us = 0;  // launches laid out back-to-back
-  std::vector<TraceSlice> slices;
-  for (const ProfileReport& launch : launches) {
-    slices.clear();
-    launch_base_us = collect_launch_slices(launch, launch_base_us, slices);
-    for (const TraceSlice& s : slices) {
-      trace_event(w, s.name, 0, s.sm, s.warp, s.ts_us, s.dur_us);
+  for (const TraceEvent& e : events) {
+    w.begin_object();
+    w.field("name", e.name);
+    w.field("ph", "X");
+    w.field("pid", e.pid);
+    w.field("tid", e.tid);
+    w.field("ts", e.ts_us);
+    w.field("dur", e.dur_us);
+    w.key("args");
+    w.begin_object();
+    if (e.pid >= kDevicePid) {
+      w.field("warp", e.warp);
+    } else {
+      w.field("span", e.span);
     }
+    w.field("clock", e.host_clock ? "host" : "modeled");
+    w.end_object();
+    w.end_object();
   }
 
   w.end_array();
   w.field("displayTimeUnit", "ms");
   w.key("otherData");
   w.begin_object();
-  w.field("generator", "spaden-prof");
-  w.field("schema", kProfSchema);
+  w.field("generator", "spaden-telemetry");
+  w.field("schema", met::kMetricsSchema);
   w.end_object();
   w.end_object();
   return w.take();
 }
 
-std::string chrome_trace_json(const std::vector<std::vector<ProfileReport>>& devices) {
-  JsonWriter w(/*pretty=*/false);
-  w.begin_object();
-  w.key("traceEvents");
-  w.begin_array();
-
-  for (std::size_t d = 0; d < devices.size(); ++d) {
-    const int pid = static_cast<int>(d);
-    w.begin_object();
-    w.field("name", "process_name");
-    w.field("ph", "M");
-    w.field("pid", pid);
-    w.key("args");
-    w.begin_object();
-    w.field("name", strfmt("device %d", pid));
-    w.end_object();
-    w.end_object();
-    int max_sm = 0;
-    for (const ProfileReport& launch : devices[d]) {
-      max_sm = std::max(max_sm, static_cast<int>(launch.sms.size()));
-    }
-    for (int sm = 0; sm < std::max(max_sm, 1); ++sm) {
-      w.begin_object();
-      w.field("name", "thread_name");
-      w.field("ph", "M");
-      w.field("pid", pid);
-      w.field("tid", sm);
-      w.key("args");
-      w.begin_object();
-      w.field("name", strfmt("virtual SM %d", sm));
-      w.end_object();
-      w.end_object();
-    }
+std::string chrome_trace_json(const std::vector<ProfileReport>& log) {
+  std::vector<TraceEvent> events;
+  double base_us = 0;  // launches laid out back-to-back
+  for (const ProfileReport& launch : log) {
+    base_us = collect_launch_slices(launch, base_us, events);
   }
-
-  // Devices execute concurrently, so each device's launches lay out
-  // back-to-back from its own t=0 — lanes across pids share one time axis.
-  std::vector<TraceSlice> slices;
-  for (std::size_t d = 0; d < devices.size(); ++d) {
-    double launch_base_us = 0;
-    for (const ProfileReport& launch : devices[d]) {
-      slices.clear();
-      launch_base_us = collect_launch_slices(launch, launch_base_us, slices);
-      for (const TraceSlice& s : slices) {
-        trace_event(w, s.name, static_cast<int>(d), s.sm, s.warp, s.ts_us, s.dur_us);
-      }
-    }
-  }
-
-  w.end_array();
-  w.field("displayTimeUnit", "ms");
-  w.key("otherData");
-  w.begin_object();
-  w.field("generator", "spaden-prof");
-  w.field("schema", kProfSchema);
-  w.end_object();
-  w.end_object();
-  return w.take();
+  return chrome_trace_json(events);
 }
 
 }  // namespace spaden::sim

@@ -12,10 +12,12 @@
 //               the paper's Fig. 8 decode/MMA/extract breakdown, measured
 //               instead of ablated.
 //  * timeline — per-warp begin/end events (and the range events inside them)
-//               are recorded per virtual SM and exported as Chrome
-//               chrome://tracing JSON, with timestamps synthesized from the
-//               modeled per-warp cost. One lane per virtual SM makes the
-//               parallel launcher's load imbalance visible.
+//               are recorded per virtual SM and flattened into TraceEvents,
+//               with timestamps synthesized from the modeled per-warp cost.
+//               One lane per virtual SM makes the parallel launcher's load
+//               imbalance visible. The same TraceEvents, with engine spans
+//               around them, make spaden-telemetry's stitched trace; one
+//               writer renders both as Chrome chrome://tracing JSON.
 //  * per-SM   — each virtual SM's aggregate counters and modeled seconds,
 //               plus a max/mean imbalance factor.
 //
@@ -207,7 +209,9 @@ struct ProfileReport {
   bool enabled = false;
   bool truncated = false;  ///< timeline-event cap hit; trace covers a prefix
   std::string kernel_name;
-  std::string device_name;
+  /// The spec the launch was timed with (Device::timing_spec()); the
+  /// timeline's slices are timed from it too.
+  DeviceSpec spec;
   double occupancy = 0;  ///< the factor applied to every attribution below
   KernelStats stats;     ///< launch totals
   TimeBreakdown time;    ///< launch modeled time (includes t_launch)
@@ -244,36 +248,41 @@ struct ProfileReport {
                                             const TimeBreakdown& launch_time,
                                             std::vector<ProfShard>& shards);
 
-/// One flattened timeline slice of a profiled launch: a warp's residency
-/// interval or a range segment inside it, with modeled-time coordinates.
-/// Produced by collect_launch_slices; consumed by chrome_trace_json and by
-/// spaden-telemetry's stitched host+device trace (core/telemetry).
-struct TraceSlice {
+/// Chrome process ids of a trace: the engine's span lane, and device d's
+/// virtual-SM lanes at kDevicePid + d.
+inline constexpr int kEnginePid = 0;
+inline constexpr int kDevicePid = 1;
+
+/// One complete ("X") event of a chrome trace: an engine span, or a warp's
+/// residency interval or a range segment inside it, in microseconds.
+struct TraceEvent {
   std::string name;
-  int sm = 0;
+  int pid = kDevicePid;  ///< kEnginePid, or kDevicePid + device index
+  int tid = 0;           ///< 0 on the engine lane; virtual SM index on a device
   std::uint64_t warp = 0;
   double ts_us = 0;
   double dur_us = 0;
+  int span = -1;  ///< owning span index: self for engine spans, the
+                  ///< enclosing launch span for device slices
+  bool host_clock = false;  ///< an engine span timed on the host clock
 };
 
-/// Replay one launch's timeline events into complete slices starting at
-/// `base_us` (one lane per virtual SM, durations from the modeled per-warp
-/// component time). Returns the end timestamp: the furthest lane cursor —
-/// every emitted slice lies within [base_us, returned end].
+/// Replay one launch's timeline events into device slices at kDevicePid
+/// starting at `base_us` (one lane per virtual SM, durations from the
+/// modeled per-warp component time on launch.spec). Returns the end
+/// timestamp: the furthest lane cursor — every appended slice lies within
+/// [base_us, returned end].
 double collect_launch_slices(const ProfileReport& launch, double base_us,
-                             std::vector<TraceSlice>& out);
+                             std::vector<TraceEvent>& out);
 
-/// Chrome chrome://tracing document ("traceEvents") for a sequence of
-/// profiled launches: one timeline lane per virtual SM, launches laid out
-/// back-to-back, timestamps in microseconds of modeled time.
-[[nodiscard]] std::string chrome_trace_json(const std::vector<ProfileReport>& launches);
+/// The chrome://tracing document ("traceEvents") of a list of events:
+/// process and lane metadata, one X event each, and otherData. The one
+/// trace writer — every trace the library emits goes through it.
+[[nodiscard]] std::string chrome_trace_json(const std::vector<TraceEvent>& events);
 
-/// Multi-device variant: one chrome process (pid) per device, each with its
-/// own virtual-SM lanes; device d's launches lay out back-to-back from that
-/// device's t=0 (devices run concurrently in the model). devices[d] is
-/// device d's profile log.
-[[nodiscard]] std::string chrome_trace_json(
-    const std::vector<std::vector<ProfileReport>>& devices);
+/// Trace of a raw Device's profile log: its launches laid out back-to-back
+/// at kDevicePid, timestamps in microseconds of modeled time.
+[[nodiscard]] std::string chrome_trace_json(const std::vector<ProfileReport>& log);
 
 /// Profiler default from the environment: SPADEN_PROFILE set to anything but
 /// "" or "0" enables spaden-prof on new devices.

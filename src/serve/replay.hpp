@@ -83,7 +83,7 @@ struct ReplayResult {
 
 /// Replay the spec batched + unbatched and package the comparison. Uses
 /// `registry` when given (must be freshly constructed; the caller keeps it
-/// to inspect engines afterwards — the CLI's --engine-trace), otherwise an
+/// to inspect engines afterwards — the CLI's --trace), otherwise an
 /// internal pinned-option registry.
 [[nodiscard]] ReplayResult run_replay(const ReplaySpec& spec,
                                       MatrixRegistry* registry = nullptr);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 
 #include "common/error.hpp"
 #include "core/spaden.hpp"
@@ -302,7 +303,6 @@ TEST(Engine, MultiDeviceMatchesSingleDeviceBitForBit) {
   SpmvEngine single(a, base);
   const SpmvResult r1 = single.multiply(x, y1);
   EXPECT_EQ(single.num_devices(), 1);
-  EXPECT_TRUE(r1.device_profiles.empty());
 
   for (const int n : {2, 4}) {
     SCOPED_TRACE(n);
@@ -323,21 +323,26 @@ TEST(Engine, MultiDeviceProfileLogsArePerDevice) {
   opts.method = kern::Method::CusparseCsr;
   opts.num_devices = 2;
   opts.profile = true;
+  opts.telemetry = true;
   SpmvEngine engine(a, opts);
   std::vector<float> y;
   const SpmvResult r = engine.multiply(dense_x(a.ncols), y);
-  ASSERT_EQ(r.device_profiles.size(), 2u);
-  for (const auto& launches : r.device_profiles) {
-    ASSERT_FALSE(launches.empty());
-    EXPECT_TRUE(launches.front().enabled);
+  ASSERT_FALSE(r.profiles.empty());
+  for (const sim::ProfileReport& report : r.profiles) {
+    EXPECT_TRUE(report.enabled);
   }
-  // Flat view concatenates the per-device logs.
-  EXPECT_EQ(r.profiles.size(),
-            r.device_profiles[0].size() + r.device_profiles[1].size());
-  // The per-device chrome trace emits one process per device.
-  const std::string trace = sim::chrome_trace_json(r.device_profiles);
-  EXPECT_NE(trace.find("\"device 0\""), std::string::npos);
-  EXPECT_NE(trace.find("\"device 1\""), std::string::npos);
+  // The engine's stitched trace has one device process per device: pids 1
+  // and 2, each with its own virtual-SM lanes.
+  std::set<int> device_pids;
+  for (const sim::TraceEvent& e : engine.telemetry()->build_trace()) {
+    if (e.pid != sim::kEnginePid) {
+      device_pids.insert(e.pid);
+    }
+  }
+  EXPECT_EQ(device_pids, (std::set<int>{1, 2}));
+  const std::string trace = engine.telemetry()->chrome_trace_json();
+  EXPECT_NE(trace.find("\"gpusim device (modeled)\""), std::string::npos);
+  EXPECT_NE(trace.find("\"gpusim device 1 (modeled)\""), std::string::npos);
 }
 
 TEST(Engine, MultiDeviceRejectsBatch) {

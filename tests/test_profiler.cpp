@@ -177,6 +177,41 @@ TEST(Profiler, TraceDeterministicAcrossRepeatedRuns) {
   EXPECT_NE(first.find("virtual SM 1"), std::string::npos);
 }
 
+TEST(Profiler, TraceSlicesAreTimedWithTheLaunchSpec) {
+  // Each warp streams its own cold cache line, so every slice is DRAM-bound:
+  // on a spec with half the L40's DRAM bandwidth (same name) each slice
+  // lasts exactly twice as long as on the L40 itself.
+  auto slices = [](const DeviceSpec& spec) {
+    Device device(spec);
+    device.set_sim_threads(1);
+    device.set_sched(SchedConfig{SchedPolicy::Serial, 0});
+    device.set_profile(true);
+    auto src = device.memory().upload(std::vector<float>(16 * kWarpSize, 1.0f), "src");
+    (void)device.launch("stream", 16, [&](WarpCtx& ctx, std::uint64_t w) {
+      const ProfRange prof(ctx, "load");
+      Lanes<std::uint32_t> idx;
+      for (int lane = 0; lane < kWarpSize; ++lane) {
+        idx[static_cast<std::size_t>(lane)] =
+            static_cast<std::uint32_t>(w) * kWarpSize + static_cast<std::uint32_t>(lane);
+      }
+      (void)ctx.gather(src.cspan(), idx);
+    });
+    std::vector<TraceEvent> out;
+    (void)collect_launch_slices(device.profile_log().at(0), 0, out);
+    return out;
+  };
+  DeviceSpec half_dram = l40();
+  half_dram.dram_bandwidth_gbps /= 2;
+  const std::vector<TraceEvent> fast = slices(l40());
+  const std::vector<TraceEvent> slow = slices(half_dram);
+  ASSERT_EQ(fast.size(), 16u * 2u);  // warp + "load" per warp
+  ASSERT_EQ(slow.size(), fast.size());
+  for (std::size_t i = 0; i < fast.size(); ++i) {
+    ASSERT_GT(fast[i].dur_us, 0.0);
+    EXPECT_NEAR(slow[i].dur_us / fast[i].dur_us, 2.0, 1e-12) << i;
+  }
+}
+
 // ----- schema golden tests ----------------------------------------------------
 
 TEST(Profiler, ReportJsonKeepsItsSchema) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,29 @@ TEST(Recommend, BenchmarkedMethodsSortedDescending) {
   EXPECT_GE(rec.methods[0].modeled_gflops, rec.methods[1].modeled_gflops);
   EXPECT_GE(rec.methods[1].modeled_gflops, rec.methods[2].modeled_gflops);
   EXPECT_EQ(rec.best_method, rec.methods.front().method);
+}
+
+TEST(Recommend, MeasuredRankingIgnoresSimThreads) {
+  // The measured ranking runs under one pinned simulator configuration (one
+  // thread, rr, shared L2), so SPADEN_SIM_THREADS moves no GFLOPS figure.
+  const mat::Csr a = mat::load_dataset("cant", 0.02);
+  const char* old = std::getenv("SPADEN_SIM_THREADS");
+  const std::string saved = old != nullptr ? old : "";
+  std::vector<Recommendation> recs;
+  for (const char* threads : {"1", "4"}) {
+    setenv("SPADEN_SIM_THREADS", threads, 1);
+    recs.push_back(recommend(a, sim::l40(), true));
+  }
+  if (old != nullptr) {
+    setenv("SPADEN_SIM_THREADS", saved.c_str(), 1);
+  } else {
+    unsetenv("SPADEN_SIM_THREADS");
+  }
+  ASSERT_EQ(recs[0].methods.size(), recs[1].methods.size());
+  for (std::size_t i = 0; i < recs[0].methods.size(); ++i) {
+    EXPECT_EQ(recs[0].methods[i].method, recs[1].methods[i].method);
+    EXPECT_EQ(recs[0].methods[i].modeled_gflops, recs[1].methods[i].modeled_gflops);
+  }
 }
 
 TEST(Recommend, SummaryMentionsEveryFormat) {

@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "core/spaden.hpp"
+#include "gpusim/multidevice.hpp"
 #include "matrix/generate.hpp"
 
 namespace spaden {
@@ -171,6 +172,92 @@ TEST(Telemetry, ScopedSpanWorksWithoutTelemetry) {
   const double seconds = span.close();
   EXPECT_GE(seconds, 0.0);
   EXPECT_DOUBLE_EQ(span.close(), seconds);  // idempotent
+}
+
+/// The stitched trace of one profiled two-phase launch (a "load" gather,
+/// then a "compute" range of FMAs; two warps) on each device of a
+/// two-device L40 group at one simulator thread, under a root span closed
+/// at 1 ms host time.
+std::string two_device_trace() {
+  sim::DeviceGroup group(sim::l40(), 2);
+  group.set_sim_threads(1);
+  group.set_sched(sim::SchedConfig{sim::SchedPolicy::RoundRobin, 0});
+  group.set_shared_l2(true);
+  group.set_profile(true);
+  group.set_launch_log(true);
+  Telemetry tel;
+  const int root = tel.begin_span("multiply");
+  for (int d = 0; d < group.size(); ++d) {
+    sim::Device& device = group.device(d);
+    auto src = device.memory().upload(std::vector<float>(2 * sim::kWarpSize, 1.0f), "src");
+    (void)device.launch("two_phase", 2, [&](sim::WarpCtx& ctx, std::uint64_t w) {
+      ctx.range_push("load");
+      sim::Lanes<std::uint32_t> idx;
+      for (int lane = 0; lane < sim::kWarpSize; ++lane) {
+        idx[static_cast<std::size_t>(lane)] = static_cast<std::uint32_t>(w) * sim::kWarpSize +
+                                              static_cast<std::uint32_t>(lane);
+      }
+      (void)ctx.gather(src.cspan(), idx);
+      ctx.range_pop();
+      ctx.range_push("compute");
+      ctx.charge(sim::OpClass::Fma, 8 * sim::kWarpSize);
+      ctx.range_pop();
+    });
+  }
+  tel.record_launches(group);
+  tel.end_span(root, 1e-3);
+  return tel.chrome_trace_json();
+}
+
+TEST(Telemetry, StitchedTraceBytesArePinned) {
+  // Every byte of this trace is a function of the modeled counters and the
+  // fixed root span, so it is pinned whole: engine spans at pid 0, each
+  // device's slices at pid 1 + device inside its launch span, args and
+  // otherData.
+  const std::string expected =
+      R"js({"traceEvents":[{"name":"process_name","ph":"M","pid":0)js"
+      R"js(,"args":{"name":"spaden engine (host)"}},)js"
+      R"js({"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"engine phases"}},)js"
+      R"js({"name":"process_name","ph":"M","pid":1)js"
+      R"js(,"args":{"name":"gpusim device (modeled)"}},)js"
+      R"js({"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"virtual SM 0"}},)js"
+      R"js({"name":"process_name","ph":"M","pid":2)js"
+      R"js(,"args":{"name":"gpusim device 1 (modeled)"}},)js"
+      R"js({"name":"thread_name","ph":"M","pid":2,"tid":0,"args":{"name":"virtual SM 0"}},)js"
+      R"js({"name":"multiply","ph":"X","pid":0,"tid":0,"ts":0,"dur":1000,"args":{"span":0)js"
+      R"js(,"clock":"host"}},)js"
+      R"js({"name":"two_phase","ph":"X","pid":0,"tid":0,"ts":0,"dur":0.5841481481481481)js"
+      R"js(,"args":{"span":1,"clock":"modeled"}},)js"
+      R"js({"name":"load","ph":"X","pid":1,"tid":0,"ts":0,"dur":0.04207407407407407)js"
+      R"js(,"args":{"warp":0,"clock":"modeled"}},)js"
+      R"js({"name":"compute","ph":"X","pid":1,"tid":0,"ts":0.04207407407407407)js"
+      R"js(,"dur":0.0022948938611589208,"args":{"warp":0,"clock":"modeled"}},)js"
+      R"js({"name":"two_phase","ph":"X","pid":1,"tid":0,"ts":0,"dur":0.04207407407407407)js"
+      R"js(,"args":{"warp":0,"clock":"modeled"}},)js"
+      R"js({"name":"load","ph":"X","pid":1,"tid":0,"ts":0.04207407407407407)js"
+      R"js(,"dur":0.04207407407407407,"args":{"warp":1,"clock":"modeled"}},)js"
+      R"js({"name":"compute","ph":"X","pid":1,"tid":0,"ts":0.08414814814814814)js"
+      R"js(,"dur":0.0022948938611589208,"args":{"warp":1,"clock":"modeled"}},)js"
+      R"js({"name":"two_phase","ph":"X","pid":1,"tid":0,"ts":0.04207407407407407)js"
+      R"js(,"dur":0.04207407407407407,"args":{"warp":1,"clock":"modeled"}},)js"
+      R"js({"name":"two_phase","ph":"X","pid":0,"tid":0,"ts":0.5841481481481481)js"
+      R"js(,"dur":0.5841481481481481,"args":{"span":2,"clock":"modeled"}},)js"
+      R"js({"name":"load","ph":"X","pid":2,"tid":0,"ts":0.5841481481481481)js"
+      R"js(,"dur":0.04207407407407407,"args":{"warp":0,"clock":"modeled"}},)js"
+      R"js({"name":"compute","ph":"X","pid":2,"tid":0,"ts":0.6262222222222221)js"
+      R"js(,"dur":0.0022948938611589208,"args":{"warp":0,"clock":"modeled"}},)js"
+      R"js({"name":"two_phase","ph":"X","pid":2,"tid":0,"ts":0.5841481481481481)js"
+      R"js(,"dur":0.04207407407407407,"args":{"warp":0,"clock":"modeled"}},)js"
+      R"js({"name":"load","ph":"X","pid":2,"tid":0,"ts":0.6262222222222221)js"
+      R"js(,"dur":0.04207407407407407,"args":{"warp":1,"clock":"modeled"}},)js"
+      R"js({"name":"compute","ph":"X","pid":2,"tid":0,"ts":0.6682962962962962)js"
+      R"js(,"dur":0.0022948938611589208,"args":{"warp":1,"clock":"modeled"}},)js"
+      R"js({"name":"two_phase","ph":"X","pid":2,"tid":0,"ts":0.6262222222222221)js"
+      R"js(,"dur":0.04207407407407407,"args":{"warp":1,"clock":"modeled"}}])js"
+      R"js(,"displayTimeUnit":"ms","otherData":{"generator":"spaden-telemetry")js"
+      R"js(,"schema":"spaden-metrics-v1"}})js"
+      "\n";
+  EXPECT_EQ(two_device_trace(), expected);
 }
 
 // ------------------------------------------------------------------- engine
@@ -360,29 +447,29 @@ TEST(EngineTelemetry, StitchedTraceNestsDeviceSlicesInLaunchSpans) {
     const SpmvResult r = engine.multiply(x, y);
     ASSERT_FALSE(r.profiles.empty());
     const Telemetry* tel = engine.telemetry();
-    const std::vector<EngineTraceEvent> events = tel->build_trace();
+    const std::vector<sim::TraceEvent> events = tel->build_trace();
 
     // Index engine spans by span id; then check every event's containment.
-    std::vector<const EngineTraceEvent*> by_span(tel->spans().size(), nullptr);
-    for (const EngineTraceEvent& e : events) {
-      if (e.pid == Telemetry::kEnginePid) {
+    std::vector<const sim::TraceEvent*> by_span(tel->spans().size(), nullptr);
+    for (const sim::TraceEvent& e : events) {
+      if (e.pid == sim::kEnginePid) {
         by_span[static_cast<std::size_t>(e.span)] = &e;
       }
     }
     constexpr double kSlackUs = 1e-6;
     std::vector<int> device_events(static_cast<std::size_t>(devices), 0);
-    for (const EngineTraceEvent& e : events) {
-      if (e.pid >= Telemetry::kDevicePid) {
+    for (const sim::TraceEvent& e : events) {
+      if (e.pid >= sim::kDevicePid) {
         // device slice inside its launch span
-        ++device_events.at(static_cast<std::size_t>(e.pid - Telemetry::kDevicePid));
-        const EngineTraceEvent* launch = by_span[static_cast<std::size_t>(e.span)];
+        ++device_events.at(static_cast<std::size_t>(e.pid - sim::kDevicePid));
+        const sim::TraceEvent* launch = by_span[static_cast<std::size_t>(e.span)];
         ASSERT_NE(launch, nullptr);
         EXPECT_GE(e.ts_us, launch->ts_us - kSlackUs);
         EXPECT_LE(e.ts_us + e.dur_us, launch->ts_us + launch->dur_us + kSlackUs);
       } else if (tel->spans()[static_cast<std::size_t>(e.span)].parent >= 0) {
         // engine child span inside its parent span
         const int parent = tel->spans()[static_cast<std::size_t>(e.span)].parent;
-        const EngineTraceEvent* p = by_span[static_cast<std::size_t>(parent)];
+        const sim::TraceEvent* p = by_span[static_cast<std::size_t>(parent)];
         ASSERT_NE(p, nullptr);
         EXPECT_GE(e.ts_us, p->ts_us - kSlackUs);
         EXPECT_LE(e.ts_us + e.dur_us, p->ts_us + p->dur_us + kSlackUs);

@@ -5,7 +5,6 @@
 //               [--sched serial|rr[:window]] [--shared-l2|--no-shared-l2]
 //               [--sancheck] [--profile out.json] [--trace out.json]
 //               [--metrics out.prom] [--metrics-json out.json]
-//               [--engine-trace out.json]
 //   spaden verify <matrix>               spaden-verify every format conversion
 //   spaden convert <in.mtx> <out.mtx> [--reorder rcm|degree]
 //   spaden serve [--replay spec.json] [--wall-clock]
@@ -49,10 +48,9 @@ struct Args {
   int shared_l2 = -1;  // --shared-l2 / --no-shared-l2; -1 = engine default
   bool sancheck = false;
   std::string profile_out;  // --profile FILE: spaden-prof JSON report
-  std::string trace_out;    // --trace FILE: chrome://tracing timeline
+  std::string trace_out;    // --trace FILE: stitched host+device chrome trace
   std::string metrics_out;       // --metrics FILE: Prometheus exposition
   std::string metrics_json_out;  // --metrics-json FILE: spaden-metrics-v1 JSON
-  std::string engine_trace_out;  // --engine-trace FILE: stitched host+device trace
   std::string replay_spec;       // --replay FILE: serve replay spec JSON
   bool wall_clock = false;       // --wall-clock: AsyncServer host-time mode
 };
@@ -106,12 +104,12 @@ Args parse(int argc, char** argv) {
       args.metrics_out = next("--metrics");
     } else if (a == "--metrics-json") {
       args.metrics_json_out = next("--metrics-json");
-    } else if (a == "--engine-trace") {
-      args.engine_trace_out = next("--engine-trace");
     } else if (a == "--replay") {
       args.replay_spec = next("--replay");
     } else if (a == "--wall-clock") {
       args.wall_clock = true;
+    } else if (a.rfind("--", 0) == 0) {
+      throw Error(strfmt("unknown option '%s'", a.c_str()));
     } else {
       args.positional.push_back(a);
     }
@@ -181,11 +179,10 @@ int cmd_spmv(const Args& args) {
   options.sanitize = options.sanitize || args.sancheck;
   // Any telemetry output implies telemetry; the stitched trace additionally
   // needs the profiler's device timeline to nest under the launch spans.
-  const bool want_telemetry = !args.metrics_out.empty() || !args.metrics_json_out.empty() ||
-                              !args.engine_trace_out.empty();
+  const bool want_telemetry =
+      !args.metrics_out.empty() || !args.metrics_json_out.empty() || !args.trace_out.empty();
   options.telemetry = options.telemetry || want_telemetry;
-  options.profile = options.profile || !args.profile_out.empty() || !args.trace_out.empty() ||
-                    !args.engine_trace_out.empty();
+  options.profile = options.profile || !args.profile_out.empty() || !args.trace_out.empty();
   if (!args.method.empty()) {
     options.method = method_by_name(args.method);
   }
@@ -202,7 +199,6 @@ int cmd_spmv(const Args& args) {
   std::vector<float> y;
   std::uint64_t findings = 0;
   std::vector<sim::ProfileReport> profiles;  // last iteration's launches
-  std::vector<std::vector<sim::ProfileReport>> device_profiles;  // per device, N > 1
   for (int i = 0; i < std::max(args.iters, 1); ++i) {
     SpmvResult r = engine.multiply(x, y);
     std::printf("iter %d: %.2f us modeled, %.1f GFLOP/s (bound by %s)\n", i,
@@ -215,7 +211,6 @@ int cmd_spmv(const Args& args) {
       std::fputs(r.sanitizer.summary().c_str(), stdout);
     }
     profiles = std::move(r.profiles);
-    device_profiles = std::move(r.device_profiles);
   }
   if (options.profile) {
     for (const auto& report : profiles) {
@@ -239,15 +234,6 @@ int cmd_spmv(const Args& args) {
     std::printf("wrote profile report %s (%zu launches)\n", args.profile_out.c_str(),
                 profiles.size());
   }
-  if (!args.trace_out.empty()) {
-    // Multi-device runs use the per-device trace writer: one chrome process
-    // (pid) per device, each with its own virtual-SM lanes.
-    write_text_file(args.trace_out, device_profiles.empty()
-                                        ? sim::chrome_trace_json(profiles)
-                                        : sim::chrome_trace_json(device_profiles));
-    std::printf("wrote chrome trace %s (open via chrome://tracing)\n",
-                args.trace_out.c_str());
-  }
   if (const Telemetry* tel = engine.telemetry(); tel != nullptr) {
     if (!args.metrics_out.empty()) {
       write_text_file(args.metrics_out, tel->metrics_prometheus());
@@ -259,10 +245,10 @@ int cmd_spmv(const Args& args) {
       std::printf("wrote metrics JSON %s (schema %s)\n", args.metrics_json_out.c_str(),
                   met::kMetricsSchema);
     }
-    if (!args.engine_trace_out.empty()) {
-      write_text_file(args.engine_trace_out, tel->chrome_trace_json());
-      std::printf("wrote stitched engine trace %s (%zu spans)\n",
-                  args.engine_trace_out.c_str(), tel->spans().size());
+    if (!args.trace_out.empty()) {
+      write_text_file(args.trace_out, tel->chrome_trace_json());
+      std::printf("wrote chrome trace %s (%zu spans; open via chrome://tracing)\n",
+                  args.trace_out.c_str(), tel->spans().size());
     }
   }
   return findings == 0 ? 0 : 3;
@@ -330,12 +316,12 @@ int cmd_serve(const Args& args) {
     ss << in.rdbuf();
     spec = serve::parse_replay_spec(ss.str());
   }
-  const bool want_telemetry = !args.metrics_out.empty() || !args.metrics_json_out.empty() ||
-                              !args.engine_trace_out.empty();
+  const bool want_telemetry =
+      !args.metrics_out.empty() || !args.metrics_json_out.empty() || !args.trace_out.empty();
 
   serve::RegistryConfig rcfg;
   rcfg.engine.telemetry = rcfg.engine.telemetry || want_telemetry;
-  rcfg.engine.profile = rcfg.engine.profile || !args.engine_trace_out.empty();
+  rcfg.engine.profile = rcfg.engine.profile || !args.trace_out.empty();
 
   if (args.wall_clock) {
     // AsyncServer: a dispatcher thread forms batches under host-time
@@ -430,12 +416,12 @@ int cmd_serve(const Args& args) {
     write_text_file(args.metrics_json_out, r.metrics_json());
     std::printf("wrote metrics JSON %s\n", args.metrics_json_out.c_str());
   }
-  if (!args.engine_trace_out.empty()) {
+  if (!args.trace_out.empty()) {
     // Trace of the engine serving the first spec matrix (handle 1).
     if (const Telemetry* tel = registry.acquire(1).telemetry(); tel != nullptr) {
-      write_text_file(args.engine_trace_out, tel->chrome_trace_json());
-      std::printf("wrote stitched engine trace %s (%zu spans)\n",
-                  args.engine_trace_out.c_str(), tel->spans().size());
+      write_text_file(args.trace_out, tel->chrome_trace_json());
+      std::printf("wrote chrome trace %s (%zu spans)\n", args.trace_out.c_str(),
+                  tel->spans().size());
     }
   }
   if (!r.demux_ok) {
@@ -478,20 +464,18 @@ int main(int argc, char** argv) {
           "                                  (default shared; serial pairs with slices)\n"
           "                [--sancheck]      run under spaden-sancheck (exit 3 on findings)\n"
           "                [--profile F.json] write the spaden-prof report (and print it)\n"
-          "                [--trace F.json]   write a chrome://tracing timeline\n"
+          "                [--trace F.json]   write the stitched host+device chrome trace\n"
+          "                                   (implies telemetry + profile)\n"
           "                [--metrics F.prom] write the spaden-telemetry Prometheus\n"
           "                                   exposition (implies telemetry)\n"
           "                [--metrics-json F.json]  write spaden-metrics-v1 JSON\n"
-          "                [--engine-trace F.json]  write the stitched host+device\n"
-          "                                   timeline (implies telemetry + profile)\n"
           "  verify <matrix>                   run spaden-verify over every format\n"
           "                                    conversion (exit 4 on violations)\n"
           "  convert <in> <out.mtx> [--reorder rcm|degree]\n"
           "  serve [--replay spec.json]        replay a synthetic request stream through\n"
           "                                    the batched serving engine, batched vs\n"
           "                                    unbatched (exit 5 on demux mismatch);\n"
-          "                                    honors --metrics/--metrics-json/\n"
-          "                                    --engine-trace\n"
+          "                                    honors --metrics/--metrics-json/--trace\n"
           "        [--wall-clock]              serve on the host clock (AsyncServer)\n"
           "  datasets                          list the Table 1 registry\n"
           "  probe                             print the reverse-engineered layouts\n"
