@@ -2,9 +2,9 @@
 // scale — multi-GPU execution).
 //
 // Strong scaling: every in-scope Table 1 matrix, row-sharded across N ∈
-// {1, 2, 4} simulated L40s joined by the spec's link preset (SPADEN_SIM_LINK,
-// nvlink by default), for a method mix that spans the occupancy spectrum:
-// the cuSPARSE CSR baseline, LightSpMV (warp-per-row), CSR-adaptive
+// {1, 2, 4} simulated L40s joined by nvlink-class links (the spec's
+// defaults), for a method mix that spans the occupancy spectrum: the
+// cuSPARSE CSR baseline, LightSpMV (warp-per-row), CSR-adaptive
 // (launch-keyed warp weights), and Spaden (tensor-core, one warp per 32-row
 // block — deliberately the hardest to strong-scale on small matrices).
 // N = 1 runs through analysis::run_method, the same code path as
@@ -139,9 +139,8 @@ int main() {
   bench::print_banner("multigpu_scaling: strong + weak scaling across simulated devices",
                       scale);
   const sim::DeviceSpec spec = sim::l40();
-  std::printf("link preset %s: latency %.1f us, %.0f GB/s per direction, %d links/device\n\n",
-              sim::default_link_preset().c_str(), spec.link_latency_us,
-              spec.link_bandwidth_gbps, spec.links_per_device);
+  std::printf("link preset nvlink: latency %.1f us, %.0f GB/s per direction, %d links/device\n\n",
+              spec.link_latency_us, spec.link_bandwidth_gbps, spec.links_per_device);
 
   bench::BenchJson json("multigpu", scale);
   Table table({"Matrix", "Method", "GFLOP/s x1", "x2", "x4", "speedup@2", "speedup@4",

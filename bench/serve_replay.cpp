@@ -5,9 +5,8 @@
 // p50/p99 latencies, and writes BENCH_serve.json + METRICS_serve.{json,prom}
 // so tools/perf_diff.py tracks serving throughput like every figure bench.
 //
-// Usage: serve_replay [spec.json]   (defaults to the built-in spec;
-// SPADEN_SERVE_MAX_BATCH / SPADEN_SERVE_WINDOW_US still apply when the spec
-// leaves those unset).
+// Usage: serve_replay [spec.json]   (defaults to the built-in spec; a spec
+// that leaves max_batch / window_us unset gets ServeConfig's 32 / 200 us).
 #include <cstdio>
 #include <fstream>
 #include <sstream>

@@ -40,19 +40,17 @@ struct EngineOptions {
   /// Simulated devices (gpusim/multidevice). 1 = one device, a group of
   /// one on the same multiply path. > 1 row-shards the matrix across a
   /// DeviceGroup of this spec, models the halo exchange of x over the
-  /// spec's interconnect (apply_link_preset / SPADEN_SIM_LINK), and
-  /// concatenates the per-shard outputs — bit-identical y to a single
-  /// device for every deterministic method. Defaults to the
-  /// SPADEN_SIM_DEVICES env var (1 when unset).
-  int num_devices = sim::default_sim_devices();
+  /// spec's interconnect (apply_link_preset), and concatenates the
+  /// per-shard outputs — bit-identical y to a single device for every
+  /// deterministic method.
+  int num_devices = 1;
   /// Run every launch under spaden-sancheck (memcheck + racecheck +
   /// sync-lint). Defaults to the SPADEN_SANCHECK env var. Findings land in
   /// SpmvResult::sanitizer; modeled time is unaffected.
   bool sanitize = sim::default_sancheck();
   /// Profile every launch with spaden-prof (ranges + timeline + per-SM).
-  /// Defaults to the SPADEN_PROFILE env var. Reports land in
-  /// SpmvResult::profiles; modeled time is unaffected.
-  bool profile = sim::default_profile();
+  /// Reports land in SpmvResult::profiles; modeled time is unaffected.
+  bool profile = false;
   /// Warp scheduling policy of the simulator (gpusim/sched): serial =
   /// run-to-completion (bit-for-bit the classic launcher), rr interleaves
   /// resident warps so the cache models see realistic access streams and

@@ -19,6 +19,13 @@ int default_sim_threads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+Device::Device(DeviceSpec spec)
+    : spec_(std::move(spec)), ilv_spec_(spec_), threads_(default_sim_threads()) {
+  check_env_names();
+  ilv_spec_.lsu_wavefronts_per_cycle = spec_.lsu_wavefronts_per_cycle_ilv;
+  ilv_spec_.cuda_issue_efficiency = spec_.cuda_issue_efficiency_ilv;
+}
+
 void Device::set_sim_threads(int threads) {
   SPADEN_REQUIRE(threads >= 1 && threads <= 256, "sim thread count %d out of [1, 256]",
                  threads);

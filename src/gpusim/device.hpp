@@ -133,11 +133,9 @@ struct LaunchResult {
 
 class Device {
  public:
-  explicit Device(DeviceSpec spec)
-      : spec_(std::move(spec)), ilv_spec_(spec_), threads_(default_sim_threads()) {
-    ilv_spec_.lsu_wavefronts_per_cycle = spec_.lsu_wavefronts_per_cycle_ilv;
-    ilv_spec_.cuda_issue_efficiency = spec_.cuda_issue_efficiency_ilv;
-  }
+  /// Throws spaden::Error when the environment holds a SPADEN_* name that
+  /// is not a knob (check_env_names).
+  explicit Device(DeviceSpec spec);
 
   [[nodiscard]] const DeviceSpec& spec() const { return spec_; }
 
@@ -540,7 +538,7 @@ class Device {
   double comm_ready_cycles_ = 0;
   bool sanitize_ = default_sancheck();
   SanitizerReport san_log_;
-  bool profile_ = default_profile();
+  bool profile_ = false;
   std::vector<ProfileReport> prof_log_;
   bool launch_log_enabled_ = false;
   std::vector<LaunchRecord> launch_log_;

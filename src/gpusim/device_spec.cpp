@@ -2,19 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 
 #include "common/error.hpp"
 
 namespace spaden::sim {
-
-std::string default_link_preset() {
-  const char* env = std::getenv("SPADEN_SIM_LINK");
-  if (env != nullptr && env[0] != '\0') {
-    return env;
-  }
-  return "nvlink";
-}
 
 void apply_link_preset(DeviceSpec& spec, const std::string& preset) {
   std::string lower(preset.size(), '\0');
@@ -69,7 +60,6 @@ DeviceSpec l40() {
   d.cuda_issue_efficiency_ilv = 0.7;
   d.mem_parallelism_ilv = 5.0;
   d.stall_exposure_ilv = 0.5;
-  apply_link_preset(d, default_link_preset());
   return d;
 }
 
@@ -98,7 +88,6 @@ DeviceSpec v100() {
   d.cuda_issue_efficiency_ilv = 0.7;
   d.mem_parallelism_ilv = 4.0;
   d.stall_exposure_ilv = 0.5;
-  apply_link_preset(d, default_link_preset());
   return d;
 }
 

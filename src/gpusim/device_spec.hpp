@@ -108,8 +108,7 @@ struct DeviceSpec {
   //   wire_seconds = link_latency_us * 1e-6
   //                + halo_bytes / (link_bandwidth_gbps * 1e9 * active_links)
   // where active_links = min(peer count, links_per_device). Presets:
-  // apply_link_preset("nvlink"|"pcie"); the SPADEN_SIM_LINK env selects the
-  // default at construction (nvlink when unset).
+  // apply_link_preset("nvlink"|"pcie"); the defaults below are "nvlink".
   double link_latency_us = 2.0;      ///< one-way launch-to-first-byte latency
   double link_bandwidth_gbps = 50.0; ///< GB/s per direction per link
   int links_per_device = 4;          ///< concurrent peer links per device
@@ -150,11 +149,6 @@ DeviceSpec device_by_name(const std::string& name);
 ///   "pcie"   — 10 us latency, 25 GB/s per direction, 1 link per device
 /// Throws on unknown name.
 void apply_link_preset(DeviceSpec& spec, const std::string& preset);
-
-/// Link preset name from SPADEN_SIM_LINK, defaulting to "nvlink". l40() and
-/// v100() apply it at construction so every path (engine, CLI, benches)
-/// sees the same interconnect without extra plumbing.
-std::string default_link_preset();
 
 /// Convert measured counters into a modeled execution time. When the stats
 /// carry exposed_stall_cycles (interleaved scheduling), an additive

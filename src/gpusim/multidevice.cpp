@@ -1,22 +1,10 @@
 #include "gpusim/multidevice.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/error.hpp"
-#include "common/parse.hpp"
 
 namespace spaden::sim {
-
-int default_sim_devices() {
-  if (const char* env = std::getenv("SPADEN_SIM_DEVICES")) {
-    const std::optional<long> requested = parse_long(env);
-    SPADEN_REQUIRE(requested && *requested >= 1 && *requested <= 64,
-                   "SPADEN_SIM_DEVICES=%s is not an integer in [1, 64]", env);
-    return static_cast<int>(*requested);
-  }
-  return 1;
-}
 
 DeviceGroup::DeviceGroup(const DeviceSpec& spec, int num_devices) : spec_(spec) {
   SPADEN_REQUIRE(num_devices >= 1 && num_devices <= 64, "device count %d out of [1, 64]",

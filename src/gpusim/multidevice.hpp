@@ -31,10 +31,6 @@
 
 namespace spaden::sim {
 
-/// Device count from the environment: SPADEN_SIM_DEVICES if set (clamped to
-/// [1, 64]), otherwise 1.
-[[nodiscard]] int default_sim_devices();
-
 class DeviceGroup {
  public:
   /// Instantiate `num_devices` Devices from one spec. Each member models a

@@ -8,12 +8,9 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/metrics.hpp"
-#include "common/parse.hpp"
 #include "common/table.hpp"
 
 namespace spaden::sim {
-
-bool default_profile() { return env_flag("SPADEN_PROFILE"); }
 
 std::uint16_t ProfShard::intern(const char* name) {
   for (std::size_t i = 0; i < ranges_.size(); ++i) {
@@ -391,9 +388,15 @@ double collect_launch_slices(const ProfileReport& launch, double base_us,
         }
         const auto [name_id, snap] = o.stack.back();
         o.stack.pop_back();
-        const double ts =
-            o.warp_ts_us + component_us(launch.spec, snap, o.warp_snap, launch.occupancy);
-        const double dur = component_us(launch.spec, e.snap, snap, launch.occupancy);
+        // Both ends are cumulative offsets from the warp start. Component
+        // time is monotone in the (monotone) counters, so begin <= end <=
+        // the warp's own end and nested ranges stay nested; timing a range
+        // on its own counters instead would let the max-based component
+        // times of a warp's ranges sum past the warp.
+        const double begin_off = component_us(launch.spec, snap, o.warp_snap, launch.occupancy);
+        const double end_off = component_us(launch.spec, e.snap, o.warp_snap, launch.occupancy);
+        const double ts = o.warp_ts_us + begin_off;
+        const double dur = end_off - begin_off;
         const std::string name = name_id < launch.range_names.size()
                                      ? launch.range_names[name_id]
                                      : std::string("range");

@@ -284,8 +284,4 @@ double collect_launch_slices(const ProfileReport& launch, double base_us,
 /// at kDevicePid, timestamps in microseconds of modeled time.
 [[nodiscard]] std::string chrome_trace_json(const std::vector<ProfileReport>& log);
 
-/// Profiler default from the environment: SPADEN_PROFILE set to anything but
-/// "" or "0" enables spaden-prof on new devices.
-[[nodiscard]] bool default_profile();
-
 }  // namespace spaden::sim

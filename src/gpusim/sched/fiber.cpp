@@ -1,13 +1,9 @@
 #include "gpusim/sched/fiber.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/error.hpp"
-#include "common/parse.hpp"
 
 #if defined(SPADEN_FIBER_FAST)
 // void spaden_fiber_switch(void** save_sp, void* target_sp)
@@ -60,46 +56,9 @@ thread_local Fiber* t_starting_fiber = nullptr;
 /// 8-byte store cannot silently pass the check.
 constexpr std::uint64_t kCanary0 = 0x5AFE'57AC'CA11'AB1Eull;
 constexpr std::uint64_t kCanary1 = 0xF1BE'0F10'0DEA'D5EAull;
-constexpr std::size_t kCanaryBytes = 2 * sizeof(std::uint64_t);
-
-constexpr char kFillByte = '\xAB';
-
-std::atomic<std::size_t> g_max_high_water{0};
 }  // namespace
 
-std::size_t default_fiber_stack_bytes() {
-  static const std::size_t bytes = [] {
-    const char* env = std::getenv("SPADEN_SIM_FIBER_STACK");
-    if (env == nullptr || env[0] == '\0') {
-      return kFiberStackBytes;
-    }
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env) {
-      return kFiberStackBytes;  // not a number: ignore, keep the default
-    }
-    if (*end == 'k' || *end == 'K') {
-      v *= 1024ull;
-    } else if (*end == 'm' || *end == 'M') {
-      v *= 1024ull * 1024ull;
-    }
-    const unsigned long long lo = 16ull * 1024ull;
-    const unsigned long long hi = 8ull * 1024ull * 1024ull;
-    return static_cast<std::size_t>(std::clamp(v, lo, hi));
-  }();
-  return bytes;
-}
-
-bool Fiber::stack_debug() {
-  static const bool on = env_flag("SPADEN_SIM_FIBER_STACK_DEBUG");
-  return on;
-}
-
-Fiber::Fiber(std::size_t stack_bytes)
-    : stack_(new char[stack_bytes]), stack_bytes_(stack_bytes) {
-  SPADEN_REQUIRE(stack_bytes > 2 * kCanaryBytes, "fiber stack of %zu bytes is too small",
-                 stack_bytes);
-}
+Fiber::Fiber() : stack_(new char[kFiberStackBytes]) {}
 
 void Fiber::write_canary() {
   std::memcpy(stack_.get(), &kCanary0, sizeof(kCanary0));
@@ -113,29 +72,9 @@ void Fiber::check_canary() const {
   std::memcpy(&w1, stack_.get() + sizeof(w0), sizeof(w1));
   SPADEN_REQUIRE(w0 == kCanary0 && w1 == kCanary1,
                  "fiber stack overflow: a warp overran its %zu-byte stack "
-                 "(raise SPADEN_SIM_FIBER_STACK)",
-                 stack_bytes_);
+                 "(raise kFiberStackBytes)",
+                 kFiberStackBytes);
 }
-
-std::size_t Fiber::high_water() const {
-  if (!stack_debug() || !started_) {
-    return 0;
-  }
-  // First byte above the canary that lost the fill pattern, scanning up from
-  // the base: everything from there to the top has been touched.
-  std::size_t i = kCanaryBytes;
-  while (i < stack_bytes_ && stack_[i] == kFillByte) {
-    ++i;
-  }
-  const std::size_t used = stack_bytes_ - i;
-  std::size_t prev = g_max_high_water.load(std::memory_order_relaxed);
-  while (used > prev &&
-         !g_max_high_water.compare_exchange_weak(prev, used, std::memory_order_relaxed)) {
-  }
-  return used;
-}
-
-std::size_t Fiber::max_high_water() { return g_max_high_water.load(std::memory_order_relaxed); }
 
 void Fiber::trampoline() {
   Fiber* self = t_starting_fiber;
@@ -155,9 +94,6 @@ void Fiber::start(Entry entry, void* arg) {
   SPADEN_REQUIRE(finished_, "Fiber::start while a previous entry is still suspended");
   entry_ = entry;
   arg_ = arg;
-  if (stack_debug()) {
-    std::memset(stack_.get(), kFillByte, stack_bytes_);
-  }
   write_canary();
 #if defined(SPADEN_FIBER_FAST)
   // Build a frame at the top of the stack that spaden_fiber_switch can
@@ -165,7 +101,7 @@ void Fiber::start(Entry entry, void* arg) {
   // return address. Alignment: the top is rounded to 16 bytes and the frame
   // is 8 slots, so after the six pops and the ret the trampoline starts
   // with rsp % 16 == 8 — exactly the ABI state after a call instruction.
-  char* top = stack_.get() + stack_bytes_;
+  char* top = stack_.get() + kFiberStackBytes;
   top -= reinterpret_cast<std::uintptr_t>(top) & 15;
   void** frame = reinterpret_cast<void**>(top);
   *--frame = nullptr;  // keeps the ret-target slot 16-byte aligned
@@ -178,7 +114,7 @@ void Fiber::start(Entry entry, void* arg) {
   const int rc = getcontext(&ctx_);
   SPADEN_REQUIRE(rc == 0, "getcontext failed");
   ctx_.uc_stack.ss_sp = stack_.get();
-  ctx_.uc_stack.ss_size = stack_bytes_;
+  ctx_.uc_stack.ss_size = kFiberStackBytes;
   ctx_.uc_link = &link_;
   makecontext(&ctx_, &Fiber::trampoline, 0);
 #endif

@@ -43,25 +43,20 @@
 
 namespace spaden::sim {
 
-/// Built-in per-fiber stack size. Kernel frames hold a few fragments plus
-/// Lanes<T> locals: the measured high-water across the shipped kernels
-/// (SPADEN_SIM_FIBER_STACK_DEBUG) stays under 12 KiB, the deepest being
-/// the batched Spaden SpMM with four 16-column tiles per warp, so 64 KiB
-/// leaves over 5x headroom. The stack canary turns
-/// an overflow into an immediate loud failure rather than silent corruption;
-/// raise SPADEN_SIM_FIBER_STACK if a custom kernel legitimately needs more.
+/// Per-fiber stack size. Kernel frames hold a few fragments plus Lanes<T>
+/// locals: the measured high-water across the shipped kernels stays under
+/// 12 KiB, the deepest being the batched Spaden SpMM with four 16-column
+/// tiles per warp, so 64 KiB leaves over 5x headroom. The stack canary
+/// turns an overflow into an immediate loud failure rather than silent
+/// corruption; raise this constant if a custom kernel legitimately needs
+/// more.
 inline constexpr std::size_t kFiberStackBytes = 64 * 1024;
-
-/// Effective per-fiber stack size: SPADEN_SIM_FIBER_STACK (bytes, optional
-/// k/K/m/M suffix, clamped to [16 KiB, 8 MiB]) when set, else
-/// kFiberStackBytes. Parsed once per process.
-[[nodiscard]] std::size_t default_fiber_stack_bytes();
 
 class Fiber {
  public:
   using Entry = void (*)(void* arg);
 
-  explicit Fiber(std::size_t stack_bytes = default_fiber_stack_bytes());
+  Fiber();
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
@@ -72,26 +67,14 @@ class Fiber {
 
   /// Switch from the calling context into the fiber; returns when the fiber
   /// yields or its entry returns. False once the entry has returned.
-  /// Verifies the stack canary on every return and fails loudly (with the
-  /// configured size and the env knob) if the fiber overflowed its stack.
+  /// Verifies the stack canary on every return and fails loudly (naming
+  /// kFiberStackBytes) if the fiber overflowed its stack.
   bool resume();
 
   /// From inside the fiber: suspend back to the resume() caller.
   void yield();
 
   [[nodiscard]] bool finished() const { return finished_; }
-
-  /// SPADEN_SIM_FIBER_STACK_DEBUG=1: start() pattern-fills the stack so
-  /// high_water() can report the deepest byte a fiber ever touched (used to
-  /// size kFiberStackBytes). Parsed once per process.
-  [[nodiscard]] static bool stack_debug();
-
-  /// Deepest stack usage in bytes since the last start(); 0 unless
-  /// stack_debug() is on. Also folds the value into max_high_water().
-  [[nodiscard]] std::size_t high_water() const;
-
-  /// Process-wide maximum of every high_water() call (debug diagnostics).
-  [[nodiscard]] static std::size_t max_high_water();
 
  private:
   static void trampoline();
@@ -106,7 +89,6 @@ class Fiber {
   ucontext_t link_{};  // the resume() caller's state
 #endif
   std::unique_ptr<char[]> stack_;
-  std::size_t stack_bytes_;
   Entry entry_ = nullptr;
   void* arg_ = nullptr;
   bool started_ = false;

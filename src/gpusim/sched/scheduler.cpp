@@ -47,9 +47,6 @@ void WarpScheduler::arm(Slot& slot, std::uint64_t warp) {
 void WarpScheduler::retire(std::size_t s) {
   Slot& slot = *slots_[s];
   slot.draining = false;
-  if (Fiber::stack_debug()) {
-    (void)slot.fiber.high_water();  // fold this warp into the process max
-  }
   if (next_idx_ < count_) {
     arm(slot, start_ + next_idx_++);  // rotate the next warp in
   } else {

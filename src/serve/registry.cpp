@@ -10,17 +10,6 @@
 
 namespace spaden::serve {
 
-std::size_t default_budget_bytes() {
-  constexpr std::size_t kMiB = 1024ull * 1024ull;
-  if (const char* env = std::getenv("SPADEN_SERVE_BUDGET_MB")) {
-    const auto mb = parse_long(env);
-    SPADEN_REQUIRE(mb && *mb > 0, "SPADEN_SERVE_BUDGET_MB=%s is not a positive integer",
-                   env);
-    return static_cast<std::size_t>(*mb) * kMiB;
-  }
-  return 512 * kMiB;
-}
-
 int default_serve_sim_threads() {
   if (const char* env = std::getenv("SPADEN_SERVE_SIM_THREADS")) {
     const auto n = parse_long(env);
@@ -34,15 +23,13 @@ int default_serve_sim_threads() {
 EngineOptions pinned_engine_options(const sim::DeviceSpec& device) {
   EngineOptions o;
   o.device = device;
-  // Explicit values bypass every SPADEN_SIM_* / SPADEN_SANCHECK /
-  // SPADEN_PROFILE env default the plain engine constructor would read —
-  // serve reports must not change when the ambient simulator config does.
+  // Explicit values bypass every SPADEN_SIM_* / SPADEN_SANCHECK env
+  // default the plain engine constructor would read — serve reports must
+  // not change when the ambient simulator config does.
   o.sim_threads = default_serve_sim_threads();
-  o.num_devices = 1;
   o.sched = sim::SchedConfig{sim::SchedPolicy::RoundRobin, 0};
   o.shared_l2 = true;
   o.sanitize = false;
-  o.profile = false;
   o.verify_format = true;
   return o;
 }

@@ -26,16 +26,12 @@ namespace spaden::serve {
 /// 0 is never a valid handle).
 using Handle = std::uint32_t;
 
-/// SPADEN_SERVE_BUDGET_MB: device-memory budget for prepared formats in
-/// MiB (default 512).
-[[nodiscard]] std::size_t default_budget_bytes();
-
 /// Engine options pinned for serving: the serve subsystem's determinism
 /// contract requires byte-identical reports regardless of the ambient
 /// simulator configuration, so these options deliberately IGNORE
 /// SPADEN_SIM_THREADS / SPADEN_SIM_SCHED / SPADEN_SIM_SHARED_L2 /
-/// SPADEN_SIM_DEVICES / SPADEN_SANCHECK / SPADEN_PROFILE. Simulation runs on
-/// one device and SPADEN_SERVE_SIM_THREADS host threads (default 1) with
+/// SPADEN_SANCHECK. Simulation runs on one device (unprofiled) and
+/// SPADEN_SERVE_SIM_THREADS host threads (default 1) with
 /// the round-robin scheduler and the shared L2 — a configuration whose
 /// modeled times are byte-identical run-to-run. Telemetry keeps its
 /// SPADEN_TELEMETRY default.
@@ -46,7 +42,8 @@ using Handle = std::uint32_t;
 [[nodiscard]] int default_serve_sim_threads();
 
 struct RegistryConfig {
-  std::size_t budget_bytes = default_budget_bytes();
+  /// Device-memory budget for prepared formats.
+  std::size_t budget_bytes = std::size_t{512} * 1024 * 1024;
   /// Template for every engine the registry constructs (method is replaced
   /// by the per-matrix recommendation).
   EngineOptions engine = pinned_engine_options();

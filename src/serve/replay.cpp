@@ -243,11 +243,12 @@ std::string ReplayResult::metrics_prometheus() const { return metrics.prometheus
 ReplayResult run_replay(const ReplaySpec& in, MatrixRegistry* external) {
   ReplayResult out;
   out.spec = in;
+  const ServeConfig defaults;
   if (out.spec.max_batch == 0) {
-    out.spec.max_batch = default_max_batch();
+    out.spec.max_batch = defaults.max_batch;
   }
   if (out.spec.window_seconds < 0) {
-    out.spec.window_seconds = default_window_seconds();
+    out.spec.window_seconds = defaults.window_seconds;
   }
   if (out.spec.scale <= 0) {
     out.spec.scale = mat::bench_scale();

@@ -35,8 +35,8 @@ struct ReplaySpec {
   /// arrival pacing — an unsaturated stream finishes as requests trickle in
   /// and batching can only add window latency.
   double arrival_rate = 4e6;
-  int max_batch = 0;            ///< 0 = SPADEN_SERVE_MAX_BATCH default
-  double window_seconds = -1;   ///< < 0 = SPADEN_SERVE_WINDOW_US default
+  int max_batch = 0;            ///< 0 = ServeConfig's default (32)
+  double window_seconds = -1;   ///< < 0 = ServeConfig's default (200 us)
   int tenants = 4;
   double tenant_skew = 1.0;     ///< Zipf exponent over tenant ranks
   double scale = 0;             ///< dataset scale; 0 = mat::bench_scale()
@@ -63,9 +63,8 @@ struct ReplayResult {
   double tc_uplift = 0;    ///< batched vs unbatched tensor-core utilization
   std::string bench_json;  ///< BENCH_serve.json content (deterministic)
 
-  /// METRICS_serve.json / .prom content (deterministic: serve metrics are
-  /// all modeled except the host_* series of wall-clock mode, which replay
-  /// never uses).
+  /// METRICS_serve.json / .prom content (deterministic: every serve
+  /// metric is modeled).
   [[nodiscard]] std::string metrics_json() const;
   [[nodiscard]] std::string metrics_prometheus() const;
 };

@@ -1,33 +1,11 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/parse.hpp"
 
 namespace spaden::serve {
-
-int default_max_batch() {
-  if (const char* env = std::getenv("SPADEN_SERVE_MAX_BATCH")) {
-    const auto n = parse_long(env);
-    SPADEN_REQUIRE(n && *n >= 1 && *n <= 128,
-                   "SPADEN_SERVE_MAX_BATCH=%s is not an integer in [1, 128]", env);
-    return static_cast<int>(*n);
-  }
-  return 32;
-}
-
-double default_window_seconds() {
-  if (const char* env = std::getenv("SPADEN_SERVE_WINDOW_US")) {
-    const auto us = parse_double(env);
-    SPADEN_REQUIRE(us && *us >= 0, "SPADEN_SERVE_WINDOW_US=%s is not a number >= 0", env);
-    return *us * 1e-6;
-  }
-  return 200e-6;
-}
 
 SpmvServer::SpmvServer(MatrixRegistry& registry, ServeConfig config)
     : registry_(registry), config_(std::move(config)) {
@@ -44,16 +22,15 @@ void SpmvServer::submit(Request req) {
 }
 
 void SpmvServer::dispatch(std::vector<Request> reqs, double trigger_seconds,
-                          double& device_free, ServeReport& report, bool host_clock) {
+                          double& device_free, ServeReport& report) {
   const Handle handle = reqs.front().handle;
   SpmvEngine& engine = registry_.acquire(handle);
   const std::string& matrix_name = registry_.name_of(handle);
   const std::string method(kern::method_name(registry_.method_of(handle)));
   const int width = static_cast<int>(reqs.size());
   // One serialized modeled device: a batch starts when triggered AND the
-  // device is free. In host mode the worker thread serializes for real and
-  // `trigger_seconds` is the host dispatch instant.
-  const double start = host_clock ? trigger_seconds : std::max(trigger_seconds, device_free);
+  // device is free.
+  const double start = std::max(trigger_seconds, device_free);
 
   SpmvResult result;
   std::vector<std::vector<float>> ys;
@@ -120,10 +97,6 @@ void SpmvServer::dispatch(std::vector<Request> reqs, double trigger_seconds,
         .inc();
   }
 
-  const char* queue_metric =
-      host_clock ? "spaden_serve_host_queue_seconds" : "spaden_serve_queue_seconds";
-  const char* latency_metric =
-      host_clock ? "spaden_serve_host_latency_seconds" : "spaden_serve_latency_seconds";
   for (Request& req : reqs) {
     RequestResult rr;
     rr.id = req.id;
@@ -136,15 +109,16 @@ void SpmvServer::dispatch(std::vector<Request> reqs, double trigger_seconds,
     rr.queue_seconds = start - req.arrival_seconds;
     rr.service_seconds = service;
     rr.finish_seconds = start + service;
-    metrics_.histogram(queue_metric, mat_labels, "Queueing delay per request")
+    metrics_.histogram("spaden_serve_queue_seconds", mat_labels, "Queueing delay per request")
         .observe(rr.queue_seconds);
     metrics_
-        .histogram(latency_metric, mat_labels, "Queue + service latency per request")
+        .histogram("spaden_serve_latency_seconds", mat_labels,
+                   "Queue + service latency per request")
         .observe(rr.queue_seconds + service);
     // Mode-level aggregate series (no matrix/method labels): this is the one
     // the replay's p50/p99 exports read.
     metrics_
-        .histogram(latency_metric, config_.labels,
+        .histogram("spaden_serve_latency_seconds", config_.labels,
                    "Queue + service latency per request")
         .observe(rr.queue_seconds + service);
     met::LabelSet tenant_labels = config_.labels;
@@ -170,6 +144,10 @@ ServeReport SpmvServer::drain() {
                                                   : a.id < b.id;
   });
 
+  struct Group {
+    double deadline = 0;
+    std::vector<Request> reqs;
+  };
   ServeReport report;
   std::map<Handle, Group> pending;
   double device_free = 0;
@@ -191,8 +169,7 @@ ServeReport SpmvServer::drain() {
         return;
       }
       auto node = pending.extract(due);
-      dispatch(std::move(node.mapped().reqs), node.mapped().deadline, device_free, report,
-               /*host_clock=*/false);
+      dispatch(std::move(node.mapped().reqs), node.mapped().deadline, device_free, report);
     }
   };
 
@@ -207,8 +184,7 @@ ServeReport SpmvServer::drain() {
     g.reqs.push_back(std::move(req));
     if (static_cast<int>(g.reqs.size()) >= config_.max_batch) {
       auto node = pending.extract(handle);
-      dispatch(std::move(node.mapped().reqs), arrival, device_free, report,
-               /*host_clock=*/false);
+      dispatch(std::move(node.mapped().reqs), arrival, device_free, report);
     }
   }
   while (!pending.empty()) {
@@ -219,114 +195,10 @@ ServeReport SpmvServer::drain() {
       }
     }
     auto node = pending.extract(due);
-    dispatch(std::move(node.mapped().reqs), node.mapped().deadline, device_free, report,
-             /*host_clock=*/false);
+    dispatch(std::move(node.mapped().reqs), node.mapped().deadline, device_free, report);
   }
   queue_.clear();
 
-  std::sort(report.results.begin(), report.results.end(),
-            [](const RequestResult& a, const RequestResult& b) { return a.id < b.id; });
-  for (const RequestResult& r : report.results) {
-    report.makespan_seconds = std::max(report.makespan_seconds, r.finish_seconds);
-  }
-  report.requests_per_second =
-      report.makespan_seconds > 0
-          ? static_cast<double>(report.requests) / report.makespan_seconds
-          : 0.0;
-  return report;
-}
-
-AsyncServer::AsyncServer(MatrixRegistry& registry, ServeConfig config)
-    : inner_(registry, std::move(config)) {
-  thread_ = std::thread([this] { worker(); });
-}
-
-AsyncServer::~AsyncServer() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      return;  // finish() already joined
-    }
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-}
-
-std::uint64_t AsyncServer::submit(Handle handle, std::string tenant, std::vector<float> x) {
-  std::uint64_t id = 0;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    SPADEN_REQUIRE(!stopping_, "submit after finish()");
-    Request req;
-    req.id = id = next_id_++;
-    req.handle = handle;
-    req.tenant = std::move(tenant);
-    req.arrival_seconds = timer_.seconds();
-    req.x = std::move(x);
-    SpmvServer::Group& g = pending_[handle];
-    if (g.reqs.empty()) {
-      g.deadline = req.arrival_seconds + inner_.config_.window_seconds;
-    }
-    g.reqs.push_back(std::move(req));
-  }
-  cv_.notify_all();
-  return id;
-}
-
-void AsyncServer::worker() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    // Next actionable group: full now, or the earliest deadline.
-    Handle ready = 0;
-    Handle earliest = 0;
-    for (const auto& [h, g] : pending_) {
-      if (static_cast<int>(g.reqs.size()) >= inner_.config_.max_batch) {
-        ready = h;
-        break;
-      }
-      if (earliest == 0 || g.deadline < pending_.at(earliest).deadline) {
-        earliest = h;
-      }
-    }
-    if (ready == 0 && earliest != 0 &&
-        (stopping_ || pending_.at(earliest).deadline <= timer_.seconds())) {
-      ready = earliest;  // window expired (or draining on shutdown)
-    }
-    if (ready != 0) {
-      auto node = pending_.extract(ready);
-      lock.unlock();
-      const double now = timer_.seconds();
-      inner_.dispatch(std::move(node.mapped().reqs), now, device_free_, report_,
-                      /*host_clock=*/true);
-      lock.lock();
-      continue;
-    }
-    if (stopping_) {
-      return;  // nothing pending
-    }
-    if (earliest != 0) {
-      const double wait = pending_.at(earliest).deadline - timer_.seconds();
-      cv_.wait_for(lock, std::chrono::duration<double>(std::max(wait, 0.0)));
-    } else {
-      cv_.wait(lock);
-    }
-  }
-}
-
-ServeReport AsyncServer::finish() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-  ServeReport report = std::move(report_);
-  report_ = ServeReport{};
   std::sort(report.results.begin(), report.results.end(),
             [](const RequestResult& a, const RequestResult& b) { return a.id < b.id; });
   for (const RequestResult& r : report.results) {

@@ -9,19 +9,13 @@
 // SpmvEngine::multiply calls — batching changes latency and throughput,
 // never numerics.
 //
-// Two execution modes share the policy:
-//
-//  * SpmvServer — deterministic virtual time. Requests carry modeled
-//    arrival timestamps; drain() replays them through an event loop where
-//    service times are the engine's modeled seconds and the (single,
-//    serializing) device becomes free at start + service. Everything —
-//    batch formation, queue/service latencies, requests/s — is a pure
-//    function of the submitted stream, so tests and benches byte-compare
-//    reports across host configurations.
-//  * AsyncServer — wall-clock mode for the CLI. A dispatcher thread forms
-//    batches under host-time windows; queue latencies are measured on the
-//    host clock (reported under host_* metric names), service stays
-//    modeled.
+// The server runs in deterministic virtual time. Requests carry modeled
+// arrival timestamps; drain() replays them through an event loop where
+// service times are the engine's modeled seconds and the (single,
+// serializing) device becomes free at start + service. Everything — batch
+// formation, queue/service latencies, requests/s — is a pure function of
+// the submitted stream, so tests and benches byte-compare reports across
+// host configurations.
 //
 // Batch-width observations go through the met::MetricsRegistry histogram
 // substrate, whose fixed log boundaries (1.78x apart) quantize widths just
@@ -29,30 +23,21 @@
 // docs/serving.md.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/metrics.hpp"
-#include "common/timer.hpp"
 #include "serve/registry.hpp"
 
 namespace spaden::serve {
 
-/// SPADEN_SERVE_MAX_BATCH: fused batch width cap, clamped to [1, 128]
-/// (default 32). 1 disables fusion entirely (the unbatched baseline).
-[[nodiscard]] int default_max_batch();
-
-/// SPADEN_SERVE_WINDOW_US: batching window in microseconds (default 200).
-[[nodiscard]] double default_window_seconds();
-
 struct ServeConfig {
-  int max_batch = default_max_batch();
-  double window_seconds = default_window_seconds();
+  /// Fused batch width cap in [1, 128]. 1 disables fusion entirely (the
+  /// unbatched baseline).
+  int max_batch = 32;
+  double window_seconds = 200e-6;  ///< batching window
   /// Labels stamped on every serve metric (replay tags mode=batched/...).
   met::LabelSet labels;
 };
@@ -134,51 +119,13 @@ class SpmvServer {
   [[nodiscard]] const ServeConfig& config() const { return config_; }
 
  private:
-  friend class AsyncServer;
-  struct Group {
-    double deadline = 0;
-    std::vector<Request> reqs;
-  };
-
   void dispatch(std::vector<Request> reqs, double trigger_seconds, double& device_free,
-                ServeReport& report, bool host_clock);
+                ServeReport& report);
 
   MatrixRegistry& registry_;
   ServeConfig config_;
   met::MetricsRegistry metrics_;
   std::vector<Request> queue_;
-};
-
-/// Wall-clock server: a dispatcher thread forms batches under host-time
-/// windows. Queue latency is host-measured (host_* metrics); service stays
-/// modeled. finish() stops intake, drains the queue, joins the thread and
-/// returns the report (results sorted by id).
-class AsyncServer {
- public:
-  explicit AsyncServer(MatrixRegistry& registry, ServeConfig config = {});
-  ~AsyncServer();
-  AsyncServer(const AsyncServer&) = delete;
-  AsyncServer& operator=(const AsyncServer&) = delete;
-
-  /// Enqueue one request; returns its id. Thread-safe.
-  std::uint64_t submit(Handle handle, std::string tenant, std::vector<float> x);
-
-  [[nodiscard]] ServeReport finish();
-  [[nodiscard]] met::MetricsRegistry& metrics() { return inner_.metrics(); }
-
- private:
-  void worker();
-
-  SpmvServer inner_;
-  Timer timer_;  ///< host clock; arrivals/deadlines in seconds since start
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::thread thread_;
-  std::map<Handle, SpmvServer::Group> pending_;
-  std::uint64_t next_id_ = 0;
-  double device_free_ = 0;
-  ServeReport report_;
-  bool stopping_ = false;
 };
 
 }  // namespace spaden::serve

@@ -1,8 +1,25 @@
-# README's "Simulator knobs" table must list exactly the SPADEN_* environment
-# variables that src/ and tools/ read (through std::getenv or env_flag): a
-# knob nothing documents, or a row for a knob nothing reads, fails.
+# The SPADEN_* environment knobs have one list, kEnvNames in
+# src/common/parse.hpp. This check fails when
+#  * README's "Simulator knobs" table does not name exactly that list;
+#  * src/ or tools/ reads (through std::getenv or env_flag) a SPADEN_* name
+#    the list lacks;
+#  * a listed knob is named nowhere under tests/, bench/, benchmark/ or
+#    .github/ — a knob no test, CI step, bench or benchmark workload sets
+#    does not stay in the library (DESIGN.md, "What stays in the library").
 #
 #   cmake -DROOT=<repository root> -P check_knob_table.cmake
+file(READ ${ROOT}/src/common/parse.hpp header)
+string(REGEX MATCH "kEnvNames = {[^}]*}" body "${header}")
+if(NOT body)
+  message(FATAL_ERROR "src/common/parse.hpp has no 'kEnvNames = {...}' list")
+endif()
+string(REGEX MATCHALL "\"SPADEN_[A-Z0-9_]+\"" quoted "${body}")
+set(listed)
+foreach(q ${quoted})
+  string(REPLACE "\"" "" name "${q}")
+  list(APPEND listed ${name})
+endforeach()
+
 file(GLOB_RECURSE sources ${ROOT}/src/*.cpp ${ROOT}/src/*.hpp ${ROOT}/tools/*.cpp)
 set(read)
 foreach(path ${sources})
@@ -29,15 +46,38 @@ foreach(cell ${cells})
   list(APPEND documented ${name})
 endforeach()
 
+file(GLOB_RECURSE users
+     ${ROOT}/tests/*.cpp ${ROOT}/tests/*.hpp ${ROOT}/tests/*.cmake ${ROOT}/tests/*.txt
+     ${ROOT}/bench/*.cpp ${ROOT}/bench/*.hpp
+     ${ROOT}/benchmark/*.cpp ${ROOT}/benchmark/*.hpp ${ROOT}/benchmark/*.py
+     ${ROOT}/.github/*.yml)
+set(user_text)
+foreach(path ${users})
+  file(READ ${path} text)
+  string(APPEND user_text "${text}\n")
+endforeach()
+
 list(REMOVE_DUPLICATES read)
 list(REMOVE_DUPLICATES documented)
-set(missing ${read})
+set(unlisted ${read})
+list(REMOVE_ITEM unlisted ${listed})
+set(missing ${listed})
 list(REMOVE_ITEM missing ${documented})
 set(stale ${documented})
-list(REMOVE_ITEM stale ${read})
-if(missing OR stale)
-  message(FATAL_ERROR "README knob table out of date. Read but not documented: "
-                      "[${missing}]; documented but never read: [${stale}]")
+list(REMOVE_ITEM stale ${listed})
+set(unset)
+foreach(name ${listed})
+  string(REGEX MATCH "${name}[^A-Z0-9_]" hit "${user_text}")
+  if(NOT hit)
+    list(APPEND unset ${name})
+  endif()
+endforeach()
+if(unlisted OR missing OR stale OR unset)
+  message(FATAL_ERROR "SPADEN_* knobs out of date. Read by src/ or tools/ but not in "
+                      "kEnvNames: [${unlisted}]; in kEnvNames but not in README's table: "
+                      "[${missing}]; in README's table but not in kEnvNames: [${stale}]; "
+                      "in kEnvNames but named by no test, CI step, bench or benchmark: "
+                      "[${unset}]")
 endif()
-list(LENGTH read count)
-message(STATUS "${count} SPADEN_* knobs, all documented")
+list(LENGTH listed count)
+message(STATUS "${count} SPADEN_* knobs, all documented and all set somewhere")

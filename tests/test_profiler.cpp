@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
@@ -209,6 +211,38 @@ TEST(Profiler, TraceSlicesAreTimedWithTheLaunchSpec) {
   for (std::size_t i = 0; i < fast.size(); ++i) {
     ASSERT_GT(fast[i].dur_us, 0.0);
     EXPECT_NEAR(slow[i].dur_us / fast[i].dur_us, 2.0, 1e-12) << i;
+  }
+}
+
+TEST(Profiler, RangeSlicesNestInsideTheirWarpSlice) {
+  // "load" is memory-bound and "compute" CUDA-bound, so the two ranges timed
+  // on their own counters would sum past the max-based time of their warp.
+  // Timed as offsets from the warp start, every range lies inside its warp.
+  for (const int threads : {1, 2}) {
+    Device device = make_device(/*profile=*/true, threads);
+    run_two_phase(device);
+    std::vector<TraceEvent> out;
+    (void)collect_launch_slices(device.profile_log().at(0), 0, out);
+    std::map<std::pair<int, std::uint64_t>, const TraceEvent*> warps;
+    for (const TraceEvent& e : out) {
+      if (e.name == "two_phase") {
+        warps[{e.tid, e.warp}] = &e;
+      }
+    }
+    ASSERT_EQ(warps.size(), 16u);
+    std::size_t ranges = 0;
+    for (const TraceEvent& e : out) {
+      if (e.name == "two_phase") {
+        continue;
+      }
+      ++ranges;
+      const TraceEvent& warp = *warps.at({e.tid, e.warp});
+      EXPECT_GE(e.dur_us, 0.0) << e.name << " of warp " << e.warp;
+      EXPECT_GE(e.ts_us, warp.ts_us) << e.name << " of warp " << e.warp;
+      EXPECT_LE(e.ts_us + e.dur_us, warp.ts_us + warp.dur_us + 1e-12)
+          << e.name << " of warp " << e.warp << " at T = " << threads;
+    }
+    EXPECT_EQ(ranges, 16u * 2u);
   }
 }
 

@@ -89,6 +89,25 @@ TEST(ServeRegistry, MethodFollowsRecommendation) {
   EXPECT_THROW((void)reg.add("empty", empty), Error);
 }
 
+TEST(ServeRegistry, SimThreadsKnobIsRangeChecked) {
+  // SPADEN_SERVE_SIM_THREADS sizes every serve-owned engine (it reproduces
+  // the T = 4 Gunrock demux defect); it must parse strictly.
+  setenv("SPADEN_SERVE_SIM_THREADS", "4", 1);
+  EXPECT_EQ(serve::pinned_engine_options().sim_threads, 4);
+  for (const char* bad : {"0", "300", "x"}) {
+    setenv("SPADEN_SERVE_SIM_THREADS", bad, 1);
+    try {
+      (void)serve::pinned_engine_options();
+      ADD_FAILURE() << "SPADEN_SERVE_SIM_THREADS=" << bad << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("SPADEN_SERVE_SIM_THREADS"), std::string::npos)
+          << e.what();
+    }
+  }
+  unsetenv("SPADEN_SERVE_SIM_THREADS");
+  EXPECT_EQ(serve::pinned_engine_options().sim_threads, 1);
+}
+
 // ------------------------------------------------------------ batch former
 
 TEST(ServeServer, SizeAndWindowTriggersInVirtualTime) {
@@ -312,17 +331,15 @@ TEST(ServeReplay, ExportsByteIdenticalAcrossSimConfigs) {
 
   // The serve determinism contract: pinned engine options ignore the
   // ambient simulator env, so the exports must not move a byte across
-  // thread counts, scheduler policies or device counts.
+  // thread counts or scheduler policies.
   setenv("SPADEN_SIM_THREADS", "1", 1);
   setenv("SPADEN_SIM_SCHED", "serial", 1);
   const serve::ReplayResult first = serve::run_replay(spec);
   setenv("SPADEN_SIM_THREADS", "4", 1);
   setenv("SPADEN_SIM_SCHED", "rr", 1);
-  setenv("SPADEN_SIM_DEVICES", "2", 1);
   const serve::ReplayResult second = serve::run_replay(spec);
   unsetenv("SPADEN_SIM_THREADS");
   unsetenv("SPADEN_SIM_SCHED");
-  unsetenv("SPADEN_SIM_DEVICES");
 
   EXPECT_TRUE(first.demux_ok);
   EXPECT_TRUE(second.demux_ok);

@@ -7,8 +7,7 @@
 //               [--metrics out.prom] [--metrics-json out.json]
 //   spaden verify <matrix>               spaden-verify every format conversion
 //   spaden convert <in.mtx> <out.mtx> [--reorder rcm|degree]
-//   spaden serve [--replay spec.json] [--wall-clock]
-//                                        batched SpMV serving replay (spaden-serve)
+//   spaden serve [--replay spec.json]    batched SpMV serving replay (spaden-serve)
 //   spaden datasets                      list the Table 1 registry
 //   spaden probe                         print the §3 reverse-engineering grids
 //
@@ -43,7 +42,7 @@ struct Args {
   double scale = 0.25;
   int iters = 1;
   int threads = 0;  // 0 = SPADEN_SIM_THREADS / hardware default
-  int devices = 0;  // --devices N; 0 = SPADEN_SIM_DEVICES / 1
+  int devices = 1;  // --devices N
   std::string sched;  // --sched serial|rr[:window]; "" = SPADEN_SIM_SCHED
   int shared_l2 = -1;  // --shared-l2 / --no-shared-l2; -1 = engine default
   bool sancheck = false;
@@ -52,7 +51,6 @@ struct Args {
   std::string metrics_out;       // --metrics FILE: Prometheus exposition
   std::string metrics_json_out;  // --metrics-json FILE: spaden-metrics-v1 JSON
   std::string replay_spec;       // --replay FILE: serve replay spec JSON
-  bool wall_clock = false;       // --wall-clock: AsyncServer host-time mode
 };
 
 Args parse(int argc, char** argv) {
@@ -106,8 +104,6 @@ Args parse(int argc, char** argv) {
       args.metrics_json_out = next("--metrics-json");
     } else if (a == "--replay") {
       args.replay_spec = next("--replay");
-    } else if (a == "--wall-clock") {
-      args.wall_clock = true;
     } else if (a.rfind("--", 0) == 0) {
       throw Error(strfmt("unknown option '%s'", a.c_str()));
     } else {
@@ -168,9 +164,7 @@ int cmd_spmv(const Args& args) {
   EngineOptions options;
   options.device = sim::device_by_name(args.device);
   options.sim_threads = args.threads;
-  if (args.devices > 0) {
-    options.num_devices = args.devices;
-  }
+  options.num_devices = args.devices;
   if (!args.sched.empty()) {
     options.sched = sim::parse_sched(args.sched, "--sched");
   }
@@ -182,7 +176,7 @@ int cmd_spmv(const Args& args) {
   const bool want_telemetry =
       !args.metrics_out.empty() || !args.metrics_json_out.empty() || !args.trace_out.empty();
   options.telemetry = options.telemetry || want_telemetry;
-  options.profile = options.profile || !args.profile_out.empty() || !args.trace_out.empty();
+  options.profile = !args.profile_out.empty() || !args.trace_out.empty();
   if (!args.method.empty()) {
     options.method = method_by_name(args.method);
   }
@@ -192,8 +186,7 @@ int cmd_spmv(const Args& args) {
               engine.device().name.c_str(), engine.prep().seconds * 1e3,
               engine.prep().bytes_per_nnz);
   if (engine.num_devices() > 1) {
-    std::printf("row-sharded across %d devices (link preset %s)\n", engine.num_devices(),
-                sim::default_link_preset().c_str());
+    std::printf("row-sharded across %d devices (link preset nvlink)\n", engine.num_devices());
   }
   std::vector<float> x(a.ncols, 1.0f);
   std::vector<float> y;
@@ -321,61 +314,7 @@ int cmd_serve(const Args& args) {
 
   serve::RegistryConfig rcfg;
   rcfg.engine.telemetry = rcfg.engine.telemetry || want_telemetry;
-  rcfg.engine.profile = rcfg.engine.profile || !args.trace_out.empty();
-
-  if (args.wall_clock) {
-    // AsyncServer: a dispatcher thread forms batches under host-time
-    // windows. No unbatched baseline (and so no demux check) — latencies
-    // are host-measured and land in the host_* metric series.
-    serve::MatrixRegistry registry(rcfg);
-    const auto handles = serve::register_matrices(spec, registry);
-    auto stream = serve::synthesize_stream(spec, registry, handles);
-    serve::ServeConfig scfg;
-    if (spec.max_batch != 0) {
-      scfg.max_batch = spec.max_batch;
-    }
-    if (spec.window_seconds >= 0) {
-      scfg.window_seconds = spec.window_seconds;
-    }
-    serve::AsyncServer server(registry, scfg);
-    for (serve::Request& req : stream) {
-      server.submit(req.handle, std::move(req.tenant), std::move(req.x));
-    }
-    const serve::ServeReport report = server.finish();
-    Table table({"Matrix", "Requests", "Batches", "Mean width", "p50 (host)", "p99 (host)"});
-    for (const auto& [h, agg] : report.per_matrix) {
-      met::LabelSet labels{{"matrix", agg.matrix}, {"method", agg.method}};
-      const met::Histogram& lat =
-          server.metrics().histogram("spaden_serve_host_latency_seconds", labels);
-      table.add_row({agg.matrix, std::to_string(agg.requests), std::to_string(agg.batches),
-                     fmt_double(static_cast<double>(agg.requests) /
-                                    static_cast<double>(agg.batches),
-                                2),
-                     fmt_double(lat.quantile(0.5) * 1e6, 1) + " us",
-                     fmt_double(lat.quantile(0.99) * 1e6, 1) + " us"});
-      (void)h;
-    }
-    std::fputs(table.to_string().c_str(), stdout);
-    std::printf("\n%llu requests in %llu batches (%llu fused), %s requests/s (host)\n",
-                static_cast<unsigned long long>(report.requests),
-                static_cast<unsigned long long>(report.batches),
-                static_cast<unsigned long long>(report.fused_batches),
-                fmt_si(report.requests_per_second).c_str());
-    if (!args.metrics_out.empty()) {
-      write_text_file(args.metrics_out, server.metrics().prometheus());
-      std::printf("wrote metrics exposition %s\n", args.metrics_out.c_str());
-    }
-    if (!args.metrics_json_out.empty()) {
-      JsonWriter w;
-      w.begin_object();
-      w.field("schema", met::kMetricsSchema);
-      server.metrics().write_json_sections(w, /*include_host=*/true);
-      w.end_object();
-      write_text_file(args.metrics_json_out, w.take());
-      std::printf("wrote metrics JSON %s\n", args.metrics_json_out.c_str());
-    }
-    return 0;
-  }
+  rcfg.engine.profile = !args.trace_out.empty();
 
   // Deterministic virtual-time replay: batched vs unbatched, demux-checked.
   serve::MatrixRegistry registry(rcfg);
@@ -447,6 +386,7 @@ int cmd_probe() {
 
 int main(int argc, char** argv) {
   try {
+    check_env_names();
     const Args args = parse(argc, argv);
     if (args.positional.empty()) {
       std::printf(
@@ -454,9 +394,7 @@ int main(int argc, char** argv) {
           "  info <matrix>                     structure + format recommendation\n"
           "  spmv <matrix> [--method M] [--device l40|v100] [--iters N] [--threads T]\n"
           "                [--devices N]     row-shard across N simulated devices joined\n"
-          "                                  by the modeled interconnect (default\n"
-          "                                  SPADEN_SIM_DEVICES or 1; link preset from\n"
-          "                                  SPADEN_SIM_LINK: nvlink|pcie)\n"
+          "                                  by the modeled nvlink interconnect (default 1)\n"
           "                [--sched P]       warp scheduling: serial|rr[:window]\n"
           "                                  (default rr; serial = pre-recalibration mode)\n"
           "                [--shared-l2|--no-shared-l2]\n"
@@ -476,7 +414,6 @@ int main(int argc, char** argv) {
           "                                    the batched serving engine, batched vs\n"
           "                                    unbatched (exit 5 on demux mismatch);\n"
           "                                    honors --metrics/--metrics-json/--trace\n"
-          "        [--wall-clock]              serve on the host clock (AsyncServer)\n"
           "  datasets                          list the Table 1 registry\n"
           "  probe                             print the reverse-engineered layouts\n"
           "matrices: a .mtx path or a dataset name (--scale, default 0.25)\n");
