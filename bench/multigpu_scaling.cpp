@@ -78,9 +78,7 @@ analysis::MethodRun run_method_multi(const sim::DeviceSpec& spec, kern::Method m
     return analysis::run_method(spec, method, a, matrix_name);
   }
   sim::DeviceGroup group(spec, num_devices);
-  const sim::SchedConfig sched = sim::default_engine_sched();
-  group.set_sched(sched);
-  group.set_shared_l2(sim::engine_shared_l2(sched));
+  group.set_sched(sim::default_engine_sched());
   kern::ShardedSpmv sharded(group, method);
 
   analysis::MethodRun run;

@@ -11,12 +11,9 @@ namespace spaden::analysis {
 MethodRun run_method(const sim::DeviceSpec& spec, kern::Method method, const mat::Csr& a,
                      const std::string& matrix_name) {
   sim::Device device(spec);
-  // Figures run under the engine defaults (rr + shared L2 unless the
-  // SPADEN_SIM_SCHED / SPADEN_SIM_SHARED_L2 env vars say otherwise), so the
-  // headline numbers and the SpmvEngine agree.
-  const sim::SchedConfig sched = sim::default_engine_sched();
-  device.set_sched(sched);
-  device.set_shared_l2(sim::engine_shared_l2(sched));
+  // Figures run under the engine defaults (rr unless SPADEN_SIM_SCHED says
+  // otherwise), so the headline numbers and the SpmvEngine agree.
+  device.set_sched(sim::default_engine_sched());
   return run_method(device, method, a, matrix_name);
 }
 

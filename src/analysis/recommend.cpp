@@ -56,12 +56,11 @@ Recommendation recommend(const mat::Csr& a, const sim::DeviceSpec& device,
   if (benchmark_methods) {
     for (const kern::Method m :
          {kern::Method::CusparseCsr, kern::Method::CusparseBsr, kern::Method::Spaden}) {
-      // One simulator thread, rr and the shared L2 (the configuration serve
-      // pins), so the ranking is the same whatever SPADEN_SIM_* says.
+      // One simulator thread and rr (the configuration serve pins), so the
+      // ranking is the same whatever SPADEN_SIM_* says.
       sim::Device dev(device);
       dev.set_sim_threads(1);
       dev.set_sched(sim::SchedConfig{sim::SchedPolicy::RoundRobin, 0});
-      dev.set_shared_l2(true);
       const MethodRun run = run_method(dev, m, a, "recommend");
       rec.methods.push_back({m, run.gflops});
     }

@@ -67,10 +67,9 @@ inline bool env_flag(const char* name) {
 /// read — README's "Simulator knobs" table names exactly these, and each is
 /// set by some test, CI step, bench or benchmark workload (ctest
 /// readme_knob_table checks both).
-inline constexpr std::array<std::string_view, 11> kEnvNames = {
+inline constexpr std::array<std::string_view, 10> kEnvNames = {
     "SPADEN_SIM_THREADS",
     "SPADEN_SIM_SCHED",
-    "SPADEN_SIM_SHARED_L2",
     "SPADEN_SANCHECK",
     "SPADEN_TELEMETRY",
     "SPADEN_VERIFY_FORMAT",

@@ -30,7 +30,6 @@ struct SpmvEngine::Impl {
     group.set_sanitize(options.sanitize);
     group.set_profile(options.profile);
     group.set_sched(options.sched);
-    group.set_shared_l2(options.shared_l2);
     if (options.telemetry) {
       telemetry = std::make_unique<Telemetry>();
       telemetry->set_label("method", std::string(kern::method_name(method)));

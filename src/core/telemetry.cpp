@@ -139,15 +139,19 @@ double Telemetry::span_native_us(const SpanRecord& s) const {
 }
 
 std::vector<sim::TraceEvent> Telemetry::build_trace() const {
+  // Each clock has its own engine lane, and a span is laid out only against
+  // spans of its own clock: its anchor is its nearest same-clock ancestor
+  // (-1: the lane's top level). Host seconds therefore never move a
+  // modeled span or a device slice.
   const std::size_t n = spans_.size();
-  std::vector<std::vector<int>> kids(n);
-  std::vector<int> roots;
+  auto host_clock = [&](std::size_t i) { return spans_[i].modeled_seconds < 0; };
+  std::vector<int> anchor(n, -1);
   for (std::size_t i = 0; i < n; ++i) {
-    if (spans_[i].parent < 0) {
-      roots.push_back(static_cast<int>(i));
-    } else {
-      kids[static_cast<std::size_t>(spans_[i].parent)].push_back(static_cast<int>(i));
+    int p = spans_[i].parent;
+    while (p >= 0 && host_clock(static_cast<std::size_t>(p)) != host_clock(i)) {
+      p = spans_[static_cast<std::size_t>(p)].parent;
     }
+    anchor[i] = p;
   }
 
   // Per-span device slices at base 0, so the launch span can stretch to the
@@ -167,35 +171,32 @@ std::vector<sim::TraceEvent> Telemetry::build_trace() const {
     device.emplace(static_cast<int>(i), std::make_pair(std::move(slices), extent));
   }
 
-  // Bottom-up span durations: max(native, device extent, Σ children).
+  // Bottom-up span durations: max(native, device extent, Σ anchored spans).
+  // Spans are stored in begin order, so every anchor precedes its spans.
   std::vector<double> dur(n, 0);
+  std::vector<double> anchored(n, 0);
   for (std::size_t i = n; i-- > 0;) {
-    double d = span_native_us(spans_[i]);
+    double d = std::max(span_native_us(spans_[i]), anchored[i]);
     if (const auto it = device.find(static_cast<int>(i)); it != device.end()) {
       d = std::max(d, it->second.second);
     }
-    double children = 0;
-    for (const int k : kids[i]) {
-      children += dur[static_cast<std::size_t>(k)];
+    dur[i] = d;
+    if (anchor[i] >= 0) {
+      anchored[static_cast<std::size_t>(anchor[i])] += d;
     }
-    dur[i] = std::max(d, children);
   }
 
-  // Top-down timestamps: siblings back-to-back starting at the parent's ts.
+  // Top-down timestamps in begin order: each span starts where the previous
+  // span of its anchor ended; top-level spans share one cursor per lane.
   std::vector<double> ts(n, 0);
-  double root_cursor = 0;
-  for (const int r : roots) {
-    ts[static_cast<std::size_t>(r)] = root_cursor;
-    root_cursor += dur[static_cast<std::size_t>(r)];
-  }
-  // kids are in begin order; a preorder walk assigns every child before any
-  // of its own children are visited.
+  std::vector<double> cursor(n, 0);
+  double top_cursor[2] = {0, 0};  // modeled lane, host lane
   for (std::size_t i = 0; i < n; ++i) {
-    double cursor = ts[i];
-    for (const int k : kids[i]) {
-      ts[static_cast<std::size_t>(k)] = cursor;
-      cursor += dur[static_cast<std::size_t>(k)];
-    }
+    double& from = anchor[i] >= 0 ? cursor[static_cast<std::size_t>(anchor[i])]
+                                  : top_cursor[host_clock(i) ? 1 : 0];
+    ts[i] = from;
+    from += dur[i];
+    cursor[i] = ts[i];
   }
 
   std::vector<sim::TraceEvent> events;
@@ -203,10 +204,11 @@ std::vector<sim::TraceEvent> Telemetry::build_trace() const {
     sim::TraceEvent e;
     e.name = spans_[i].name;
     e.pid = sim::kEnginePid;
+    e.tid = host_clock(i) ? sim::kEngineHostTid : 0;
     e.ts_us = ts[i];
     e.dur_us = dur[i];
     e.span = static_cast<int>(i);
-    e.host_clock = spans_[i].modeled_seconds < 0;
+    e.host_clock = host_clock(i);
     events.push_back(std::move(e));
     if (const auto it = device.find(static_cast<int>(i)); it != device.end()) {
       for (sim::TraceEvent& d : it->second.first) {

@@ -95,13 +95,15 @@ class Telemetry {
   /// and keeps every engine span.
   void record_launches(const sim::DeviceGroup& group);
 
-  /// Structured stitched timeline. Layout: spans are laid out depth-first —
-  /// a span starts where its previous sibling ended and lasts
-  /// max(native, Σ children), native being modeled µs where the span has
-  /// modeled time (launches additionally stretch to their device-slice
-  /// extent) and host µs otherwise — so containment (child ⊆ parent, device
-  /// slice ⊆ launch span) holds by construction. One timeline necessarily
-  /// mixes the two clock domains; args distinguish them.
+  /// Structured stitched timeline. Modeled-clock spans sit on engine lane
+  /// tid 0 and host-clock spans on lane sim::kEngineHostTid; each clock is
+  /// laid out on its own. A span's anchor is its nearest ancestor of the
+  /// same clock: the span starts where the previous span of that anchor
+  /// ended and lasts max(native, Σ anchored spans), native being modeled µs
+  /// where the span has modeled time (launches additionally stretch to
+  /// their device-slice extent) and host µs otherwise. Containment (span ⊆
+  /// anchor, device slice ⊆ launch span) holds by construction, and host
+  /// seconds never move a modeled span or a device slice.
   [[nodiscard]] std::vector<sim::TraceEvent> build_trace() const;
   /// The stitched timeline as a chrome://tracing JSON document
   /// (sim::chrome_trace_json of build_trace()).

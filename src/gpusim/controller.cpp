@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "common/error.hpp"
-#include "gpusim/shared_l2.hpp"
 
 namespace spaden::sim {
 
@@ -35,15 +34,12 @@ inline void sort_sectors(std::uint64_t* a, std::size_t n) {
 
 }  // namespace
 
-MemoryController::MemoryController(SectorCache* l1, SectorCache* l2, KernelStats* stats,
-                                   SharedL2* shared)
-    : l1_(l1), l2_(l2), shared_l2_(shared), stats_(stats), sector_bytes_(l1->sector_bytes()),
+MemoryController::MemoryController(SectorCache* l1, SectorCache* l2, KernelStats* stats)
+    : l1_(l1), l2_(l2), stats_(stats), sector_bytes_(l1->sector_bytes()),
       sector_shift_(static_cast<std::uint32_t>(std::countr_zero(l1->sector_bytes()))) {
-  SPADEN_REQUIRE((l2 == nullptr) != (shared == nullptr),
-                 "memory controller needs exactly one L2 (private or shared)");
-  const std::uint32_t l2_sector = l2 != nullptr ? l2->sector_bytes() : shared->sector_bytes();
-  SPADEN_REQUIRE(l1->sector_bytes() == l2_sector, "L1/L2 sector sizes differ (%u vs %u)",
-                 l1->sector_bytes(), l2_sector);
+  SPADEN_REQUIRE(l1->sector_bytes() == l2->sector_bytes(),
+                 "L1/L2 sector sizes differ (%u vs %u)", l1->sector_bytes(),
+                 l2->sector_bytes());
 }
 
 void MemoryController::touch_sector(std::uint64_t sector, bool is_store) {
@@ -57,9 +53,7 @@ void MemoryController::touch_sector(std::uint64_t sector, bool is_store) {
     return;
   }
   ++stats_->sectors;
-  const bool hit =
-      shared_l2_ != nullptr ? shared_l2_->access_sector(sector) : l2_->access_line(sector);
-  if (hit) {
+  if (l2_->access_line(sector)) {
     stats_->l2_hit_bytes += sector_bytes_;
   } else {
     // A load miss fetches the sector from DRAM; a store miss eventually
@@ -132,11 +126,7 @@ void MemoryController::access(const std::array<std::uint64_t, kWarpSize>& addrs,
   constexpr std::size_t kPrefetchAhead = 6;
   const std::size_t warmup = n < kPrefetchAhead ? n : kPrefetchAhead;
   for (std::size_t i = 0; i < warmup; ++i) {
-    if (shared_l2_ != nullptr) {
-      shared_l2_->prefetch_sector(buf[i]);
-    } else {
-      l2_->prefetch_line(buf[i]);
-    }
+    l2_->prefetch_line(buf[i]);
   }
   std::uint64_t wavefronts = 0;
   std::uint64_t l1_hits = 0;
@@ -146,11 +136,7 @@ void MemoryController::access(const std::array<std::uint64_t, kWarpSize>& addrs,
   std::uint64_t prev = ~std::uint64_t{0};
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kPrefetchAhead < n) {
-      if (shared_l2_ != nullptr) {
-        shared_l2_->prefetch_sector(buf[i + kPrefetchAhead]);
-      } else {
-        l2_->prefetch_line(buf[i + kPrefetchAhead]);
-      }
+      l2_->prefetch_line(buf[i + kPrefetchAhead]);
     }
     const std::uint64_t s = buf[i];
     if (s == prev) {
@@ -165,7 +151,7 @@ void MemoryController::access(const std::array<std::uint64_t, kWarpSize>& addrs,
       ++l1_hits;
       continue;
     }
-    if (shared_l2_ != nullptr ? shared_l2_->access_sector(s) : l2_->access_line(s)) {
+    if (l2_->access_line(s)) {
       ++l2_hits;
     } else {
       ++dram;

@@ -16,8 +16,6 @@
 
 namespace spaden::sim {
 
-class SharedL2;
-
 /// Sector-id window classifying halo traffic for one shard of a device
 /// group (gpusim/multidevice): sectors inside [lo, hi) belong to the x
 /// vector; the sub-range [own_lo, own_hi) is the slice this device owns.
@@ -39,13 +37,10 @@ class MemoryController {
  public:
   static constexpr int kWarpSize = 32;
 
-  /// The L2 is exactly one of `l2` (a private cache: the flat L2 of a T=1
-  /// device, or one virtual SM's capacity slice) and `shared` (the striped
-  /// L2 all virtual SMs probe at T>1). Every cache must share the L1's
-  /// sector size (it defines the sector-id space all classification below
-  /// happens in).
-  MemoryController(SectorCache* l1, SectorCache* l2, KernelStats* stats,
-                   SharedL2* shared = nullptr);
+  /// `l2` is the flat L2 of a T=1 device, or one virtual SM's capacity
+  /// slice at T>1. It must share the L1's sector size (it defines the
+  /// sector-id space all classification below happens in).
+  MemoryController(SectorCache* l1, SectorCache* l2, KernelStats* stats);
 
   /// Classify accesses against a halo window (null = everything local, the
   /// single-device fast path — no extra work in the probe loops).
@@ -71,8 +66,7 @@ class MemoryController {
   void touch_sector(std::uint64_t sector_addr, bool is_store);
 
   SectorCache* l1_;
-  SectorCache* l2_;       ///< private L2, or null when shared_l2_ is the L2
-  SharedL2* shared_l2_;   ///< striped shared L2, or null when l2_ is the L2
+  SectorCache* l2_;
   const RemoteWindow* remote_ = nullptr;
   KernelStats* stats_;
   std::uint32_t sector_bytes_;

@@ -34,38 +34,22 @@ void Device::set_sim_threads(int threads) {
 
 bool default_sancheck() { return env_flag("SPADEN_SANCHECK"); }
 
-bool default_shared_l2() { return env_flag("SPADEN_SIM_SHARED_L2"); }
-
-bool engine_shared_l2(const SchedConfig& sched) {
-  const char* env = std::getenv("SPADEN_SIM_SHARED_L2");
-  if (env != nullptr && env[0] != '\0') {
-    return default_shared_l2();  // env always wins, including "0"
-  }
-  return sched.policy != SchedPolicy::Serial;
-}
-
 void Device::ensure_caches() {
-  const bool shared = threads_ > 1 && shared_l2_on_;
   const auto count = static_cast<std::size_t>(threads_);
-  if (sms_.size() == count && (shared_l2_ != nullptr) == shared) {
+  if (sms_.size() == count) {
     return;
   }
   sms_.clear();
-  shared_l2_.reset();
-  if (shared) {
-    shared_l2_ = std::make_unique<SharedL2>(spec_.l2_capacity_bytes, spec_.l2_ways,
-                                            spec_.sector_bytes);
-  }
   sms_.reserve(count);
   for (std::size_t t = 0; t < count; ++t) {
-    sms_.emplace_back(spec_, threads_, /*private_l2=*/!shared);
+    sms_.emplace_back(spec_, threads_);
   }
 }
 
 std::size_t Device::cache_host_bytes() const {
-  std::size_t total = shared_l2_ != nullptr ? shared_l2_->host_bytes() : 0;
+  std::size_t total = 0;
   for (const VirtualSm& sm : sms_) {
-    total += sm.l1.host_bytes() + (sm.l2 != nullptr ? sm.l2->host_bytes() : 0);
+    total += sm.l1.host_bytes() + sm.l2.host_bytes();
   }
   return total;
 }

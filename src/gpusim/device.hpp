@@ -15,23 +15,14 @@
 // (default: hardware_concurrency); threads=1 runs the serial launcher: one
 // virtual SM, warps in grid order.
 //
-// Cache models: each virtual SM owns an L1 of the full per-SM capacity, and
-// the device holds exactly one L2 model. Both are built at the first launch
-// for the current thread count T and shared_l2 setting, persist (warm)
-// across launches, and are rebuilt cold by the next launch after a setting
-// change that alters their shape:
-//  * T=1: one flat SectorCache of the full L2 capacity, for either shared_l2
-//    setting — a single thread has nobody to share with, and the striped
-//    shared cache classifies bit-for-bit like the flat one.
-//  * T>1, shared_l2 off (the raw-Device default): T private capacity slices
-//    of size capacity/T, one per virtual SM — the deterministic alternative
-//    to a shared locked cache, whose hit pattern would depend on thread
-//    interleaving. Counters are deterministic at a fixed T but drift
-//    slightly from T=1's.
-//  * T>1, shared_l2 on (set_shared_l2 / SPADEN_SIM_SHARED_L2 / --shared-l2;
-//    the engine default): one SharedL2 striped over locks and probed by
-//    every virtual SM. Cross-SM reuse of x becomes visible to the model at
-//    the price of run-to-run counter wobble (numerics stay exact).
+// Cache models: each virtual SM owns an L1 of the full per-SM capacity and
+// an L2 slice of capacity/T. Both are built at the first launch for the
+// current thread count T, persist (warm) across launches, and are rebuilt
+// cold by the next launch after a thread-count change. At T=1 the one slice
+// is the flat L2 of the whole device. At T>1 the private slices keep every
+// counter a pure function of the program, the spec, the schedule and T;
+// they drift slightly from T=1's because a slice cannot see another SM's
+// reuse of x (docs/performance_model.md, "L2 fidelity trade-off").
 //
 // Fidelity note (documented limitation, see docs/performance_model.md): by
 // default warps run to completion in grid order within a chunk rather than
@@ -42,8 +33,7 @@
 // fibers, deterministic at a fixed thread count, and additionally models
 // issue/latency cycles so stalls nothing could cover feed estimate_time's
 // t_stall term. `serial` (the raw-Device default; the engine defaults to
-// rr + shared L2 since the recalibration) is the classic launcher
-// bit-for-bit.
+// rr since the recalibration) is the classic launcher bit-for-bit.
 #pragma once
 
 #include <algorithm>
@@ -66,7 +56,6 @@
 #include "gpusim/sanitizer.hpp"
 #include "gpusim/sched/policy.hpp"
 #include "gpusim/sched/scheduler.hpp"
-#include "gpusim/shared_l2.hpp"
 #include "gpusim/stats.hpp"
 #include "gpusim/thread_pool.hpp"
 #include "gpusim/warp.hpp"
@@ -80,20 +69,6 @@ namespace spaden::sim {
 /// Sanitizer default from the environment: SPADEN_SANCHECK set to anything
 /// but "" or "0" enables spaden-sancheck on new devices.
 [[nodiscard]] bool default_sancheck();
-
-/// Shared-L2 default from the environment: SPADEN_SIM_SHARED_L2 set to
-/// anything but "" or "0" enables the shared set-sharded L2 on new devices.
-[[nodiscard]] bool default_shared_l2();
-
-/// Shared-L2 setting paired with scheduling config `sched` (SpmvEngine, the
-/// CLI and the figure benches): SPADEN_SIM_SHARED_L2 wins when set
-/// (including "0" to force slices); otherwise the L2 is shared exactly when
-/// `sched` interleaves — the configuration the interleaved timing constants
-/// were calibrated for (tools/calibrate_sched.py) — and serial keeps the
-/// slice L2 so serial runs stay bit-for-bit reproducible against historical
-/// outputs. Raw Device construction keeps the conservative
-/// default_shared_l2() (off unless the env asks).
-[[nodiscard]] bool engine_shared_l2(const SchedConfig& sched);
 
 /// One entry of the Device's opt-in launch log (spaden-telemetry): the
 /// per-launch identity and cost summary the engine turns into launch spans.
@@ -160,17 +135,9 @@ class Device {
   /// in grid order (the classic launcher, bit-for-bit); RoundRobin
   /// interleaves an occupancy-limited window of resident warps per virtual
   /// SM, giving the cache models realistic access streams. Deterministic at
-  /// a fixed sim_threads() with the default slice L2.
+  /// a fixed sim_threads().
   [[nodiscard]] const SchedConfig& sched() const { return sched_; }
   void set_sched(const SchedConfig& cfg) { sched_ = cfg; }
-
-  /// Opt-in shared set-sharded L2: one L2 shared by all virtual SMs behind
-  /// striped locks, replacing the per-SM capacity slices. Models cross-SM
-  /// reuse of x faithfully; counters may wobble run-to-run at T>1 while
-  /// numerics stay exact (see docs/performance_model.md). No effect at
-  /// T=1, where one flat L2 serves both settings.
-  [[nodiscard]] bool shared_l2() const { return shared_l2_on_; }
-  void set_shared_l2(bool enabled) { shared_l2_on_ = enabled; }
 
   /// Per-warp weights (e.g. nnz per warp) that split the warp grid across
   /// virtual SMs: the parallel launcher always gives each SM one contiguous
@@ -280,18 +247,13 @@ class Device {
   void flush_caches() {
     for (VirtualSm& sm : sms_) {
       sm.l1.flush();
-      if (sm.l2 != nullptr) {
-        sm.l2->flush();
-      }
-    }
-    if (shared_l2_ != nullptr) {
-      shared_l2_->flush();
+      sm.l2.flush();
     }
   }
 
   /// Host memory held by the cache models (tag arrays and recency words of
-  /// every virtual SM's L1 and of the one L2 model). Zero before the first
-  /// launch, which is when the models are built.
+  /// every virtual SM's L1 and L2 slice). Zero before the first launch,
+  /// which is when the models are built.
   [[nodiscard]] std::size_t cache_host_bytes() const;
 
   /// Run `kernel(ctx, warp_id)` for warp_id in [0, num_warps).
@@ -369,26 +331,20 @@ class Device {
 
  private:
   /// One virtual SM: the private cache state of one worker thread. The L1
-  /// has the full per-SM capacity; the private L2 holds 1/T of the device
-  /// L2 (all of it at T=1) and is absent when the striped SharedL2 serves
-  /// every SM. Both persist across launches.
+  /// has the full per-SM capacity; the L2 slice holds 1/T of the device L2
+  /// (all of it at T=1). Both persist across launches.
   struct VirtualSm {
-    VirtualSm(const DeviceSpec& spec, int num_sms, bool private_l2)
-        : l1(spec.l1_capacity_bytes, spec.l1_ways, spec.sector_bytes) {
-      if (private_l2) {
-        l2 = std::make_unique<SectorCache>(
-            spec.l2_capacity_bytes / static_cast<std::uint64_t>(num_sms), spec.l2_ways,
-            spec.sector_bytes);
-      }
-    }
+    VirtualSm(const DeviceSpec& spec, int num_sms)
+        : l1(spec.l1_capacity_bytes, spec.l1_ways, spec.sector_bytes),
+          l2(spec.l2_capacity_bytes / static_cast<std::uint64_t>(num_sms), spec.l2_ways,
+             spec.sector_bytes) {}
     SectorCache l1;
-    std::unique_ptr<SectorCache> l2;  ///< null when shared_l2_ is the L2
+    SectorCache l2;
   };
 
-  /// Build the virtual SMs' caches and the one L2 model for the current
-  /// (threads_, shared_l2_on_) shape, unless they already have it. A shape
-  /// change frees the old model before building the new one, so a device
-  /// never holds two L2 models at once.
+  /// Build one VirtualSm per simulation thread, unless the caches already
+  /// match threads_. A thread-count change frees the old caches before
+  /// building the new ones, so a device never holds two L2 models at once.
   void ensure_caches();
   void ensure_pool();
   /// Per-SM warp-range boundaries (t_count + 1 entries): contiguous chunks
@@ -457,7 +413,7 @@ class Device {
   void run_serial(std::uint64_t num_warps, Kernel& kernel, KernelStats& stats,
                   SanShard* shard, ProfShard* pshard) {
     VirtualSm& sm = sms_[0];
-    MemoryController mc(&sm.l1, sm.l2.get(), &stats);
+    MemoryController mc(&sm.l1, &sm.l2, &stats);
     mc.set_remote_window(remote_on_ ? &remote_window_ : nullptr);
     WarpCtx ctx(&mc, &stats);
     ctx.set_sanitizer(shard);
@@ -481,13 +437,12 @@ class Device {
     const RemoteWindow* remote = remote_on_ ? &remote_window_ : nullptr;
     std::vector<KernelStats> local_stats(t_count);
     std::vector<std::exception_ptr> errors(t_count);
-    SharedL2* shared = shared_l2_.get();
-    pool_->run([this, &bounds, &kernel, &local_stats, &errors, shards, pshards, shared,
+    pool_->run([this, &bounds, &kernel, &local_stats, &errors, shards, pshards,
                 remote](int worker) {
       const auto t = static_cast<std::uint64_t>(worker);
       try {
         VirtualSm& sm = sms_[t];
-        MemoryController mc(&sm.l1, sm.l2.get(), &local_stats[t], shared);
+        MemoryController mc(&sm.l1, &sm.l2, &local_stats[t]);
         mc.set_remote_window(remote);
         WarpCtx ctx(&mc, &local_stats[t]);
         SanShard* shard = shards != nullptr ? &(*shards)[t] : nullptr;
@@ -524,11 +479,8 @@ class Device {
   DeviceMemory memory_;
   int threads_ = 1;
   SchedConfig sched_ = default_sched();
-  bool shared_l2_on_ = default_shared_l2();
-  /// Cache models (ensure_caches): one VirtualSm per simulation thread, and
-  /// the striped shared L2 only at T>1 with shared_l2_on_.
+  /// Cache models (ensure_caches): one VirtualSm per simulation thread.
   std::vector<VirtualSm> sms_;
-  std::unique_ptr<SharedL2> shared_l2_;
   std::vector<std::uint64_t> warp_weights_;
   /// Launch-name-keyed weight sets (set_launch_warp_weights); linear scan —
   /// kernels install at most a couple of entries.

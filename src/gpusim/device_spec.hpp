@@ -77,7 +77,7 @@ struct DeviceSpec {
   int l1_latency_cycles = 32;
   int l2_latency_cycles = 200;
   int dram_latency_cycles = 600;
-  /// Issue-side constants recalibrated for rr + --shared-l2 traffic
+  /// Issue-side constants recalibrated for rr traffic
   /// (tools/calibrate_sched.py): with exposed stalls charged explicitly by
   /// the scheduler, part of the flat derating that stood in for latency
   /// effects under serial timing is lifted. `Device::timing_spec()` swaps

@@ -27,12 +27,6 @@ void DeviceGroup::set_sched(const SchedConfig& cfg) {
   }
 }
 
-void DeviceGroup::set_shared_l2(bool enabled) {
-  for (auto& d : devices_) {
-    d->set_shared_l2(enabled);
-  }
-}
-
 void DeviceGroup::set_sanitize(bool enabled) {
   for (auto& d : devices_) {
     d->set_sanitize(enabled);

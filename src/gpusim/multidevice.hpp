@@ -49,7 +49,6 @@ class DeviceGroup {
   // the group behaves like N identically-configured GPUs.
   void set_sim_threads(int threads);
   void set_sched(const SchedConfig& cfg);
-  void set_shared_l2(bool enabled);
   void set_sanitize(bool enabled);
   void set_profile(bool enabled);
   void set_launch_log(bool enabled);

@@ -420,6 +420,11 @@ std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
 
   trace_meta(w, "process_name", kEnginePid, -1, "spaden engine (host)");
   trace_meta(w, "thread_name", kEnginePid, 0, "engine phases");
+  if (std::any_of(events.begin(), events.end(), [](const TraceEvent& e) {
+        return e.pid == kEnginePid && e.tid == kEngineHostTid;
+      })) {
+    trace_meta(w, "thread_name", kEnginePid, kEngineHostTid, "engine phases (host clock)");
+  }
   trace_meta(w, "process_name", kDevicePid, -1, "gpusim device (modeled)");
   // One chrome process per device pid: tid lanes are that device's virtual
   // SMs. Device 0's process is always named; devices 1.. of a

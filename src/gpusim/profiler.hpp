@@ -248,17 +248,19 @@ struct ProfileReport {
                                             const TimeBreakdown& launch_time,
                                             std::vector<ProfShard>& shards);
 
-/// Chrome process ids of a trace: the engine's span lane, and device d's
-/// virtual-SM lanes at kDevicePid + d.
+/// Chrome process ids of a trace: the engine's span lanes, and device d's
+/// virtual-SM lanes at kDevicePid + d. The engine process has one lane per
+/// clock: modeled-clock spans at tid 0, host-clock spans at kEngineHostTid.
 inline constexpr int kEnginePid = 0;
 inline constexpr int kDevicePid = 1;
+inline constexpr int kEngineHostTid = 1;
 
 /// One complete ("X") event of a chrome trace: an engine span, or a warp's
 /// residency interval or a range segment inside it, in microseconds.
 struct TraceEvent {
   std::string name;
   int pid = kDevicePid;  ///< kEnginePid, or kDevicePid + device index
-  int tid = 0;           ///< 0 on the engine lane; virtual SM index on a device
+  int tid = 0;           ///< engine lane (0 or kEngineHostTid); virtual SM on a device
   std::uint64_t warp = 0;
   double ts_us = 0;
   double dur_us = 0;

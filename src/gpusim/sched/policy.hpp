@@ -43,7 +43,7 @@ struct SchedConfig {
 /// Engine-level scheduling default (EngineOptions::sched): SPADEN_SIM_SCHED
 /// wins when set (including "serial" to force the classic launcher);
 /// otherwise interleaved round-robin with the occupancy-derived window —
-/// the figure-generating mode since the rr + shared-L2 recalibration
+/// the figure-generating mode since the rr recalibration
 /// (docs/performance_model.md).
 [[nodiscard]] SchedConfig default_engine_sched();
 

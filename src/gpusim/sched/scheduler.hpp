@@ -29,14 +29,9 @@
 // the rr:1 window is bit-identical to the serial launcher.
 //
 // Determinism: the schedule is a pure function of the window and of the
-// counter stream the warps produce, so with the per-SM slice L2
-// (SPADEN_SIM_SHARED_L2=0) counters, profiles and numerics are
-// byte-identical run-to-run at any fixed SPADEN_SIM_THREADS, and the
-// engine default (shared L2) is byte-identical at T=1. Under the shared L2
-// at T>1 the stall signal depends on cross-thread cache state, so the
-// schedule — and with it the cache/stall counters — may wobble across runs
-// while numerics and work counters stay exact (warps only communicate
-// through atomics; see docs/performance_model.md).
+// counter stream the warps produce, and each virtual SM probes only its own
+// L1 and L2 slice, so counters, profiles and numerics are byte-identical
+// run-to-run at any fixed SPADEN_SIM_THREADS (docs/performance_model.md).
 //
 // Profiler/sanitizer composition: on every switch the scheduler parks the
 // outgoing warp's recorder state (open profiler ranges, sanitizer warp

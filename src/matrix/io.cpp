@@ -4,6 +4,7 @@
 #include <iomanip>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -11,6 +12,10 @@
 namespace spaden::mat {
 
 namespace {
+
+/// Entries reserved before reading any: real matrices past this grow the
+/// vectors geometrically instead.
+constexpr long long kMaxReserve = 1 << 20;
 
 std::string to_lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
@@ -65,13 +70,36 @@ Coo read_matrix_market(std::istream& in) {
                  "line %zu: malformed size line '%s'", lineno, line.c_str());
   SPADEN_REQUIRE(nrows > 0 && ncols > 0 && entries >= 0, "line %zu: invalid dimensions",
                  lineno);
+  // A hostile size line must fail here, by name, before anything is sized
+  // from it: a dimension past the index type would wrap, and the entry
+  // count drives the reserve below.
+  constexpr long long kMaxIndex = std::numeric_limits<Index>::max();
+  SPADEN_REQUIRE(nrows <= kMaxIndex, "line %zu: row count %lld is above the index limit %lld",
+                 lineno, nrows, kMaxIndex);
+  SPADEN_REQUIRE(ncols <= kMaxIndex,
+                 "line %zu: column count %lld is above the index limit %lld", lineno, ncols,
+                 kMaxIndex);
+  const auto cells =
+      static_cast<unsigned long long>(nrows) * static_cast<unsigned long long>(ncols);
+  SPADEN_REQUIRE(static_cast<unsigned long long>(entries) <= cells,
+                 "line %zu: %lld entries exceed the %llu cells of a %lld x %lld matrix", lineno,
+                 entries, cells, nrows, ncols);
+  const unsigned long long stored =
+      (header.symmetric ? 2ULL : 1ULL) * static_cast<unsigned long long>(entries);
+  SPADEN_REQUIRE(stored <= static_cast<unsigned long long>(kMaxIndex),
+                 "line %zu: %llu stored entries%s are above the index limit %lld", lineno,
+                 stored, header.symmetric ? " (doubled for symmetry)" : "", kMaxIndex);
 
   Coo out;
   out.nrows = static_cast<Index>(nrows);
   out.ncols = static_cast<Index>(ncols);
-  out.row.reserve(static_cast<std::size_t>(entries));
-  out.col.reserve(static_cast<std::size_t>(entries));
-  out.val.reserve(static_cast<std::size_t>(entries));
+  // Bounded up front: a header that claims more entries than the stream
+  // holds fails at EOF below without having reserved its claim.
+  const auto reserve =
+      static_cast<std::size_t>(std::min<unsigned long long>(stored, kMaxReserve));
+  out.row.reserve(reserve);
+  out.col.reserve(reserve);
+  out.val.reserve(reserve);
 
   for (long long e = 0; e < entries; ++e) {
     SPADEN_REQUIRE(static_cast<bool>(std::getline(in, line)),

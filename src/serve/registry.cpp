@@ -28,7 +28,6 @@ EngineOptions pinned_engine_options(const sim::DeviceSpec& device) {
   // not change when the ambient simulator config does.
   o.sim_threads = default_serve_sim_threads();
   o.sched = sim::SchedConfig{sim::SchedPolicy::RoundRobin, 0};
-  o.shared_l2 = true;
   o.sanitize = false;
   o.verify_format = true;
   return o;

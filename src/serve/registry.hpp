@@ -29,12 +29,13 @@ using Handle = std::uint32_t;
 /// Engine options pinned for serving: the serve subsystem's determinism
 /// contract requires byte-identical reports regardless of the ambient
 /// simulator configuration, so these options deliberately IGNORE
-/// SPADEN_SIM_THREADS / SPADEN_SIM_SCHED / SPADEN_SIM_SHARED_L2 /
-/// SPADEN_SANCHECK. Simulation runs on one device (unprofiled) and
-/// SPADEN_SERVE_SIM_THREADS host threads (default 1) with
-/// the round-robin scheduler and the shared L2 — a configuration whose
-/// modeled times are byte-identical run-to-run. Telemetry keeps its
-/// SPADEN_TELEMETRY default.
+/// SPADEN_SIM_THREADS / SPADEN_SIM_SCHED / SPADEN_SANCHECK. Simulation
+/// runs on one device (unprofiled) and SPADEN_SERVE_SIM_THREADS host
+/// threads (default 1) with the round-robin scheduler. Modeled times then
+/// repeat byte-for-byte at a fixed SPADEN_SERVE_SIM_THREADS, except for
+/// kernels whose work split or float-add order follows host threads at
+/// T > 1 (LightSpMV's row claiming, Gunrock's float atomics). Telemetry
+/// keeps its SPADEN_TELEMETRY default.
 [[nodiscard]] EngineOptions pinned_engine_options(const sim::DeviceSpec& device = sim::l40());
 
 /// SPADEN_SERVE_SIM_THREADS: host threads for serve-owned engines

@@ -68,8 +68,7 @@ MethodRun run_at_threads(int threads, const mat::Csr& a) {
 
 TEST(RunMethod, DeterministicModeledNumbers) {
   // The determinism contract: y and work counters are equal at any thread
-  // count; modeled time is equal run to run at T=1 (at T>1 the default
-  // shared L2's hit counters follow the host schedule).
+  // count; modeled time repeats run to run at a fixed thread count.
   const mat::Csr a = mat::Csr::from_coo(mat::random_uniform(150, 150, 2500, 14));
   const MethodRun serial1 = run_at_threads(1, a);
   const MethodRun serial2 = run_at_threads(1, a);

@@ -4,6 +4,10 @@
 // on).
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/json.hpp"
+#include "core/spaden.hpp"
 #include "kernels/kernel.hpp"
 #include "matrix/dataset.hpp"
 #include "matrix/generate.hpp"
@@ -82,14 +86,11 @@ TEST(Determinism, MergedCountersReproducibleAcrossThreadedRuns) {
   // At a fixed thread count the warp partition is static and each worker's
   // cache slices are private, so repeated multithreaded runs must merge to
   // identical counters (the property that keeps threaded bench results
-  // comparable between sessions). Pinned to the slice L2: the shared L2
-  // deliberately trades this guarantee away at T>1 (CI re-runs this suite
-  // with SPADEN_SIM_SHARED_L2=1, which would otherwise flip the default).
+  // comparable between sessions).
   const mat::Csr a = mat::load_dataset("conf5", 0.01);
   auto stats_of = [&] {
     sim::Device device(sim::l40());
     device.set_sim_threads(4);
-    device.set_shared_l2(false);
     auto kernel = make_kernel(Method::Spaden);
     kernel->prepare(device, a);
     std::vector<float> x(a.ncols, 0.5f);
@@ -139,12 +140,10 @@ TEST(Determinism, ThreadedWorkPreservingCounters) {
 
 TEST(Determinism, ModeledCountersStableAcrossRuns) {
   // Same matrix + same kernel => identical counters (no hidden state leaks
-  // between Device instances). Slice L2 pinned for the same reason as
-  // MergedCountersReproducibleAcrossThreadedRuns above.
+  // between Device instances).
   const mat::Csr a = mat::load_dataset("conf5", 0.01);
   auto stats_of = [&] {
     sim::Device device(sim::l40());
-    device.set_shared_l2(false);
     auto kernel = make_kernel(Method::Spaden);
     kernel->prepare(device, a);
     std::vector<float> x(a.ncols, 0.5f);
@@ -159,6 +158,36 @@ TEST(Determinism, ModeledCountersStableAcrossRuns) {
   EXPECT_EQ(s1.dram_bytes, s2.dram_bytes);
   EXPECT_EQ(s1.cuda_ops, s2.cuda_ops);
   EXPECT_EQ(s1.tc_mma_m16n16k16, s2.tc_mma_m16n16k16);
+}
+
+TEST(Determinism, EngineDefaultsRepeatAtFourThreads) {
+  // Engine defaults at T=4: every virtual SM probes its own L2 slice, so two
+  // engines give byte-equal counters and profiles.
+  const mat::Csr a = mat::load_dataset("conf5", 0.01);
+  auto run = [&](Method m) {
+    EngineOptions options;
+    options.method = m;
+    options.sim_threads = 4;
+    options.profile = true;
+    SpmvEngine engine(a, options);
+    const std::vector<float> x(a.ncols, 0.5f);
+    std::vector<float> y;
+    const SpmvResult result = engine.multiply(x, y);
+    JsonWriter w;
+    w.begin_array();
+    for (const sim::ProfileReport& report : result.profiles) {
+      report.to_json(w, /*include_sms=*/true);
+    }
+    w.end_array();
+    return std::make_pair(result.stats, w.take());
+  };
+  for (const Method m : {Method::Spaden, Method::CusparseCsr}) {
+    const auto first = run(m);
+    const auto second = run(m);
+    EXPECT_EQ(first.first, second.first) << method_name(m);
+    EXPECT_EQ(first.second, second.second) << method_name(m);
+    EXPECT_NE(first.second.find("\"sms\""), std::string::npos);
+  }
 }
 
 TEST(Determinism, DatasetSynthesisStableAcrossProcessRuns) {

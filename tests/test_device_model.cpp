@@ -237,34 +237,26 @@ TEST(CacheFootprint, L40L2ModelCosts17MiB) {
   EXPECT_EQ(kL40L2Bytes, std::size_t{17} << 20);
 }
 
-TEST(CacheFootprint, SerialDeviceHoldsOneL2UnderEitherSharedSetting) {
-  // At T=1 one flat L2 serves both shared_l2 settings, built at the first
-  // launch; nothing is allocated before it.
-  for (const bool shared : {false, true}) {
-    Device device(l40());
-    device.set_sim_threads(1);
-    device.set_shared_l2(shared);
-    EXPECT_EQ(device.cache_host_bytes(), 0u);
-    launch_once(device);
-    EXPECT_EQ(device.cache_host_bytes(), kL40L1Bytes + kL40L2Bytes) << "shared_l2=" << shared;
-    EXPECT_LE(static_cast<double>(kL40L2Bytes), 17.1 * 1024 * 1024);
-    device.set_shared_l2(!shared);  // same shape at T=1: the warm cache stays
-    launch_once(device);
-    EXPECT_EQ(device.cache_host_bytes(), kL40L1Bytes + kL40L2Bytes);
-  }
+TEST(CacheFootprint, SerialDeviceHoldsOneFlatL2) {
+  // At T=1 one flat L2 is built at the first launch and stays warm across
+  // launches; nothing is allocated before it.
+  Device device(l40());
+  device.set_sim_threads(1);
+  EXPECT_EQ(device.cache_host_bytes(), 0u);
+  launch_once(device);
+  EXPECT_EQ(device.cache_host_bytes(), kL40L1Bytes + kL40L2Bytes);
+  EXPECT_LE(static_cast<double>(kL40L2Bytes), 17.1 * 1024 * 1024);
+  launch_once(device);
+  EXPECT_EQ(device.cache_host_bytes(), kL40L1Bytes + kL40L2Bytes);
 }
 
-TEST(CacheFootprint, ParallelDeviceBuildsSlicesOrSharedNeverBoth) {
-  // At T>1 the L2 is either T capacity slices or one striped shared cache;
-  // both partition the same sets, and switching frees the old model.
+TEST(CacheFootprint, ParallelDeviceBuildsSlicesOfOneL2) {
+  // At T>1 the L2 is T capacity slices that partition the same sets, and a
+  // thread-count change frees the old caches.
   Device device(l40());
   device.set_sim_threads(4);
-  for (const bool shared : {false, true, false}) {
-    device.set_shared_l2(shared);
-    launch_once(device);
-    EXPECT_EQ(device.cache_host_bytes(), 4 * kL40L1Bytes + kL40L2Bytes)
-        << "shared_l2=" << shared;
-  }
+  launch_once(device);
+  EXPECT_EQ(device.cache_host_bytes(), 4 * kL40L1Bytes + kL40L2Bytes);
   device.set_sim_threads(1);
   launch_once(device);
   EXPECT_EQ(device.cache_host_bytes(), kL40L1Bytes + kL40L2Bytes);

@@ -29,7 +29,6 @@ RunOut run_spaden(const mat::Csr& a, int threads = 1,
                   sim::SchedConfig sched = sim::default_sched()) {
   sim::Device device(sim::l40());
   device.set_sim_threads(threads);
-  device.set_shared_l2(false);  // slice L2: exact at any thread count
   device.set_sched(sched);
   auto kernel = make_kernel(Method::Spaden);
   kernel->prepare(device, a);
@@ -129,7 +128,6 @@ TEST(ArenaPooling, ReusedDeviceMatchesFreshDevice) {
   // Fresh device, single launch.
   sim::Device fresh(sim::l40());
   fresh.set_sim_threads(4);
-  fresh.set_shared_l2(false);
   fresh.set_profile(true);
   auto fresh_kernel = make_kernel(Method::Spaden);
   fresh_kernel->prepare(fresh, a);
@@ -143,7 +141,6 @@ TEST(ArenaPooling, ReusedDeviceMatchesFreshDevice) {
   // cache models, then the second launch runs entirely on pooled scratch.
   sim::Device reused(sim::l40());
   reused.set_sim_threads(4);
-  reused.set_shared_l2(false);
   reused.set_profile(true);
   auto reused_kernel = make_kernel(Method::Spaden);
   reused_kernel->prepare(reused, a);

@@ -4,6 +4,7 @@
 #include "common/error.hpp"
 
 #include <sstream>
+#include <string>
 
 #include "matrix/generate.hpp"
 #include "matrix/io.hpp"
@@ -85,6 +86,51 @@ TEST(MatrixMarket, RejectsMalformedInput) {
     EXPECT_THROW((void)read_matrix_market(in), spaden::Error);  // unsupported field
   }
 }
+
+struct HostileSizeLine {
+  const char* name;
+  const char* text;
+  const char* error;  ///< substring the spaden::Error message must hold
+};
+
+void PrintTo(const HostileSizeLine& line, std::ostream* os) { *os << line.name; }
+
+class HostileSizeLineTest : public ::testing::TestWithParam<HostileSizeLine> {};
+
+TEST_P(HostileSizeLineTest, FailsByNameBeforeAllocating) {
+  std::istringstream in(GetParam().text);
+  try {
+    (void)read_matrix_market(in);
+    FAIL() << "accepted";
+  } catch (const spaden::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(GetParam().error), std::string::npos) << e.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MatrixMarket, HostileSizeLineTest,
+    ::testing::Values(
+        HostileSizeLine{"RowsPastIndex",
+                        "%%MatrixMarket matrix coordinate real general\n4294967296 1 0\n",
+                        "row count 4294967296 is above the index limit"},
+        HostileSizeLine{"ColsPastIndex",
+                        "%%MatrixMarket matrix coordinate real general\n1 4294967296 0\n",
+                        "column count 4294967296 is above the index limit"},
+        HostileSizeLine{"MoreEntriesThanCells",
+                        "%%MatrixMarket matrix coordinate real general\n1 1 2\n1 1 1.0\n",
+                        "2 entries exceed the 1 cells"},
+        HostileSizeLine{"TerabyteEntryCount",
+                        "%%MatrixMarket matrix coordinate real general\n1 1 99999999999\n",
+                        "99999999999 entries exceed the 1 cells"},
+        HostileSizeLine{"EntriesPastIndex",
+                        "%%MatrixMarket matrix coordinate real general\n"
+                        "100000 100000 4294967296\n",
+                        "4294967296 stored entries are above the index limit"},
+        HostileSizeLine{"SymmetricEntriesPastIndex",
+                        "%%MatrixMarket matrix coordinate real symmetric\n"
+                        "100000 100000 2147483648\n",
+                        "4294967296 stored entries (doubled for symmetry)"}),
+    [](const ::testing::TestParamInfo<HostileSizeLine>& info) { return info.param.name; });
 
 TEST(MatrixMarket, WriteReadRoundTrip) {
   const Coo original = random_uniform(40, 60, 300, 17);

@@ -67,7 +67,7 @@ TEST(Recommend, BenchmarkedMethodsSortedDescending) {
 
 TEST(Recommend, MeasuredRankingIgnoresSimThreads) {
   // The measured ranking runs under one pinned simulator configuration (one
-  // thread, rr, shared L2), so SPADEN_SIM_THREADS moves no GFLOPS figure.
+  // thread, rr), so SPADEN_SIM_THREADS moves no GFLOPS figure.
   const mat::Csr a = mat::load_dataset("cant", 0.02);
   const char* old = std::getenv("SPADEN_SIM_THREADS");
   const std::string saved = old != nullptr ? old : "";

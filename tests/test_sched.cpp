@@ -1,8 +1,8 @@
 // gpusim/sched: the interleaved warp scheduler must never change what a
 // kernel computes — only the order the cache models see accesses in — and
-// must stay deterministic at a fixed thread count. The opt-in shared
-// set-sharded L2 must be bit-identical to the monolithic cache at T=1 and
-// numerically exact at any T. Fiber suspension must compose with
+// must stay deterministic at a fixed thread count. The per-SM slice L2 must
+// keep numerics exact and work counters unchanged at any T. Fiber
+// suspension must compose with
 // spaden-prof (exact range attribution, split timeline slices) and
 // spaden-sancheck (per-warp event attribution, no false positives).
 #include <gtest/gtest.h>
@@ -14,9 +14,7 @@
 
 #include "common/json.hpp"
 #include "core/spaden.hpp"
-#include "gpusim/cache.hpp"
 #include "gpusim/device.hpp"
-#include "gpusim/shared_l2.hpp"
 #include "kernels/kernel.hpp"
 #include "matrix/dataset.hpp"
 #include "matrix/generate.hpp"
@@ -24,12 +22,10 @@
 namespace spaden::sim {
 namespace {
 
-Device make_device(SchedConfig sched, int threads = 1, bool shared_l2 = false,
-                   const DeviceSpec& spec = l40()) {
+Device make_device(SchedConfig sched, int threads = 1, const DeviceSpec& spec = l40()) {
   Device device(spec);
   device.set_sim_threads(threads);
   device.set_sched(sched);
-  device.set_shared_l2(shared_l2);
   return device;
 }
 
@@ -80,8 +76,8 @@ LaunchResult run_reuse(Device& device, std::uint64_t warps, std::uint64_t seg_fl
 }
 
 std::vector<float> run_y(kern::Method m, const mat::Csr& a, SchedConfig sched,
-                         int threads = 1, bool shared_l2 = false) {
-  Device device = make_device(sched, threads, shared_l2);
+                         int threads = 1) {
+  Device device = make_device(sched, threads);
   auto kernel = kern::make_kernel(m);
   kernel->prepare(device, a);
   std::vector<float> x(a.ncols);
@@ -95,8 +91,8 @@ std::vector<float> run_y(kern::Method m, const mat::Csr& a, SchedConfig sched,
 }
 
 KernelStats run_stats(kern::Method m, const mat::Csr& a, SchedConfig sched,
-                      int threads = 1, bool shared_l2 = false) {
-  Device device = make_device(sched, threads, shared_l2);
+                      int threads = 1) {
+  Device device = make_device(sched, threads);
   auto kernel = kern::make_kernel(m);
   kernel->prepare(device, a);
   std::vector<float> x(a.ncols, 0.5f);
@@ -342,8 +338,8 @@ TEST(Sched, RrLowersL2ReuseHitRateOnReuseHeavyMatrix) {
     return static_cast<double>(s.l2_hit_bytes) /
            static_cast<double>(s.l2_hit_bytes + s.dram_bytes);
   };
-  Device serial = make_device(kSerial, 1, false, spec);
-  Device rr = make_device({SchedPolicy::RoundRobin, 16}, 1, false, spec);
+  Device serial = make_device(kSerial, 1, spec);
+  Device rr = make_device({SchedPolicy::RoundRobin, 16}, 1, spec);
   // 32 warps x 16 KB private segment x 4 passes (seg fits L2; window of 16
   // segments = 4x the L2).
   const KernelStats s = run_reuse(serial, 32, 4096, 4).stats;
@@ -353,94 +349,30 @@ TEST(Sched, RrLowersL2ReuseHitRateOnReuseHeavyMatrix) {
   EXPECT_LT(l2_hit_rate(r), l2_hit_rate(s));
 }
 
-// ----- shared sharded L2 ------------------------------------------------------
+// ----- per-SM slice L2 at T>1 ------------------------------------------------
 
-TEST(SharedL2, MatchesMonolithicCacheExactly) {
-  // Striping by low set-index bits partitions the monolithic cache's sets,
-  // so hit/miss classification is identical access by access.
-  SectorCache mono(1 << 20, 16);
-  SharedL2 sharded(1 << 20, 16, 32);
-  ASSERT_GT(sharded.stripes(), 1);
-  std::uint64_t state = 0x9E3779B97F4A7C15ull;
-  for (int i = 0; i < 200'000; ++i) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    const std::uint64_t addr = (state >> 17) % (8u << 20);
-    EXPECT_EQ(sharded.access(addr), mono.access(addr)) << "access " << i;
-  }
-  EXPECT_EQ(sharded.hits(), mono.hits());
-  EXPECT_EQ(sharded.misses(), mono.misses());
-}
-
-TEST(SharedL2, StripeCountInvariant) {
-  // max_stripes only picks the lock granularity (a single-threaded device
-  // passes 1 for host-side locality); classification must not notice.
-  SharedL2 flat(1 << 20, 16, 32, /*max_stripes=*/1);
-  SharedL2 sharded(1 << 20, 16, 32);
-  ASSERT_EQ(flat.stripes(), 1);
-  ASSERT_GT(sharded.stripes(), 1);
-  std::uint64_t state = 0x243F6A8885A308D3ull;
-  for (int i = 0; i < 200'000; ++i) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    const std::uint64_t addr = (state >> 17) % (8u << 20);
-    EXPECT_EQ(flat.access(addr), sharded.access(addr)) << "access " << i;
-  }
-  EXPECT_EQ(flat.hits(), sharded.hits());
-  EXPECT_EQ(flat.misses(), sharded.misses());
-}
-
-TEST(SharedL2, SingleThreadBitIdenticalToSliceL2) {
-  // At T=1 the slice L2 is the whole cache, and the sharded cache is
-  // bit-identical to it: enabling shared-l2 must not move a single counter.
-  Device slice = make_device(kSerial, 1, /*shared_l2=*/false);
-  Device shared = make_device(kSerial, 1, /*shared_l2=*/true);
-  const auto a = run_reuse(slice, 16, 1024, 2);
-  const auto b = run_reuse(shared, 16, 1024, 2);
-  EXPECT_EQ(a.stats, b.stats);
-  EXPECT_EQ(a.time.total, b.time.total);
-}
-
-TEST(SharedL2, NumericsExactAtAnyThreadCount) {
-  // Shared-L2 counters may wobble with T>1 host interleaving; y must not.
+TEST(SliceL2, NumericsExactAtAnyThreadCount) {
+  // Four virtual SMs probe four capacity slices; y must not notice.
   const mat::Csr a = mat::load_dataset("conf5", 0.01);
   const std::vector<float> serial = run_y(kern::Method::Spaden, a, kSerial);
-  EXPECT_EQ(serial, run_y(kern::Method::Spaden, a, kSerial, 4, /*shared_l2=*/true));
-  EXPECT_EQ(serial, run_y(kern::Method::Spaden, a, kRr, 4, /*shared_l2=*/true));
+  EXPECT_EQ(serial, run_y(kern::Method::Spaden, a, kSerial, 4));
+  EXPECT_EQ(serial, run_y(kern::Method::Spaden, a, kRr, 4));
 }
 
-TEST(SharedL2, WorkPreservingCountersUnderThreads) {
+TEST(SliceL2, WorkPreservingCountersUnderThreads) {
+  // Splitting the grid over slices moves only cache/stall counters; the
+  // work counters match T=1, and every counter repeats run to run at T=4.
   const mat::Csr a = mat::load_dataset("conf5", 0.01);
   const KernelStats serial = run_stats(kern::Method::Spaden, a, kSerial);
-  const KernelStats shared = run_stats(kern::Method::Spaden, a, kSerial, 4, true);
-  EXPECT_EQ(serial.warps_launched, shared.warps_launched);
-  EXPECT_EQ(serial.mem_instructions, shared.mem_instructions);
-  EXPECT_EQ(serial.lane_loads, shared.lane_loads);
-  EXPECT_EQ(serial.cuda_ops, shared.cuda_ops);
-  EXPECT_EQ(serial.wavefronts, shared.wavefronts);
-}
-
-TEST(SharedL2, SeesCrossSmReuseThatSlicesCannot) {
-  // Every virtual SM reads the same 128 KB region. Private slices fetch it
-  // from DRAM once per SM; the shared L2 fetches it roughly once total.
-  DeviceSpec spec = l40();
-  spec.l1_capacity_bytes = 4 * 1024;
-  spec.l2_capacity_bytes = 2 * 1024 * 1024;
-  auto dram_with = [&](bool shared_l2) {
-    Device device = make_device(kSerial, 4, shared_l2, spec);
-    auto src = device.memory().upload(std::vector<float>(32 * 1024, 1.0f), "shared.x");
-    const auto result = device.launch("cross_sm", 8, [&](WarpCtx& ctx, std::uint64_t) {
-      for (std::uint32_t base = 0; base < 32 * 1024; base += kWarpSize) {
-        Lanes<std::uint32_t> idx;
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-          idx[static_cast<std::size_t>(lane)] = base + static_cast<std::uint32_t>(lane);
-        }
-        (void)ctx.gather(src.cspan(), idx);
-      }
-    });
-    return result.stats.dram_bytes;
-  };
-  const std::uint64_t slice = dram_with(false);
-  const std::uint64_t shared = dram_with(true);
-  EXPECT_LT(shared, (3 * slice) / 4);
+  for (const SchedConfig sched : {kSerial, kRr}) {
+    const KernelStats sliced = run_stats(kern::Method::Spaden, a, sched, 4);
+    EXPECT_EQ(serial.warps_launched, sliced.warps_launched);
+    EXPECT_EQ(serial.mem_instructions, sliced.mem_instructions);
+    EXPECT_EQ(serial.lane_loads, sliced.lane_loads);
+    EXPECT_EQ(serial.cuda_ops, sliced.cuda_ops);
+    EXPECT_EQ(serial.wavefronts, sliced.wavefronts);
+    EXPECT_EQ(sliced, run_stats(kern::Method::Spaden, a, sched, 4));
+  }
 }
 
 // ----- nnz-balanced warp partition --------------------------------------------
@@ -623,58 +555,34 @@ TEST(Stall, JsonKeysOnlyWhenStalled) {
   EXPECT_NE(rr.find("t_stall"), std::string::npos);
 }
 
-// ----- engine defaults: rr + shared L2, serial stays recoverable --------------
+// ----- engine defaults: rr, serial stays recoverable -------------------------
 
 TEST(Sched, EngineDefaultEnvFlip) {
   const char* saved_sched = std::getenv("SPADEN_SIM_SCHED");
   const std::string saved_sched_value = saved_sched != nullptr ? saved_sched : "";
-  const char* saved_l2 = std::getenv("SPADEN_SIM_SHARED_L2");
-  const std::string saved_l2_value = saved_l2 != nullptr ? saved_l2 : "";
 
-  // Engine default: rr with an occupancy-derived window, shared L2.
+  // Engine default: rr with an occupancy-derived window.
   ::unsetenv("SPADEN_SIM_SCHED");
-  ::unsetenv("SPADEN_SIM_SHARED_L2");
   EXPECT_EQ(default_engine_sched(), (SchedConfig{SchedPolicy::RoundRobin, 0}));
-  EXPECT_TRUE(engine_shared_l2(default_engine_sched()));
-  EXPECT_TRUE(EngineOptions{}.shared_l2);
-  // SPADEN_SIM_SCHED=serial recovers the classic anchor, and pulls the L2
-  // default back to per-SM slices with it for bit-for-bit reproducibility.
+  // SPADEN_SIM_SCHED=serial recovers the classic anchor.
   ::setenv("SPADEN_SIM_SCHED", "serial", 1);
   EXPECT_EQ(default_engine_sched(), kSerial);
-  EXPECT_FALSE(engine_shared_l2(default_engine_sched()));
-  EXPECT_FALSE(EngineOptions{}.shared_l2);
-  // The pairing follows the chosen config, not the env's (--sched rr under
-  // SPADEN_SIM_SCHED=serial still shares the L2).
-  EXPECT_TRUE(engine_shared_l2(kRr));
-  ::unsetenv("SPADEN_SIM_SCHED");
-  EXPECT_FALSE(engine_shared_l2(kSerial));
-  // The L2 env var always wins, in both directions.
-  ::setenv("SPADEN_SIM_SHARED_L2", "1", 1);
-  EXPECT_TRUE(engine_shared_l2(kSerial));
-  ::setenv("SPADEN_SIM_SHARED_L2", "0", 1);
-  EXPECT_FALSE(engine_shared_l2(kRr));
 
   if (saved_sched != nullptr) {
     ::setenv("SPADEN_SIM_SCHED", saved_sched_value.c_str(), 1);
   } else {
     ::unsetenv("SPADEN_SIM_SCHED");
   }
-  if (saved_l2 != nullptr) {
-    ::setenv("SPADEN_SIM_SHARED_L2", saved_l2_value.c_str(), 1);
-  } else {
-    ::unsetenv("SPADEN_SIM_SHARED_L2");
-  }
 }
 
 TEST(Sched, ExplicitSerialEngineMatchesClassicDevice) {
-  // An engine pinned to serial + slice L2 reproduces the raw classic
-  // launcher bit for bit — the regression anchor survives the default flip.
+  // An engine pinned to serial reproduces the raw classic launcher bit for
+  // bit — the regression anchor survives the default flip.
   const mat::Csr a = mat::load_dataset("rma10", 0.01);
   EngineOptions options;
   options.method = kern::Method::Spaden;
   options.sim_threads = 1;
   options.sched = kSerial;
-  options.shared_l2 = false;
   options.verify_first_run = false;
   SpmvEngine engine(a, options);
   std::vector<float> x(a.ncols);

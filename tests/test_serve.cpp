@@ -302,7 +302,7 @@ TEST(ServeBatch, RaggedBatchesAreSancheckClean) {
 
 TEST(ServeBatch, ColumnGridDemuxBitExactAtFourSimThreads) {
   // The fused CSR/BSR column grid spreads each column's warps over four
-  // virtual SMs sharing one L2; every warp still does exactly its column's
+  // virtual SMs, each with its own L2 slice; every warp still does exactly its column's
   // SpMV arithmetic, so the demux stays bit-exact under the interleaving
   // scheduler.
   const mat::Csr a = small_matrix(96, 1200, 7);
@@ -315,7 +315,6 @@ TEST(ServeBatch, ColumnGridDemuxBitExactAtFourSimThreads) {
     opts.method = m;
     opts.sim_threads = 4;
     opts.sched = sim::SchedConfig{sim::SchedPolicy::RoundRobin, 0};
-    opts.shared_l2 = true;
     expect_demux_bit_exact(a, opts, xs);
   }
 }

@@ -174,19 +174,13 @@ TEST(Telemetry, ScopedSpanWorksWithoutTelemetry) {
   EXPECT_DOUBLE_EQ(span.close(), seconds);  // idempotent
 }
 
-/// The stitched trace of one profiled two-phase launch (a "load" gather,
-/// then a "compute" range of FMAs; two warps) on each device of a
-/// two-device L40 group at one simulator thread, under a root span closed
-/// at 1 ms host time.
-std::string two_device_trace() {
-  sim::DeviceGroup group(sim::l40(), 2);
+/// One profiled two-phase launch (a "load" gather, then a "compute" range
+/// of FMAs; two warps) on every device of `group` at one simulator thread.
+void launch_two_phase(sim::DeviceGroup& group) {
   group.set_sim_threads(1);
   group.set_sched(sim::SchedConfig{sim::SchedPolicy::RoundRobin, 0});
-  group.set_shared_l2(true);
   group.set_profile(true);
   group.set_launch_log(true);
-  Telemetry tel;
-  const int root = tel.begin_span("multiply");
   for (int d = 0; d < group.size(); ++d) {
     sim::Device& device = group.device(d);
     auto src = device.memory().upload(std::vector<float>(2 * sim::kWarpSize, 1.0f), "src");
@@ -204,6 +198,15 @@ std::string two_device_trace() {
       ctx.range_pop();
     });
   }
+}
+
+/// The stitched trace of launch_two_phase on a two-device L40 group, under
+/// a root span closed at 1 ms host time.
+std::string two_device_trace() {
+  sim::DeviceGroup group(sim::l40(), 2);
+  launch_two_phase(group);
+  Telemetry tel;
+  const int root = tel.begin_span("multiply");
   tel.record_launches(group);
   tel.end_span(root, 1e-3);
   return tel.chrome_trace_json();
@@ -211,22 +214,25 @@ std::string two_device_trace() {
 
 TEST(Telemetry, StitchedTraceBytesArePinned) {
   // Every byte of this trace is a function of the modeled counters and the
-  // fixed root span, so it is pinned whole: engine spans at pid 0, each
-  // device's slices at pid 1 + device inside its launch span, args and
-  // otherData. Each "compute" range is zero wide: its ALU work hides behind
-  // the warp's memory time, and a range ends where the warp's cumulative
-  // component time does.
+  // fixed root span, so it is pinned whole: engine spans at pid 0 (the
+  // host-clock root on lane 1, modeled launches on lane 0), each device's
+  // slices at pid 1 + device inside its launch span, args and otherData.
+  // Each "compute" range is zero wide: its ALU work hides behind the warp's
+  // memory time, and a range ends where the warp's cumulative component
+  // time does.
   const std::string expected =
       R"js({"traceEvents":[{"name":"process_name","ph":"M","pid":0)js"
       R"js(,"args":{"name":"spaden engine (host)"}},)js"
       R"js({"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"engine phases"}},)js"
+      R"js({"name":"thread_name","ph":"M","pid":0,"tid":1)js"
+      R"js(,"args":{"name":"engine phases (host clock)"}},)js"
       R"js({"name":"process_name","ph":"M","pid":1)js"
       R"js(,"args":{"name":"gpusim device (modeled)"}},)js"
       R"js({"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"virtual SM 0"}},)js"
       R"js({"name":"process_name","ph":"M","pid":2)js"
       R"js(,"args":{"name":"gpusim device 1 (modeled)"}},)js"
       R"js({"name":"thread_name","ph":"M","pid":2,"tid":0,"args":{"name":"virtual SM 0"}},)js"
-      R"js({"name":"multiply","ph":"X","pid":0,"tid":0,"ts":0,"dur":1000,"args":{"span":0)js"
+      R"js({"name":"multiply","ph":"X","pid":0,"tid":1,"ts":0,"dur":1000,"args":{"span":0)js"
       R"js(,"clock":"host"}},)js"
       R"js({"name":"two_phase","ph":"X","pid":0,"tid":0,"ts":0,"dur":0.5841481481481481)js"
       R"js(,"args":{"span":1,"clock":"modeled"}},)js"
@@ -262,6 +268,34 @@ TEST(Telemetry, StitchedTraceBytesArePinned) {
   EXPECT_EQ(two_device_trace(), expected);
 }
 
+TEST(Telemetry, HostSecondsDoNotMoveModeledSpans) {
+  // The engine's span tree: a modeled multiply around host-clock upload and
+  // download spans and the modeled launch spans. Two recordings that differ
+  // only in host seconds give byte-identical modeled spans and slices.
+  sim::DeviceGroup group(sim::l40(), 1);
+  launch_two_phase(group);
+  const double modeled = group.device(0).launch_log().at(0).modeled_seconds;
+  auto modeled_trace = [&](double host_seconds) {
+    Telemetry tel;
+    const int root = tel.begin_span("multiply");
+    tel.end_span(tel.begin_span("upload"), host_seconds);
+    tel.record_launches(group);
+    tel.end_span(tel.begin_span("download"), 2 * host_seconds);
+    tel.end_span(root, 4 * host_seconds, modeled);
+    std::vector<sim::TraceEvent> events;
+    for (const sim::TraceEvent& e : tel.build_trace()) {
+      if (!e.host_clock) {
+        events.push_back(e);
+      }
+    }
+    return sim::chrome_trace_json(events);
+  };
+  const std::string fast = modeled_trace(1e-6);
+  EXPECT_EQ(fast, modeled_trace(1e-2));
+  EXPECT_NE(fast.find(R"js("name":"multiply")js"), std::string::npos);
+  EXPECT_NE(fast.find(R"js("name":"load","ph":"X","pid":1)js"), std::string::npos);
+}
+
 // ------------------------------------------------------------------- engine
 
 mat::Csr test_matrix() {
@@ -275,7 +309,6 @@ EngineOptions base_options() {
   // Pin everything env-sensitive so the byte-compare tests mean what they
   // say regardless of SPADEN_* in the environment.
   o.sched = sim::SchedConfig{sim::SchedPolicy::Serial, 0};
-  o.shared_l2 = false;  // shared-L2 counters wobble at T>1 (documented)
   o.sanitize = false;
   o.profile = false;
   o.verify_format = false;
@@ -468,9 +501,18 @@ TEST(EngineTelemetry, StitchedTraceNestsDeviceSlicesInLaunchSpans) {
         ASSERT_NE(launch, nullptr);
         EXPECT_GE(e.ts_us, launch->ts_us - kSlackUs);
         EXPECT_LE(e.ts_us + e.dur_us, launch->ts_us + launch->dur_us + kSlackUs);
-      } else if (tel->spans()[static_cast<std::size_t>(e.span)].parent >= 0) {
-        // engine child span inside its parent span
-        const int parent = tel->spans()[static_cast<std::size_t>(e.span)].parent;
+      } else {
+        // engine span inside its nearest ancestor of the same clock, on
+        // that clock's lane
+        int parent = tel->spans()[static_cast<std::size_t>(e.span)].parent;
+        while (parent >= 0 &&
+               by_span[static_cast<std::size_t>(parent)]->host_clock != e.host_clock) {
+          parent = tel->spans()[static_cast<std::size_t>(parent)].parent;
+        }
+        EXPECT_EQ(e.tid, e.host_clock ? sim::kEngineHostTid : 0);
+        if (parent < 0) {
+          continue;
+        }
         const sim::TraceEvent* p = by_span[static_cast<std::size_t>(parent)];
         ASSERT_NE(p, nullptr);
         EXPECT_GE(e.ts_us, p->ts_us - kSlackUs);

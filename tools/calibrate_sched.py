@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Calibrate the interleaved-scheduling timing constants against serial.
 
-The serial roofline (`--sched serial`, per-SM slice L2) is the repo's
-bit-for-bit regression anchor; the interleaved default (rr + shared L2)
-replays the same kernels through the latency model, whose per-interval
+The serial roofline (`--sched serial`) is the repo's bit-for-bit
+regression anchor; the interleaved default (rr) replays the same kernels through the latency model, whose per-interval
 issue rates are set by `lsu_wavefronts_per_cycle_ilv` /
 `cuda_issue_efficiency_ilv` in each DeviceSpec. This script measures how
 far the two modes' modeled GFLOPS drift apart per kernel, which is the
@@ -12,8 +11,8 @@ number those constants are tuned to keep small:
     tools/calibrate_sched.py [--bench-dir build/bench] [--scale 0.0625]
                              [--threads 1] [--max-drift 0.05]
 
-It runs fig6_performance twice — once pinned to serial + slice L2, once
-under the engine defaults — then prints a per-(method, device) geomean
+It runs fig6_performance twice — once pinned to serial, once under the
+engine defaults — then prints a per-(method, device) geomean
 drift table in the markdown layout docs/performance_model.md embeds.
 Exit 1 when any kernel drifts beyond --max-drift (default the 5%
 acceptance bound).
@@ -67,13 +66,13 @@ def main():
         rr_dir = os.path.join(tmp, "rr")
         os.makedirs(serial_dir)
         os.makedirs(rr_dir)
-        print(f"running fig6 (serial + slice L2) at scale {args.scale}, "
+        print(f"running fig6 (serial) at scale {args.scale}, "
               f"T={args.threads} ...", flush=True)
         serial = run_fig6(args.bench_dir, serial_dir, args.scale, args.threads,
-                          {"SPADEN_SIM_SCHED": "serial", "SPADEN_SIM_SHARED_L2": "0"})
-        print("running fig6 (engine defaults: rr + shared L2) ...", flush=True)
+                          {"SPADEN_SIM_SCHED": "serial"})
+        print("running fig6 (engine defaults: rr) ...", flush=True)
         rr = run_fig6(args.bench_dir, rr_dir, args.scale, args.threads,
-                      {"SPADEN_SIM_SCHED": "", "SPADEN_SIM_SHARED_L2": ""})
+                      {"SPADEN_SIM_SCHED": ""})
 
     serial_runs = {(r["method"], r["device"], r["matrix"]): r["gflops"]
                    for r in serial["runs"]}

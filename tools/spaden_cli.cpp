@@ -2,8 +2,8 @@
 //
 //   spaden info <matrix>                 structure + format recommendation
 //   spaden spmv <matrix> [--method M] [--device l40|v100] [--iters N] [--threads T]
-//               [--sched serial|rr[:window]] [--shared-l2|--no-shared-l2]
-//               [--sancheck] [--profile out.json] [--trace out.json]
+//               [--sched serial|rr[:window]] [--sancheck]
+//               [--profile out.json] [--trace out.json]
 //               [--metrics out.prom] [--metrics-json out.json]
 //   spaden verify <matrix>               spaden-verify every format conversion
 //   spaden convert <in.mtx> <out.mtx> [--reorder rcm|degree]
@@ -44,7 +44,6 @@ struct Args {
   int threads = 0;  // 0 = SPADEN_SIM_THREADS / hardware default
   int devices = 1;  // --devices N
   std::string sched;  // --sched serial|rr[:window]; "" = SPADEN_SIM_SCHED
-  int shared_l2 = -1;  // --shared-l2 / --no-shared-l2; -1 = engine default
   bool sancheck = false;
   std::string profile_out;  // --profile FILE: spaden-prof JSON report
   std::string trace_out;    // --trace FILE: stitched host+device chrome trace
@@ -88,10 +87,6 @@ Args parse(int argc, char** argv) {
                      args.devices);
     } else if (a == "--sched") {
       args.sched = next("--sched");
-    } else if (a == "--shared-l2") {
-      args.shared_l2 = 1;
-    } else if (a == "--no-shared-l2") {
-      args.shared_l2 = 0;
     } else if (a == "--sancheck") {
       args.sancheck = true;
     } else if (a == "--profile") {
@@ -168,8 +163,6 @@ int cmd_spmv(const Args& args) {
   if (!args.sched.empty()) {
     options.sched = sim::parse_sched(args.sched, "--sched");
   }
-  options.shared_l2 =
-      args.shared_l2 >= 0 ? args.shared_l2 != 0 : sim::engine_shared_l2(options.sched);
   options.sanitize = options.sanitize || args.sancheck;
   // Any telemetry output implies telemetry; the stitched trace additionally
   // needs the profiler's device timeline to nest under the launch spans.
@@ -397,9 +390,6 @@ int main(int argc, char** argv) {
           "                                  by the modeled nvlink interconnect (default 1)\n"
           "                [--sched P]       warp scheduling: serial|rr[:window]\n"
           "                                  (default rr; serial = pre-recalibration mode)\n"
-          "                [--shared-l2|--no-shared-l2]\n"
-          "                                  shared set-sharded L2 vs per-SM slices\n"
-          "                                  (default shared; serial pairs with slices)\n"
           "                [--sancheck]      run under spaden-sancheck (exit 3 on findings)\n"
           "                [--profile F.json] write the spaden-prof report (and print it)\n"
           "                [--trace F.json]   write the stitched host+device chrome trace\n"
