@@ -1,12 +1,14 @@
 // Ablation: the two design decisions inside Spaden's kernel (paper §4.3).
 //
-//   * Pairing — two 8x8 blocks placed diagonally per fragment, 16 output
-//     rows per MMA ("a double of DASP's throughput"). The Unpaired variant
-//     keeps everything else and fills only the top-left portion: half the
-//     rows per warp, twice the MMAs per block.
+//   * Pairing — two block-rows per warp, 16 output rows per MMA ("a double
+//     of DASP's throughput"). Spaden fills all four fragment portions with
+//     two blocks of each block-row, where the paper's Fig. 5 places one of
+//     each on the diagonal. The Unpaired variant keeps everything else and
+//     fills only the top-left portion with one block: half the rows per
+//     warp and about four times the MMAs.
 //   * Direct register access (§3) — the Conventional variant routes both
 //     fragments through the documented WMMA staging path (a 256-element
-//     shared-memory round trip per fragment per iteration, zeros included).
+//     shared-memory round trip per fragment per MMA, zeros included).
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -49,13 +51,15 @@ int main() {
   std::fputs(table.to_string().c_str(), stdout);
   std::printf(
       "\nGeomean gains: pairing %.2fx, direct register access %.2fx.\n"
-      "The unpaired variant issues ~2x the MMAs for the same work and halves\n"
-      "the rows in flight per warp; the conventional path pays a 3x256\n"
-      "lane-op staging round trip per fragment pair per iteration — the two\n"
-      "overheads §4.3.3 credits Spaden with eliminating. Spaden-16 trades the\n"
-      "pairing for one 16x16 block per fragment (bitBSR16): the same 16 rows\n"
-      "per pass, with block fill deciding which granularity stores and\n"
-      "streams less.\n",
+      "Spaden holds two blocks of each of its two block-rows per MMA (four\n"
+      "8x8 blocks per fragment; the paper's Fig. 5 holds two), so the\n"
+      "unpaired variant, one block per MMA, issues ~4x the MMAs for the same\n"
+      "work and halves the rows in flight per warp; the conventional path\n"
+      "pays a 3x256 lane-op staging round trip per fragment pair per MMA —\n"
+      "the two overheads §4.3.3 credits Spaden with eliminating. Spaden-16\n"
+      "trades the pairing for one 16x16 block per fragment (bitBSR16): the\n"
+      "same 16 rows per pass, with block fill deciding which granularity\n"
+      "stores and streams less.\n",
       analysis::geomean(pairing_gains), analysis::geomean(access_gains));
   return 0;
 }

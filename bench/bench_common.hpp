@@ -3,9 +3,12 @@
 // JSON export every figure bench emits (BENCH_<experiment>.json).
 #pragma once
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,14 +29,38 @@ namespace spaden::bench {
 /// next to host_seconds — purely additive, so v1 readers keep working.
 inline constexpr const char* kBenchSchema = "spaden-bench-v2";
 
+/// The directory bench outputs go to: $SPADEN_BENCH_DIR, or the working
+/// directory when it is unset or empty.
+inline std::string output_dir() {
+  const char* dir = std::getenv("SPADEN_BENCH_DIR");
+  return dir != nullptr && dir[0] != '\0' ? std::string(dir) : ".";
+}
+
+/// Checks that output_dir() is a writable directory, so a bench fails
+/// before its first cell instead of after its last: otherwise prints an
+/// error naming the directory and exits with status 1.
+inline void require_writable_output_dir() {
+  const std::string dir = output_dir();
+  std::error_code ec;
+  if (!std::filesystem::is_directory(dir, ec) || ::access(dir.c_str(), W_OK) != 0) {
+    std::fprintf(stderr, "error: bench output directory '%s' (SPADEN_BENCH_DIR) is not a "
+                 "writable directory\n", dir.c_str());
+    std::exit(1);
+  }
+}
+
 /// Structured results collector: every figure bench funnels its MethodRuns
 /// (and derived scalar metrics like geomean speedups) through one of these
 /// and writes BENCH_<experiment>.json next to the binary — or under
 /// SPADEN_BENCH_DIR when set — so CI can diff runs without scraping stdout.
 class BenchJson {
  public:
+  /// Benches construct their collector before the first cell, so it checks
+  /// the output directory (require_writable_output_dir).
   BenchJson(std::string experiment, double scale)
-      : experiment_(std::move(experiment)), scale_(scale) {}
+      : experiment_(std::move(experiment)), scale_(scale) {
+    require_writable_output_dir();
+  }
 
   void add(const analysis::MethodRun& run) { runs_.push_back(run); }
 
@@ -44,9 +71,7 @@ class BenchJson {
 
   /// Destination: $SPADEN_BENCH_DIR/BENCH_<experiment>.json (or cwd).
   [[nodiscard]] std::string path() const {
-    const char* dir = std::getenv("SPADEN_BENCH_DIR");
-    const std::string base = dir != nullptr && dir[0] != '\0' ? std::string(dir) : ".";
-    return base + "/BENCH_" + experiment_ + ".json";
+    return output_dir() + "/BENCH_" + experiment_ + ".json";
   }
 
   /// Serialize and write the report; prints the destination to stderr.
@@ -125,9 +150,7 @@ class BenchJson {
                     "Host wall-clock seconds of format preparation per bench run")
           .observe(run.prep_seconds);
     }
-    const char* dir = std::getenv("SPADEN_BENCH_DIR");
-    const std::string base = dir != nullptr && dir[0] != '\0' ? std::string(dir) : ".";
-    const std::string stem = base + "/METRICS_" + experiment_;
+    const std::string stem = output_dir() + "/METRICS_" + experiment_;
     JsonWriter w;
     w.begin_object();
     w.field("schema", met::kMetricsSchema);

@@ -17,7 +17,6 @@
 // equal-count run clears them after prepare, which is how a caller selects
 // that split.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -67,10 +66,8 @@ PartitionResult run_partition(const mat::Csr& a, bool balanced) {
 
   // One timeline per split, next to the BENCH json: open both traces in
   // chrome://tracing and the equal-count split's ragged lanes are obvious.
-  const char* dir_env = std::getenv("SPADEN_BENCH_DIR");
-  const std::string dir = dir_env != nullptr && dir_env[0] != '\0' ? dir_env : ".";
   const std::string trace_path =
-      dir + "/TRACE_sched_partition_" + partition_name + ".json";
+      bench::output_dir() + "/TRACE_sched_partition_" + partition_name + ".json";
   write_text_file(trace_path, sim::chrome_trace_json(device.profile_log()));
   std::printf("    wrote %s\n", trace_path.c_str());
   return result;

@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
 
   bench::print_banner("spaden-serve: workload replay (batched vs unbatched)",
                       spec.scale > 0 ? spec.scale : mat::bench_scale());
+  bench::require_writable_output_dir();
   const serve::ReplayResult r = serve::run_replay(spec);
 
   Table table({"Matrix", "Mode", "Requests", "Batches", "Mean width", "GFLOPS"});
@@ -60,14 +61,15 @@ int main(int argc, char** argv) {
   std::printf("\nrequests/s  batched %s  unbatched %s  speedup %.2fx\n",
               fmt_si(r.batched.requests_per_second).c_str(),
               fmt_si(r.unbatched.requests_per_second).c_str(), r.speedup);
+  std::printf("service     %.2fx requests per modeled device-busy second\n",
+              r.service_speedup);
   std::printf("TC util     batched %.1f%%  unbatched %.1f%%  uplift %.2fx\n",
               100.0 * r.batched.tc_utilization(), 100.0 * r.unbatched.tc_utilization(),
               r.tc_uplift);
   std::printf("demux       %s (%llu mismatched)\n", r.demux_ok ? "bit-exact" : "MISMATCH",
               static_cast<unsigned long long>(r.mismatched_requests));
 
-  const char* dir = std::getenv("SPADEN_BENCH_DIR");
-  const std::string base = dir != nullptr && dir[0] != '\0' ? std::string(dir) : ".";
+  const std::string base = bench::output_dir();
   write_text_file(base + "/BENCH_serve.json", r.bench_json);
   std::fprintf(stderr, "[json] wrote %s/BENCH_serve.json\n", base.c_str());
   if (default_telemetry()) {

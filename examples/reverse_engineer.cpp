@@ -26,9 +26,9 @@ int main() {
       " * the top-left portion maps to x[0,1] of all 32 threads, the\n"
       "   bottom-left to x[2,3], top-right to x[4,5], bottom-right to x[6,7];\n"
       " * each thread controls two consecutive elements per portion.\n\n"
-      "These facts let Spaden fill just the two diagonal portions directly\n"
-      "(Algorithm 3) and read the result columns back (Algorithm 4), skipping\n"
-      "the shared-memory staging of the official WMMA API.\n\n");
+      "These facts let Spaden fill the portions directly (Algorithm 3) and\n"
+      "read the result columns back (Algorithm 4), skipping the shared-memory\n"
+      "staging of the official WMMA API.\n\n");
 
   verify_reverse_engineered_layout();
   std::printf("verify_reverse_engineered_layout(): all documented facts hold.\n");

@@ -2,9 +2,11 @@
 // SpMV and SpMM kernels: the warp reads the block's packed header, each
 // lane extracts its two bits from the block bitmap, loads only the set
 // positions' binary16 values (zeros are computed in-register), and learns
-// the block's grid column.
+// the block's grid column. walk_block_row_pair is the block walk of one
+// warp over a block-row pair that both kernels build their MMAs from.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "gpusim/warp.hpp"
 #include "kernels/formats_device.hpp"
 #include "matrix/bitbsr.hpp"
+#include "tensorcore/fragment.hpp"
 
 namespace spaden::kern {
 
@@ -126,6 +129,118 @@ inline DecodedBlock decode_bitbsr_block(sim::WarpCtx& ctx, const DeviceBitBsr& m
     out.a_val2[lane] = ((mask_bit2 >> lane) & 1u) ? v2[lane] : half{};
   }
   return out;
+}
+
+/// The block ranges of one warp's block-row pair r1 = 2 * pair and
+/// r2 = r1 + 1, read with scalar loads of block_row_ptr. A pair whose r2 is
+/// past the last block-row (odd brows) has len[1] == 0.
+struct BlockRowPair {
+  std::array<mat::Index, 2> begin{};
+  std::array<mat::Index, 2> len{};
+
+  BlockRowPair(sim::WarpCtx& ctx, sim::DSpan<const mat::Index> block_row_ptr, mat::Index pair,
+               mat::Index brows) {
+    for (mat::Index row = 0; row < 2 && 2 * pair + row < brows; ++row) {
+      begin[row] = ctx.scalar_load(block_row_ptr, 2 * pair + row);
+      len[row] = ctx.scalar_load(block_row_ptr, 2 * pair + row + 1) - begin[row];
+    }
+  }
+};
+
+/// One A-fragment portion of walk_block_row_pair: A's row half `row`
+/// (0 holds block-row r1, 1 holds r2) and column half `k_half`. The slot's
+/// x segment goes to B's row half k_half; which of B's column halves holds
+/// it is the layout's choice (b_reg).
+struct PairSlot {
+  unsigned row = 0;
+  unsigned k_half = 0;
+
+  [[nodiscard]] unsigned a_reg() const { return 2 * tc::portion_pair(row, k_half); }
+  /// First register of B's portion (k_half, col_half).
+  [[nodiscard]] unsigned b_reg(unsigned col_half) const {
+    return 2 * tc::portion_pair(k_half, col_half);
+  }
+};
+
+/// One warp's walk over the blocks of a block-row pair, issuing one
+/// m16n16k16 MMA per group of slots.
+///
+/// Four slots (`four_slots`): A holds blocks j and j+1 of r1 in its TL and
+/// TR portions and blocks j and j+1 of r2 in BL and BR, so the warp issues
+/// ceil(max(len1, len2) / 2) MMAs. The caller places a slot's x segment in
+/// B's portion (k_half, row), so B's column half 0 holds r1's two segments
+/// and column half 1 holds r2's, and C's TL portion is r1's product and BR
+/// is r2's. This departs from the paper's Fig. 5, which leaves A's TR and
+/// BL zero.
+///
+/// Two slots (the Fig. 5 layout): block j of r1 in TL and of r2 in BR,
+/// max(len1, len2) MMAs. spmm_spaden_strided keeps it for warps with more
+/// than 8 RHS columns, where both of B's column halves carry columns of
+/// every slot.
+///
+/// Per live slot the warp decodes the block and `load_b(slot, block)` puts
+/// the slot's x in B, both in the "decode" range; then the slot's A
+/// portion is written straight into its registers ("mma"). After each
+/// group, `mma()` issues the MMA(s).
+///
+/// A slot past the end of its block-row zeroes its A portion once: a slot
+/// that ran out stays out, so nothing writes the portion again. With four
+/// slots it also zeroes its B portion (k_half, row) of `b`. Otherwise the
+/// slot's last x segment would stay there and meet the zero A portion in
+/// the block-row's own output, where 0 * inf = NaN for an x entry outside
+/// binary16 range. With two slots every MMA multiplies each slot's x by
+/// the other slot's zero A portion anyway, so `b` is left alone.
+///
+/// Every row meets its blocks in ascending order in both layouts, so with
+/// an accumulator that starts at +0 (it never becomes -0, and x + (+-0)
+/// == x otherwise) the outputs are bit-identical between the two.
+template <typename LoadB, typename Mma>
+void walk_block_row_pair(sim::WarpCtx& ctx, const DeviceBitBsr& m,
+                         const BitBsrDecodeCache* cache, const BlockRowPair& rows,
+                         bool four_slots, tc::FragA& a, tc::FragB& b, LoadB&& load_b,
+                         Mma&& mma) {
+  const mat::Index per_mma = four_slots ? 2 : 1;
+  const mat::Index iterations = ceil_div(std::max(rows.len[0], rows.len[1]), per_mma);
+  for (mat::Index i = 0; i < iterations; ++i) {
+    for (unsigned row = 0; row < 2; ++row) {
+      for (unsigned c = 0; c < per_mma; ++c) {
+        const PairSlot slot{row, four_slots ? c : row};
+        const unsigned reg = slot.a_reg();
+        const mat::Index j = i * per_mma + c;
+        if (j >= rows.len[row]) {
+          if (j < rows.len[row] + per_mma) {  // the slot's first iteration past the end
+            // Zeros computed, not loaded (the register-level control
+            // §4.3.3 credits for memory efficiency).
+            const sim::ProfRange prof(ctx, "mma");
+            const unsigned b_reg = slot.b_reg(row);
+            for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
+              a.x(lane, reg) = half{};
+              a.x(lane, reg + 1) = half{};
+              if (four_slots) {
+                b.x(lane, b_reg) = half{};
+                b.x(lane, b_reg + 1) = half{};
+              }
+            }
+            ctx.charge(sim::OpClass::RegMove, (four_slots ? 4 : 2) * sim::kWarpSize);
+          }
+          continue;
+        }
+        ctx.range_push("decode");
+        const DecodedBlock block = decode_bitbsr_block(ctx, m, rows.begin[row] + j, cache);
+        load_b(slot, block);
+        ctx.range_pop();
+        // Algorithm 3 lines 6-7: direct register writes.
+        const sim::ProfRange prof(ctx, "mma");
+        for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
+          a.x(lane, reg) = block.a_val1[lane];
+          a.x(lane, reg + 1) = block.a_val2[lane];
+        }
+        ctx.charge(sim::OpClass::RegMove, 2 * sim::kWarpSize);
+      }
+    }
+    const sim::ProfRange prof(ctx, "mma");
+    mma();
+  }
 }
 
 }  // namespace spaden::kern

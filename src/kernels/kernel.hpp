@@ -14,8 +14,8 @@
 //   SpadenConventional — Spaden filling fragments through the documented
 //                 WMMA staging path instead of direct registers (ablation
 //                 of §3/§4.3.3's direct-access advantage)
-//   SpadenUnpaired — one block-row per warp (top-left portion only),
-//                 quantifying the diagonal two-block pairing of Fig. 5
+//   SpadenUnpaired — one block-row per warp, one block per MMA (top-left
+//                 portion only), quantifying Spaden's block-row pairing
 //   SpadenWide  — bitBSR16: one 16x16 block per fragment (the block-size
 //                 design point for wider dense matrix units)
 //

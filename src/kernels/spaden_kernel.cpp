@@ -1,21 +1,29 @@
-// Spaden's pairing SpMV kernel (paper §4.3) and its CUDA-core ablation
-// variant "Spaden w/o TC" (§5.3).
+// Spaden's SpMV kernel (paper §4.3), its staged-fragment variant, and the
+// two Fig. 8 ablation baselines, "Spaden (unpaired)" and "Spaden w/o TC"
+// (§5.3).
 //
-// Each warp owns two consecutive block-rows. Per iteration it decodes one
-// bitBSR block from each block-row (Algorithm 2), writes the decoded
-// elements *directly into the tensor-core fragment registers* — the
-// top-left portion via x[0], x[1] and the bottom-right portion via x[6],
-// x[7], per the reverse-engineered layout of §3 — broadcasts the two
-// x-segments into fragment B column-wise, and issues one m16n16k16 MMA
-// (Algorithm 3). After the block loop, the first column of each diagonal
-// result block is extracted into y (Algorithm 4): 16 output rows per warp
-// per pass, double DASP's throughput.
+// Each warp owns two consecutive block-rows. It decodes bitBSR blocks
+// (Algorithm 2) and writes the decoded elements *directly into the
+// tensor-core fragment registers*, per the reverse-engineered layout of §3.
+// Where the paper's Fig. 5 puts one block of each block-row on the
+// fragment diagonal and leaves A's top-right and bottom-left portions zero,
+// this kernel fills all four portions: blocks j and j+1 of r1 in TL and TR,
+// blocks j and j+1 of r2 in BL and BR (walk_block_row_pair). B's column
+// half 0 holds r1's two x segments and column half 1 holds r2's, so one
+// m16n16k16 MMA (Algorithm 3) covers two blocks of each block-row and a
+// warp issues ceil(max(len1, len2) / 2) MMAs, half the paper's count. After
+// the block loop, the first column of C's TL and BR portions is extracted
+// into y (Algorithm 4): 16 output rows per warp per pass. Every row sees
+// its blocks in the same order as under Fig. 5, so y is bit-identical to
+// the paper's layout.
 //
-// The w/o-TC variant shares the decode but multiplies on CUDA cores,
-// isolating the bitBSR-format contribution from the tensor-core
-// contribution in the Fig. 8 breakdown.
+// The ablation baselines keep one block per slot per MMA: the unpaired
+// variant gives each warp one block-row (TL only), and the w/o-TC variant
+// shares the decode but multiplies on CUDA cores, isolating the
+// bitBSR-format contribution from the tensor-core contribution in the
+// Fig. 8 breakdown.
 #include <algorithm>
-#include <tuple>
+#include <utility>
 
 #include "common/bitops.hpp"
 #include "kernels/bitbsr_decode.hpp"
@@ -27,14 +35,6 @@
 namespace spaden::kern {
 
 namespace {
-
-/// Per-lane decode of one bitBSR block + its x segment (Algorithm 2).
-struct DecodedSlot {
-  sim::Lanes<half> a_val1;   ///< element at bit 2*lid
-  sim::Lanes<half> a_val2;   ///< element at bit 2*lid + 1
-  sim::Lanes<float> b_val1;  ///< x[seg*8 + 2*(lid%4)]
-  sim::Lanes<float> b_val2;  ///< x[seg*8 + 2*(lid%4) + 1]
-};
 
 class SpadenKernel final : public SpmvKernel {
  public:
@@ -87,13 +87,10 @@ class SpadenKernel final : public SpmvKernel {
   sim::LaunchResult run(sim::Device& device, sim::DSpan<const float> x,
                         sim::DSpan<float> y) override {
     SPADEN_REQUIRE(x.size == ncols_ && y.size == nrows_, "x/y size mismatch");
-    const auto block_row_ptr = bitbsr_.block_row_ptr.cspan();
     const mat::Index brows = bitbsr_.brows;
     const mat::Index nrows = nrows_;
-    const mat::Index ncols = ncols_;
 
-    // One warp per pair of block-rows: the fragment hosts two 8x8 blocks
-    // placed diagonally (paper Fig. 5). The Unpaired ablation uses one
+    // One warp per pair of block-rows; the Unpaired ablation uses one
     // block-row per warp instead (top-left portion only).
     const bool paired = variant_ != SpadenVariant::Unpaired;
     const std::uint64_t warps = paired ? (brows + 1) / 2 : brows;
@@ -101,117 +98,10 @@ class SpadenKernel final : public SpmvKernel {
                          [&](sim::WarpCtx& ctx, std::uint64_t w) {
       const auto r1 = static_cast<mat::Index>(paired ? 2 * w : w);
       const auto r2 = static_cast<mat::Index>(paired ? 2 * w + 1 : brows);
-      const mat::Index begin1 = ctx.scalar_load(block_row_ptr, r1);
-      const mat::Index end1 = ctx.scalar_load(block_row_ptr, r1 + 1);
       const bool has_r2 = paired && r2 < brows;
-      const mat::Index begin2 = has_r2 ? ctx.scalar_load(block_row_ptr, r2) : 0;
-      const mat::Index end2 = has_r2 ? ctx.scalar_load(block_row_ptr, r2 + 1) : 0;
-      const mat::Index len1 = end1 - begin1;
-      const mat::Index len2 = end2 - begin2;
-      const mat::Index iterations = std::max(len1, len2);
-
-      tc::FragA a_frag;
-      tc::FragB b_frag;
-      tc::FragAcc acc_frag;  // zero-initialized (wmma::fill_fragment(.., 0))
-      // CUDA-core accumulators for the w/o-TC variant: lane l accumulates
-      // block row l/4 of each slot.
-      sim::Lanes<float> cuda_acc1{};
-      sim::Lanes<float> cuda_acc2{};
-
-      for (mat::Index j = 0; j < iterations; ++j) {
-        // Slot 0: block j of block-row r1 -> top-left portion, regs x[0,1].
-        // Slot 1: block j of block-row r2 -> bottom-right, regs x[6,7].
-        for (int slot = 0; slot < 2; ++slot) {
-          const bool valid = slot == 0 ? (j < len1) : (j < len2);
-          const unsigned reg0 = slot == 0 ? 0 : 6;
-          if (!valid) {
-            // Fill the A portion with zeros (computed, not loaded — the
-            // register-level control §4.3.3 credits for memory efficiency).
-            const sim::ProfRange prof(ctx, "mma");
-            for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-              a_frag.x(lane, reg0) = half{};
-              a_frag.x(lane, reg0 + 1) = half{};
-            }
-            ctx.charge(sim::OpClass::RegMove, 2 * sim::kWarpSize);
-            continue;
-          }
-          const mat::Index a_idx = (slot == 0 ? begin1 : begin2) + j;
-          ctx.range_push("decode");
-          const DecodedSlot dec = decode(ctx, x, ncols, a_idx);
-          ctx.range_pop();
-          ctx.range_push("mma");
-          if (use_tc_) {
-            // Algorithm 3 lines 6-7: direct register writes.
-            for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-              a_frag.x(lane, reg0) = dec.a_val1[lane];
-              a_frag.x(lane, reg0 + 1) = dec.a_val2[lane];
-              b_frag.x(lane, reg0) = half(dec.b_val1[lane]);
-              b_frag.x(lane, reg0 + 1) = half(dec.b_val2[lane]);
-            }
-            ctx.charge(sim::OpClass::RegMove, 4 * sim::kWarpSize);
-            ctx.charge(sim::OpClass::Convert, 2 * sim::kWarpSize);
-          } else {
-            // CUDA-core path: each lane multiplies its two decoded elements
-            // with the matching x entries.
-            auto& acc = slot == 0 ? cuda_acc1 : cuda_acc2;
-            for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-              acc[lane] += dec.a_val1[lane].to_float() * dec.b_val1[lane] +
-                           dec.a_val2[lane].to_float() * dec.b_val2[lane];
-            }
-            ctx.charge(sim::OpClass::Fma, 2 * sim::kWarpSize);
-          }
-          ctx.range_pop();
-        }
-        if (use_tc_) {
-          const sim::ProfRange prof(ctx, "mma");
-          if (variant_ == SpadenVariant::Conventional) {
-            // The documented path (paper §3): both fragments staged through
-            // a 256-element shared-memory buffer and loaded with
-            // wmma::load. Numerically identical to the direct writes above;
-            // the cost is the full-buffer round trip — including explicitly
-            // storing every zero the direct path computes in-register.
-            constexpr std::uint64_t kElems = tc::kFragDim * tc::kFragDim;
-            for (int frag = 0; frag < 2; ++frag) {
-              ctx.charge(sim::OpClass::IntAlu, kElems);   // st.shared
-              ctx.charge(sim::OpClass::IntAlu, kElems);   // ld.shared
-              ctx.charge(sim::OpClass::RegMove, kElems);  // fragment fill
-            }
-          }
-          tc::wmma_mma(ctx, acc_frag, a_frag, b_frag, acc_frag);
-        }
-      }
-
-      // Algorithm 4: extract the first column of both diagonal result
-      // blocks (TC), or reduce the per-lane partials across the 4 lanes of
-      // each block row (CUDA cores).
-      const sim::ProfRange prof_extract(ctx, "extract");
-      sim::Lanes<float> out1{};
-      sim::Lanes<float> out2{};
-      if (use_tc_) {
-        for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-          if (lane % 4 == 0) {
-            out1[lane] = acc_frag.x(lane, 0);
-            out2[lane] = acc_frag.x(lane, 6);
-          }
-        }
-        ctx.charge(sim::OpClass::RegMove, 16);
-      } else {
-        for (unsigned delta = 2; delta > 0; delta /= 2) {
-          sim::Lanes<std::uint32_t> src{};
-          for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-            src[lane] = lane ^ delta;
-          }
-          const auto o1 = ctx.shfl(cuda_acc1, src);
-          const auto o2 = ctx.shfl(cuda_acc2, src);
-          for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-            cuda_acc1[lane] += o1[lane];
-            cuda_acc2[lane] += o2[lane];
-          }
-          ctx.charge(sim::OpClass::FpAlu, 2 * sim::kWarpSize);
-        }
-        out1 = cuda_acc1;
-        out2 = cuda_acc2;
-      }
+      const auto [out1, out2] =
+          use_tc_ && paired ? four_slot_pass(ctx, x, static_cast<mat::Index>(w))
+                            : ablation_pass(ctx, x, r1, r2, has_r2);
 
       // Store 8 + 8 results from lanes 0, 4, ..., 28 (Algorithm 4 lines
       // 4-8: lid % 4 == 0, offset row*BLOCK_DIM + lid/4).
@@ -245,13 +135,13 @@ class SpadenKernel final : public SpmvKernel {
   /// fragment stack for the fused multi-RHS kernel; the ablations keep the
   /// fp32 stack and the (bit-identical) sequential base path.
   ///
-  /// The fused kernel also multiplies each slot's x rows by the other
-  /// slot's zero A block. That adds ±0 while x is finite in binary16, but
-  /// 0 * inf is NaN and would reach the paired block-row, which run()
-  /// never does. The pack records finiteness in the same host pass (not
-  /// charged to the modeled launch, like any host pack), and a batch with
-  /// an entry outside binary16 range or NaN is re-packed as an fp32 stack
-  /// for the base path, to stay bit-identical.
+  /// A fused warp with more than 8 columns also multiplies each slot's x
+  /// rows by the other slot's zero A block. That adds ±0 while x is finite
+  /// in binary16, but 0 * inf is NaN and would reach the paired block-row,
+  /// which run() never does. The pack records finiteness in the same host
+  /// pass (not charged to the modeled launch, like any host pack), and a
+  /// batch with an entry outside binary16 range or NaN is re-packed as an
+  /// fp32 stack for the base path, to stay bit-identical.
   XBatch upload_batch(sim::Device& device,
                       const std::vector<const std::vector<float>*>& xs) override {
     if (variant_ == SpadenVariant::TensorCore) {
@@ -295,29 +185,173 @@ class SpadenKernel final : public SpmvKernel {
   }
 
  private:
-  /// Algorithm 2: shared matrix decode plus the kernel's vector decode
-  /// (lines 7-10 — the x segment, broadcast so each column of the B portion
-  /// equals the segment). Lane l reads segment entries 2*(l%4) and +1 as
-  /// one 8-byte pair. A segment that extends past ncols (the last block
-  /// column), or an x that does not start on an 8-byte boundary, takes two
-  /// masked single loads instead, so nothing past x is read: the skipped
-  /// entries stay zero and only ever multiply structural zeros.
-  DecodedSlot decode(sim::WarpCtx& ctx, sim::DSpan<const float> x, mat::Index ncols,
-                     mat::Index a_idx) {
-    DecodedSlot out{};
-    const DecodedBlock block = decode_bitbsr_block(ctx, bitbsr_, a_idx, &decode_cache_);
-    out.a_val1 = block.a_val1;
-    out.a_val2 = block.a_val2;
+  using RowOutputs = std::pair<sim::Lanes<float>, sim::Lanes<float>>;
 
-    const std::uint32_t seg = block.block_col * 8;
+  /// Spaden and Spaden (conventional): the four-slot walk
+  /// (walk_block_row_pair), x segments broadcast into B's column half of
+  /// their block-row, then Algorithm 4's extraction of the first column of
+  /// C's TL (r1) and BR (r2) portions. A slot past the end of its block-row
+  /// has zero A and B portions, so it adds 0 * 0 products from then on,
+  /// whatever x held.
+  RowOutputs four_slot_pass(sim::WarpCtx& ctx, sim::DSpan<const float> x, mat::Index pair) {
+    const BlockRowPair rows(ctx, bitbsr_.block_row_ptr.cspan(), pair, bitbsr_.brows);
+    tc::FragA a_frag;
+    tc::FragB b_frag;
+    tc::FragAcc acc_frag;  // zero-initialized (wmma::fill_fragment(.., 0))
+    walk_block_row_pair(
+        ctx, bitbsr_, &decode_cache_, rows, /*four_slots=*/true, a_frag, b_frag,
+        [&](const PairSlot& slot, const DecodedBlock& block) {
+          const auto [b1, b2] = load_x_segment(ctx, x, block.block_col);
+          const unsigned reg = slot.b_reg(slot.row);
+          for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
+            b_frag.x(lane, reg) = half(b1[lane]);
+            b_frag.x(lane, reg + 1) = half(b2[lane]);
+          }
+          ctx.charge(sim::OpClass::RegMove, 2 * sim::kWarpSize);
+          ctx.charge(sim::OpClass::Convert, 2 * sim::kWarpSize);
+        },
+        [&] {
+          if (variant_ == SpadenVariant::Conventional) {
+            // The documented path (paper §3): both fragments staged through
+            // a 256-element shared-memory buffer and loaded with
+            // wmma::load. Numerically identical to the direct writes; the
+            // cost is the full-buffer round trip.
+            constexpr std::uint64_t kElems = tc::kFragDim * tc::kFragDim;
+            for (int frag = 0; frag < 2; ++frag) {
+              ctx.charge(sim::OpClass::IntAlu, kElems);   // st.shared
+              ctx.charge(sim::OpClass::IntAlu, kElems);   // ld.shared
+              ctx.charge(sim::OpClass::RegMove, kElems);  // fragment fill
+            }
+          }
+          tc::wmma_mma(ctx, acc_frag, a_frag, b_frag, acc_frag);
+        });
+
+    const sim::ProfRange prof_extract(ctx, "extract");
+    RowOutputs out{};
+    for (unsigned lane = 0; lane < sim::kWarpSize; lane += 4) {
+      out.first[lane] = acc_frag.x(lane, 0);
+      out.second[lane] = acc_frag.x(lane, 6);
+    }
+    ctx.charge(sim::OpClass::RegMove, 16);
+    return out;
+  }
+
+  /// The Fig. 8 ablation baselines, one block per slot per iteration:
+  /// Spaden (unpaired) on tensor cores with block-row r1 alone in the TL
+  /// portion, Spaden w/o TC on CUDA cores with lane l accumulating block
+  /// row l/4 of each slot.
+  RowOutputs ablation_pass(sim::WarpCtx& ctx, sim::DSpan<const float> x, mat::Index r1,
+                           mat::Index r2, bool has_r2) {
+    const auto block_row_ptr = bitbsr_.block_row_ptr.cspan();
+    const mat::Index begin1 = ctx.scalar_load(block_row_ptr, r1);
+    const mat::Index end1 = ctx.scalar_load(block_row_ptr, r1 + 1);
+    const mat::Index begin2 = has_r2 ? ctx.scalar_load(block_row_ptr, r2) : 0;
+    const mat::Index end2 = has_r2 ? ctx.scalar_load(block_row_ptr, r2 + 1) : 0;
+    const mat::Index len1 = end1 - begin1;
+    const mat::Index len2 = end2 - begin2;
+    const mat::Index iterations = std::max(len1, len2);
+
+    tc::FragA a_frag;
+    tc::FragB b_frag;
+    tc::FragAcc acc_frag;
+    sim::Lanes<float> cuda_acc1{};
+    sim::Lanes<float> cuda_acc2{};
+
+    for (mat::Index j = 0; j < iterations; ++j) {
+      // Slot 0: block j of block-row r1 -> top-left portion, regs x[0,1].
+      // Slot 1: block j of block-row r2 -> bottom-right, regs x[6,7].
+      for (int slot = 0; slot < 2; ++slot) {
+        const bool valid = slot == 0 ? (j < len1) : (j < len2);
+        const unsigned reg0 = slot == 0 ? 0 : 6;
+        if (!valid) {
+          const sim::ProfRange prof(ctx, "mma");
+          for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
+            a_frag.x(lane, reg0) = half{};
+            a_frag.x(lane, reg0 + 1) = half{};
+          }
+          ctx.charge(sim::OpClass::RegMove, 2 * sim::kWarpSize);
+          continue;
+        }
+        const mat::Index a_idx = (slot == 0 ? begin1 : begin2) + j;
+        ctx.range_push("decode");
+        const DecodedBlock block = decode_bitbsr_block(ctx, bitbsr_, a_idx, &decode_cache_);
+        const auto [b1, b2] = load_x_segment(ctx, x, block.block_col);
+        ctx.range_pop();
+        const sim::ProfRange prof(ctx, "mma");
+        if (use_tc_) {
+          for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
+            a_frag.x(lane, reg0) = block.a_val1[lane];
+            a_frag.x(lane, reg0 + 1) = block.a_val2[lane];
+            b_frag.x(lane, reg0) = half(b1[lane]);
+            b_frag.x(lane, reg0 + 1) = half(b2[lane]);
+          }
+          ctx.charge(sim::OpClass::RegMove, 4 * sim::kWarpSize);
+          ctx.charge(sim::OpClass::Convert, 2 * sim::kWarpSize);
+        } else {
+          // Each lane multiplies its two decoded elements with the
+          // matching x entries.
+          auto& acc = slot == 0 ? cuda_acc1 : cuda_acc2;
+          for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
+            acc[lane] += block.a_val1[lane].to_float() * b1[lane] +
+                         block.a_val2[lane].to_float() * b2[lane];
+          }
+          ctx.charge(sim::OpClass::Fma, 2 * sim::kWarpSize);
+        }
+      }
+      if (use_tc_) {
+        const sim::ProfRange prof(ctx, "mma");
+        tc::wmma_mma(ctx, acc_frag, a_frag, b_frag, acc_frag);
+      }
+    }
+
+    // Algorithm 4: extract the first column of both diagonal result blocks
+    // (TC), or reduce the per-lane partials across the 4 lanes of each
+    // block row (CUDA cores).
+    const sim::ProfRange prof_extract(ctx, "extract");
+    RowOutputs out{};
+    if (use_tc_) {
+      for (unsigned lane = 0; lane < sim::kWarpSize; lane += 4) {
+        out.first[lane] = acc_frag.x(lane, 0);
+        out.second[lane] = acc_frag.x(lane, 6);
+      }
+      ctx.charge(sim::OpClass::RegMove, 16);
+      return out;
+    }
+    for (unsigned delta = 2; delta > 0; delta /= 2) {
+      sim::Lanes<std::uint32_t> src{};
+      for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
+        src[lane] = lane ^ delta;
+      }
+      const auto o1 = ctx.shfl(cuda_acc1, src);
+      const auto o2 = ctx.shfl(cuda_acc2, src);
+      for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
+        cuda_acc1[lane] += o1[lane];
+        cuda_acc2[lane] += o2[lane];
+      }
+      ctx.charge(sim::OpClass::FpAlu, 2 * sim::kWarpSize);
+    }
+    return {cuda_acc1, cuda_acc2};
+  }
+
+  /// Algorithm 2 lines 7-10, the vector decode: the x segment of block
+  /// column `block_col`, which each column of the slot's B portion repeats.
+  /// Lane l reads segment entries 2*(l%4) and +1 as one 8-byte pair. A
+  /// segment that extends past ncols (the last block column), or an x that
+  /// does not start on an 8-byte boundary, takes two masked single loads
+  /// instead, so nothing past x is read: the skipped entries stay zero and
+  /// only ever multiply structural zeros.
+  std::pair<sim::Lanes<float>, sim::Lanes<float>> load_x_segment(sim::WarpCtx& ctx,
+                                                                 sim::DSpan<const float> x,
+                                                                 mat::Index block_col) const {
+    const mat::Index ncols = ncols_;
+    const std::uint32_t seg = block_col * 8;
     sim::Lanes<std::uint32_t> xidx1{};
     for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
       xidx1[lane] = seg + ((lane & 3u) << 1);
     }
     if (seg + 8 <= ncols && x.addr % (2 * sizeof(float)) == 0) {
       ctx.charge(sim::OpClass::IntAlu, sim::kWarpSize);
-      std::tie(out.b_val1, out.b_val2) = ctx.gather2(x, xidx1);
-      return out;
+      return ctx.gather2(x, xidx1);
     }
     sim::Lanes<std::uint32_t> xidx2{};
     std::uint32_t mask1 = 0;
@@ -328,9 +362,7 @@ class SpadenKernel final : public SpmvKernel {
       mask2 |= static_cast<std::uint32_t>(xidx2[lane] < ncols) << lane;
     }
     ctx.charge(sim::OpClass::IntAlu, 2 * sim::kWarpSize);
-    out.b_val1 = ctx.gather(x, xidx1, mask1);
-    out.b_val2 = ctx.gather(x, xidx2, mask2);
-    return out;
+    return {ctx.gather(x, xidx1, mask1), ctx.gather(x, xidx2, mask2)};
   }
 
   SpadenVariant variant_;

@@ -142,93 +142,70 @@ sim::LaunchResult spmm_spaden_strided(sim::Device& device, const DeviceBitBsr& a
     // Portions (column halves) of 16-column tile t holding live RHS: a
     // tile with 8 or fewer live columns leaves TR/BR out.
     const auto halves = [&](mat::Index t) { return live - 16 * t > 8 ? 2u : 1u; };
+    // A warp with at most 8 live columns fills all four A portions; its
+    // 8-column x group goes to B's column half of the slot's block-row.
+    // A wider warp keeps the two-slot layout, where every column half of B
+    // carries RHS columns of both slots.
+    const bool four_slots = live <= 8;
+    const auto col_half = [&](unsigned row, unsigned h) { return four_slots ? row : h; };
     const mat::Index r1 = 2 * pair;
     const mat::Index r2 = 2 * pair + 1;
-    const mat::Index begin1 = ctx.scalar_load(block_row_ptr, r1);
-    const mat::Index end1 = ctx.scalar_load(block_row_ptr, r1 + 1);
     const bool has_r2 = r2 < brows;
-    const mat::Index begin2 = has_r2 ? ctx.scalar_load(block_row_ptr, r2) : 0;
-    const mat::Index end2 = has_r2 ? ctx.scalar_load(block_row_ptr, r2 + 1) : 0;
-    const mat::Index len1 = end1 - begin1;
-    const mat::Index len2 = end2 - begin2;
-    const mat::Index iterations = std::max(len1, len2);
+    const BlockRowPair rows(ctx, block_row_ptr, pair, brows);
 
     // One A fragment per iteration, reused by every tile's MMA; one B
     // fragment and one accumulator per tile.
     tc::FragA a_frag;
     std::array<tc::FragB, kSpmmRhsPerWarp / 16> b_frags;
     std::array<tc::FragAcc, kSpmmRhsPerWarp / 16> acc_frags;
-    for (mat::Index j = 0; j < iterations; ++j) {
-      for (unsigned slot = 0; slot < 2; ++slot) {
-        const bool valid = slot == 0 ? (j < len1) : (j < len2);
-        const unsigned a_reg = 2 * tc::portion_pair(slot, slot);
-        if (!valid) {
-          const sim::ProfRange prof(ctx, "mma");
-          for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-            a_frag.x(lane, a_reg) = half{};
-            a_frag.x(lane, a_reg + 1) = half{};
-          }
-          ctx.charge(sim::OpClass::RegMove, 2 * sim::kWarpSize);
-          continue;
-        }
-        const mat::Index a_idx = (slot == 0 ? begin1 : begin2) + j;
-        ctx.range_push("decode");
-        const DecodedBlock dec = decode_bitbsr_block(ctx, a, a_idx, cache);
-        // Per-column vector decode: in the B portion of (this slot's row
-        // half, column half h) of tile t, lane holds the column of RHS
-        // first + 16t + 8h + lane/4 and its rows 2*(lane%4) and +1 as one
-        // binary16 word of the fragment stack, so each 8x8 x tile is 32
-        // consecutive words (4 sectors) in one instruction, loaded straight
-        // into the register pair. Rows past ncols read the stack's zero
-        // pads, which only multiply structural zeros; lanes of columns past
-        // k load nothing and keep zero B halves, whose outputs the
-        // extraction mask drops.
-        for (mat::Index t = 0; t < tiles; ++t) {
-          for (unsigned h = 0; h < halves(t); ++h) {
-            const mat::Index col0 = first + 16 * t + 8 * h;
-            const std::uint32_t word0 = (col0 / 8 * bcols + dec.block_col) * sim::kWarpSize;
-            const mat::Index live_lanes = 4 * std::min<mat::Index>(k - col0, 8);
-            const std::uint32_t mask =
-                live_lanes == sim::kWarpSize ? sim::kFullMask : (1u << live_lanes) - 1;
-            sim::Lanes<std::uint32_t> xidx{};
-            for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-              xidx[lane] = word0 + lane;
-            }
-            ctx.charge(sim::OpClass::IntAlu, sim::kWarpSize);
-            const auto bv = ctx.gather(xs, xidx, mask);
-            const unsigned b_reg = 2 * tc::portion_pair(slot, h);
-            for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-              b_frags[t].x(lane, b_reg) = bv[lane].lo;
-              b_frags[t].x(lane, b_reg + 1) = bv[lane].hi;
+    walk_block_row_pair(
+        ctx, a, cache, rows, four_slots, a_frag, b_frags[0],
+        [&](const PairSlot& slot, const DecodedBlock& dec) {
+          // Per-column vector decode: in the B portion of (the slot's
+          // k_half, column half h) of tile t, lane holds the column of RHS
+          // first + 16t + 8h + lane/4 and its rows 2*(lane%4) and +1 as one
+          // binary16 word of the fragment stack, so each 8x8 x tile is 32
+          // consecutive words (4 sectors) in one instruction, loaded
+          // straight into the register pair. Rows past ncols read the
+          // stack's zero pads, which only multiply structural zeros; lanes
+          // of columns past k load nothing and keep zero B halves, whose
+          // outputs the extraction mask drops.
+          for (mat::Index t = 0; t < tiles; ++t) {
+            for (unsigned h = 0; h < halves(t); ++h) {
+              const mat::Index col0 = first + 16 * t + 8 * h;
+              const std::uint32_t word0 = (col0 / 8 * bcols + dec.block_col) * sim::kWarpSize;
+              const mat::Index live_lanes = 4 * std::min<mat::Index>(k - col0, 8);
+              const std::uint32_t mask =
+                  live_lanes == sim::kWarpSize ? sim::kFullMask : (1u << live_lanes) - 1;
+              sim::Lanes<std::uint32_t> xidx{};
+              for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
+                xidx[lane] = word0 + lane;
+              }
+              ctx.charge(sim::OpClass::IntAlu, sim::kWarpSize);
+              const auto bv = ctx.gather(xs, xidx, mask);
+              const unsigned b_reg = slot.b_reg(col_half(slot.row, h));
+              for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
+                b_frags[t].x(lane, b_reg) = bv[lane].lo;
+                b_frags[t].x(lane, b_reg + 1) = bv[lane].hi;
+              }
             }
           }
-        }
-        ctx.range_pop();
-        // Direct register writes of the A portion; the x loads above
-        // already landed in B's registers.
-        ctx.range_push("mma");
-        for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-          a_frag.x(lane, a_reg) = dec.a_val1[lane];
-          a_frag.x(lane, a_reg + 1) = dec.a_val2[lane];
-        }
-        ctx.charge(sim::OpClass::RegMove, 2 * sim::kWarpSize);
-        ctx.range_pop();
-      }
-      const sim::ProfRange prof(ctx, "mma");
-      for (mat::Index t = 0; t < tiles; ++t) {
-        tc::wmma_mma(ctx, acc_frags[t], a_frag, b_frags[t], acc_frags[t]);
-      }
-    }
+        },
+        [&] {
+          for (mat::Index t = 0; t < tiles; ++t) {
+            tc::wmma_mma(ctx, acc_frags[t], a_frag, b_frags[t], acc_frags[t]);
+          }
+        });
 
     // Extract every live portion into the column-major Y stack: in the
-    // accumulator portion of (row half = slot, column half h) of tile t,
+    // accumulator portion of (row half = slot, column half) of tile t,
     // lane owns (row lane/4, RHS first + 16t + 8h + 2*(lane%4), +1).
     const sim::ProfRange prof_extract(ctx, "extract");
     for (mat::Index t = 0; t < tiles; ++t) {
-      for (unsigned slot = 0; slot < (has_r2 ? 2u : 1u); ++slot) {
-        const mat::Index br = slot == 0 ? r1 : r2;
+      for (unsigned row = 0; row < (has_r2 ? 2u : 1u); ++row) {
+        const mat::Index br = row == 0 ? r1 : r2;
         for (unsigned h = 0; h < halves(t); ++h) {
-          const unsigned reg0 = 2 * tc::portion_pair(slot, h);
+          const unsigned reg0 = 2 * tc::portion_pair(row, col_half(row, h));
           const mat::Index col0 = first + 16 * t + 8 * h;
           sim::Lanes<std::uint32_t> yidx1{};
           sim::Lanes<std::uint32_t> yidx2{};
@@ -237,15 +214,15 @@ sim::LaunchResult spmm_spaden_strided(sim::Device& device, const DeviceBitBsr& a
           std::uint32_t m1 = 0;
           std::uint32_t m2 = 0;
           for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-            const std::uint32_t row = br * 8 + lane / 4;
+            const std::uint32_t r = br * 8 + lane / 4;
             const std::uint32_t c1 = col0 + 2 * (lane % 4);
-            if (row < nrows && c1 < k) {
-              yidx1[lane] = c1 * y_stride + row;
+            if (r < nrows && c1 < k) {
+              yidx1[lane] = c1 * y_stride + r;
               yv1[lane] = acc_frags[t].x(lane, reg0);
               m1 |= 1u << lane;
             }
-            if (row < nrows && c1 + 1 < k) {
-              yidx2[lane] = (c1 + 1) * y_stride + row;
+            if (r < nrows && c1 + 1 < k) {
+              yidx2[lane] = (c1 + 1) * y_stride + r;
               yv2[lane] = acc_frags[t].x(lane, reg0 + 1);
               m2 |= 1u << lane;
             }

@@ -2,10 +2,11 @@
 //
 // The paper's §7 names SpMM as the next target for bitBSR on dense matrix
 // units; this module implements that extension. SpMV fills 2 of a
-// fragment's 16 output columns (§4.3). With a dense right-hand side, each
-// MMA multiplies the block-diagonal A = [A1 0; 0 A2] by 16 B columns, so
-// both 8x8 blocks produce 16 useful output columns each — the economics
-// that make TC-SpMM far easier than TC-SpMV (§1).
+// fragment's 16 output columns (§4.3). With a dense right-hand side of more
+// than 8 columns, each MMA multiplies the block-diagonal A = [A1 0; 0 A2]
+// by 16 B columns, so both 8x8 blocks produce 16 useful output columns each
+// — the economics that make TC-SpMM far easier than TC-SpMV (§1). Up to 8
+// columns, A holds two blocks of each block-row, as in the SpMV kernel.
 //
 // Two device kernels are provided:
 //   spmm_csr    — row-parallel CUDA-core baseline (cusparse csrmm-style)
@@ -107,18 +108,22 @@ template <typename At>
 /// kernel's 32-bit lane indices.
 ///
 /// Fragment layout (paper §3's portion map: TL = x[0,1], BL = x[2,3],
-/// TR = x[4,5], BR = x[6,7]). A holds the slot-0 block in TL and the
-/// slot-1 block in BR. Per 16-column RHS tile, B holds slot 0's x tile in
-/// TL (RHS tile+0..7) and TR (tile+8..15), slot 1's in BL and BR, so the
-/// accumulator's four portions are A1·X(c1) and A2·X(c2) over 16 RHS. Each
-/// lane loads its two B halves of a portion as one 32-bit word, straight
-/// into the register pair: a tile with 8 or fewer live columns issues one
-/// load per slot, a full tile two. Lanes of columns past k load nothing.
+/// TR = x[4,5], BR = x[6,7]); walk_block_row_pair walks the blocks. A warp
+/// with more than 8 live RHS columns holds the slot-0 block in A's TL and
+/// the slot-1 block in BR. Per 16-column RHS tile, B holds slot 0's x tile
+/// in TL (RHS tile+0..7) and TR (tile+8..15), slot 1's in BL and BR, so the
+/// accumulator's four portions are A1·X(c1) and A2·X(c2) over 16 RHS: one
+/// MMA per iteration and tile. A warp with at most 8 live columns, SpMV's
+/// layout at k = 1, holds blocks j and j+1 of r1 in A's TL and TR and of
+/// r2 in BL and BR; B's column half 0 holds r1's two x tiles and column
+/// half 1 r2's, so C's TL is r1's output and BR r2's: one MMA per two
+/// iterations. Each lane loads its two B halves of a portion as one 32-bit
+/// word, straight into the register pair: a slot loads one word per live
+/// 8-column group. Lanes of columns past k load nothing.
 ///
 /// Each warp covers one block-row pair and up to kSpmmRhsPerWarp RHS
 /// columns, so the launch has pairs * ceil(k / kSpmmRhsPerWarp) warps. It
-/// decodes each block once, keeps the A fragment, and runs one MMA per
-/// 16-column tile of its columns into that tile's accumulator.
+/// decodes each block once and keeps the A fragment for every tile's MMA.
 ///
 /// Per column the arithmetic mirrors the Spaden SpMV kernel — same decode,
 /// same half(float) x values (converted by the pack instead of the load),
@@ -129,7 +134,7 @@ template <typename At>
 /// each output column is bit-identical to one SpadenKernel::run with that
 /// column's x (the serve acceptance anchor) whenever every x entry is
 /// finite in binary16, which SpadenKernel::upload_batch checks while
-/// packing.
+/// packing: in the wide layout the other slot's x meets a zero A portion.
 sim::LaunchResult spmm_spaden_strided(sim::Device& device, const DeviceBitBsr& a,
                                       const BitBsrDecodeCache* cache,
                                       sim::DSpan<const HalfPair> xs, sim::DSpan<float> ys,

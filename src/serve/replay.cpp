@@ -300,6 +300,12 @@ ReplayResult run_replay(const ReplaySpec& in, MatrixRegistry* external) {
   out.speedup = out.unbatched.requests_per_second > 0
                     ? out.batched.requests_per_second / out.unbatched.requests_per_second
                     : 0.0;
+  out.service_speedup =
+      out.batched.busy_seconds > 0 && out.unbatched.busy_seconds > 0 &&
+              out.unbatched.requests > 0
+          ? (static_cast<double>(out.batched.requests) / out.batched.busy_seconds) /
+                (static_cast<double>(out.unbatched.requests) / out.unbatched.busy_seconds)
+          : 0.0;
   out.tc_uplift = out.unbatched.tc_utilization() > 0
                       ? out.batched.tc_utilization() / out.unbatched.tc_utilization()
                       : 0.0;
@@ -334,6 +340,7 @@ ReplayResult run_replay(const ReplaySpec& in, MatrixRegistry* external) {
   metric("requests_per_sec_batched", out.batched.requests_per_second);
   metric("requests_per_sec_unbatched", out.unbatched.requests_per_second);
   metric("speedup_requests_per_sec", out.speedup);
+  metric("service_speedup", out.service_speedup);
   metric("tc_utilization_batched", out.batched.tc_utilization());
   metric("tc_utilization_unbatched", out.unbatched.tc_utilization());
   metric("tc_utilization_uplift", out.tc_uplift);

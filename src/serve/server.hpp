@@ -90,11 +90,12 @@ struct ServeReport {
   std::map<Handle, MatrixServeAgg> per_matrix;
 
   /// Fraction of executed tensor-core flops doing useful SpMV work — the
-  /// fragment-utilization number batching exists to raise. A is
-  /// block-diagonal ([A1 0; 0 A2]), so one MMA does at most 2 blocks × 16
-  /// RHS of useful products: 2·64·16·2 = 4096 of its 8192 flops, a ceiling
-  /// of 0.5 that only dense blocks in a full 16-column tile reach. SpMV's
-  /// single RHS caps it at 1/32.
+  /// fragment-utilization number batching exists to raise. Past 8 RHS
+  /// columns A is block-diagonal ([A1 0; 0 A2]), so one MMA does at most
+  /// 2 blocks × 16 RHS of useful products: 2·64·16·2 = 4096 of its 8192
+  /// flops, a ceiling of 0.5 that only dense blocks in full 16-column
+  /// tiles reach. Up to 8 columns A holds 4 blocks × 8 RHS, the same 0.5;
+  /// SpMV's single RHS caps it at 1/16.
   [[nodiscard]] double tc_utilization() const {
     return tc_flops > 0 ? useful_flops / tc_flops : 0.0;
   }

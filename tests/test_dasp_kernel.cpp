@@ -72,15 +72,16 @@ TEST(DaspKernel, EightRowsPerWarpIsHalfOfSpadens) {
   // Spaden: one warp per 16 rows. DASP: the TC pass alone launches one warp
   // per 8 rows (its total includes the zero-fill pass, so compare per-MMA
   // row coverage instead): every DASP MMA covers 8 rows x 4 slots, every
-  // Spaden MMA covers 16 rows x 8 columns — 2x the rows, 2x the depth.
+  // Spaden MMA covers 16 rows x 16 columns (two blocks of each block-row)
+  // — 2x the rows, 4x the depth.
   EXPECT_EQ(spaden.stats.warps_launched, n / 16);
   const double dasp_mma_rows = 8.0;
   const double spaden_mma_rows = 16.0;
   EXPECT_EQ(spaden_mma_rows / dasp_mma_rows, 2.0);
   // Sanity: MMA counts consistent with tiling: DASP ceil(32/4)=8 per group,
-  // Spaden 4 full blocks per block-row pair.
+  // Spaden 4 full blocks per block-row, 2 per MMA: ceil(4/2) per pair.
   EXPECT_EQ(dasp.stats.tc_mma_m8n8k4, n / 8 * 8);
-  EXPECT_EQ(spaden.stats.tc_mma_m16n16k16, n / 16 * 4);
+  EXPECT_EQ(spaden.stats.tc_mma_m16n16k16, n / 16 * 2);
 }
 
 TEST(DaspKernel, ShortRowsTakeCudaCorePath) {

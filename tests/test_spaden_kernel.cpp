@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -33,23 +34,35 @@ sim::LaunchResult run_once(Method m, const mat::Csr& a, sim::Device& device) {
   return kernel->run(device, xb.cspan(), y.span());
 }
 
+/// MMAs of the block walk over every block-row pair: ceil(max(len1, len2)
+/// / per_mma) per pair, where per_mma is the blocks of each block-row one
+/// MMA holds (2 in the four-slot layout, 1 in the paper's Fig. 5 layout).
+/// The last block-row of an odd count pairs with an empty one.
+std::uint64_t pair_mmas(const mat::BitBsr& bb, mat::Index per_mma) {
+  std::uint64_t mmas = 0;
+  for (mat::Index br = 0; br < bb.brows; br += 2) {
+    const mat::Index len1 = bb.block_row_ptr[br + 1] - bb.block_row_ptr[br];
+    const mat::Index len2 =
+        br + 1 < bb.brows ? bb.block_row_ptr[br + 2] - bb.block_row_ptr[br + 1] : 0;
+    mmas += (std::max(len1, len2) + per_mma - 1) / per_mma;
+  }
+  return mmas;
+}
+
 TEST(SpadenKernel, OneMmaPerBlockRowPairIteration) {
-  // Each warp covers two block-rows; iterations = max of the two lengths;
-  // one m16n16k16 MMA per iteration ("one tensor accommodates two blocks").
+  // Each warp covers two block-rows and each MMA holds two blocks of each
+  // (four 8x8 blocks per m16n16k16 fragment), so a warp issues
+  // ceil(max(len1, len2) / 2) MMAs: half the paper's Fig. 5 count.
   const mat::Csr a = mat::load_dataset("cant", 0.02);
   const mat::BitBsr bb = mat::BitBsr::from_csr(a);
-  std::uint64_t expected_mmas = 0;
-  for (mat::Index br = 0; br + 1 < bb.brows; br += 2) {
-    expected_mmas += std::max(bb.block_row_ptr[br + 1] - bb.block_row_ptr[br],
-                              bb.block_row_ptr[br + 2] - bb.block_row_ptr[br + 1]);
-  }
-  if (bb.brows % 2 == 1) {
-    expected_mmas +=
-        bb.block_row_ptr[bb.brows] - bb.block_row_ptr[bb.brows - 1];
-  }
+  ASSERT_EQ(bb.brows % 2, 1u);  // the last block-row runs unpaired
   sim::Device device(sim::l40());
   const auto result = run_once(Method::Spaden, a, device);
-  EXPECT_EQ(result.stats.tc_mma_m16n16k16, expected_mmas);
+  EXPECT_EQ(result.stats.tc_mma_m16n16k16, pair_mmas(bb, 2));
+  // The ablation baseline keeps one block of one block-row per MMA.
+  sim::Device unpaired_device(sim::l40());
+  EXPECT_EQ(run_once(Method::SpadenUnpaired, a, unpaired_device).stats.tc_mma_m16n16k16,
+            bb.num_blocks());
 }
 
 TEST(SpadenKernel, SixteenRowsPerWarp) {
@@ -458,21 +471,134 @@ TEST(SpadenKernel, BatchedDecodesEachBlockOncePerWarp) {
 }
 
 TEST(SpadenKernel, BatchedMmaCountIsPairIterationsTimesSixteenColumnTiles) {
+  // A warp with at most 8 live RHS columns walks two blocks of each
+  // block-row per MMA, like the SpMV; a wider warp walks one and issues
+  // one MMA per 16-column tile.
   const mat::Csr a = small_ragged();
   const mat::BitBsr bb = mat::BitBsr::from_csr(a);
-  std::uint64_t iterations = 0;
-  for (mat::Index br = 0; br < bb.brows; br += 2) {
-    const mat::Index len1 = bb.block_row_ptr[br + 1] - bb.block_row_ptr[br];
-    const mat::Index len2 =
-        br + 1 < bb.brows ? bb.block_row_ptr[br + 2] - bb.block_row_ptr[br + 1] : 0;
-    iterations += std::max(len1, len2);
-  }
   for (const mat::Index k : {8u, 16u, 17u, 32u}) {
     SCOPED_TRACE(testing::Message() << "k=" << k);
     const BatchedRun run = run_batched(a, k);
     ASSERT_EQ(run.batch.stats.warps_launched, run.pairs());
-    EXPECT_EQ(run.batch.stats.tc_mma_m16n16k16, iterations * ((k + 15) / 16));
+    const std::uint64_t expected = k <= 8 ? pair_mmas(bb, 2) : pair_mmas(bb, 1) * ((k + 15) / 16);
+    EXPECT_EQ(run.batch.stats.tc_mma_m16n16k16, expected);
   }
+}
+
+/// Block-rows of the given lengths over 77 columns (10 block columns, the
+/// last partial): block b of block-row br sits in block column
+/// (2b + br) % 10 and holds one entry per row, so block-rows 2p and 2p + 1
+/// form pair p with lengths (lens[2p], lens[2p + 1]).
+mat::Csr block_rows_of_lengths(const std::vector<mat::Index>& lens) {
+  constexpr mat::Index kCols = 77;
+  mat::Coo coo;
+  coo.nrows = static_cast<mat::Index>(8 * lens.size()) - 3;  // last block-row partial
+  coo.ncols = kCols;
+  for (mat::Index r = 0; r < coo.nrows; ++r) {
+    const mat::Index br = r / 8;
+    for (mat::Index b = 0; b < lens[br]; ++b) {
+      const mat::Index bc = (2 * b + br) % 10;
+      coo.row.push_back(r);
+      coo.col.push_back(8 * bc + (3 * r + b) % std::min<mat::Index>(8, kCols - 8 * bc));
+      coo.val.push_back(0.25f + 0.125f * static_cast<float>((r + b) % 5));
+    }
+  }
+  return mat::Csr::from_coo(coo);
+}
+
+TEST(SpadenKernel, FourSlotWalkOnRaggedPairs) {
+  // Pairs of lengths (odd, even), (0, n) and (n, 0), then the unpaired
+  // last block-row (partial): y from run() equals the fp64 reference
+  // within tolerance, every batch width's columns are byte-identical to
+  // run() on that column, and the MMA counts follow the walk.
+  const mat::Csr a = block_rows_of_lengths({3, 4, 0, 5, 5, 0, 3});
+  const mat::BitBsr bb = mat::BitBsr::from_csr(a);
+  ASSERT_EQ(bb.brows, 7u);
+  ASSERT_EQ(bb.num_blocks(), 20u);
+  for (const mat::Index k : {1u, 2u, 7u, 8u, 9u}) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    std::vector<std::vector<float>> xs(k, std::vector<float>(a.ncols));
+    std::vector<const std::vector<float>*> ptrs;
+    for (mat::Index c = 0; c < k; ++c) {
+      for (mat::Index i = 0; i < a.ncols; ++i) {
+        xs[c][i] = 0.29f * static_cast<float>((5 * c + 3 * i) % 19) - 2.6f;
+      }
+      ptrs.push_back(&xs[c]);
+    }
+    sim::Device device(sim::l40());
+    auto kernel = make_kernel(Method::Spaden);
+    kernel->prepare(device, a);
+    const XBatch batch = kernel->upload_batch(device, ptrs);
+    ASSERT_TRUE(batch.fragments);
+    auto ys = device.memory().alloc<float>(k * column_stride(a.nrows));
+    const sim::LaunchResult fused = kernel->run_multi(device, batch, ys.span());
+    EXPECT_EQ(fused.stats.tc_mma_m16n16k16, k <= 8 ? pair_mmas(bb, 2) : pair_mmas(bb, 1));
+    const double tol = spmv_tolerance(a, /*half_precision_values=*/true);
+    for (mat::Index c = 0; c < k; ++c) {
+      auto x = device.memory().upload(xs[c]);
+      auto y = device.memory().alloc<float>(a.nrows);
+      const sim::LaunchResult single = kernel->run(device, x.cspan(), y.span());
+      EXPECT_EQ(single.stats.tc_mma_m16n16k16, pair_mmas(bb, 2));
+      const std::vector<double> y_ref = spmv_reference(a, xs[c]);
+      for (mat::Index r = 0; r < a.nrows; ++r) {
+        ASSERT_NEAR(y.host()[r], y_ref[r], tol) << "column " << c << " row " << r;
+      }
+      const std::span<const float> batched = stack_column(ys.host(), a.nrows, c);
+      ASSERT_EQ(std::memcmp(batched.data(), y.host().data(), a.nrows * sizeof(float)), 0)
+          << "column " << c;
+    }
+  }
+}
+
+TEST(SpadenKernel, FinishedSlotNeverMultipliesItsStaleSegment) {
+  // Block-row 0 holds one block, with every row's one nonzero in column 0,
+  // and block-row 1 three blocks. x[0] is past binary16 range, so block-row
+  // 0's rows are +inf. In the second MMA block-row 0's slots are empty: had
+  // their B portions kept its x segment, 0 * inf would turn those rows
+  // into NaN. Checked on run() and on the fused kernel at k = 1, which
+  // takes the stack as given (upload_batch would route a non-finite batch
+  // to the base path).
+  mat::Coo coo;
+  coo.nrows = 16;
+  coo.ncols = 32;
+  for (mat::Index r = 0; r < 16; ++r) {
+    for (mat::Index bc = r < 8 ? 0 : 1; bc < (r < 8 ? 1u : 4u); ++bc) {
+      coo.row.push_back(r);
+      coo.col.push_back(r < 8 ? 0 : 8 * bc + r % 8);
+      coo.val.push_back(0.5f);
+    }
+  }
+  const mat::Csr a = mat::Csr::from_coo(coo);
+  std::vector<float> x(a.ncols, 1.0f);
+  x[0] = 1e6f;  // half(1e6) == +inf
+  const auto check = [](const std::vector<float>& y) {
+    for (mat::Index r = 0; r < 8; ++r) {
+      EXPECT_EQ(y[r], std::numeric_limits<float>::infinity()) << "row " << r;
+    }
+    for (mat::Index r = 8; r < 16; ++r) {
+      EXPECT_EQ(y[r], 1.5f) << "row " << r;
+    }
+  };
+
+  sim::Device device(sim::l40());
+  auto kernel = make_kernel(Method::Spaden);
+  kernel->prepare(device, a);
+  auto xb = device.memory().upload(x);
+  auto yb = device.memory().alloc<float>(a.nrows);
+  const sim::LaunchResult run = kernel->run(device, xb.cspan(), yb.span());
+  EXPECT_EQ(run.stats.tc_mma_m16n16k16, 2u);
+  check(yb.host());
+
+  const mat::BitBsr bb = mat::BitBsr::from_csr(a);
+  const DeviceBitBsr dev_bb = DeviceBitBsr::upload(device.memory(), bb);
+  const FragmentStack stack =
+      pack_fragment_stack(1, a.ncols, [&](mat::Index, mat::Index i) { return x[i]; });
+  ASSERT_FALSE(stack.finite);
+  auto xs = device.memory().upload(stack.words);
+  auto ys = device.memory().alloc<float>(column_stride(a.nrows));
+  (void)spmm_spaden_strided(device, dev_bb, nullptr, xs.cspan(), ys.span(), 1, a.nrows,
+                            a.ncols);
+  check(std::vector<float>(ys.host().begin(), ys.host().begin() + a.nrows));
 }
 
 TEST(SpadenKernel, BatchedStackPastThirtyTwoBitIndicesRejected) {

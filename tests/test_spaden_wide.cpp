@@ -3,6 +3,8 @@
 // correctness sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "kernels/kernel.hpp"
 #include "matrix/bitbsr.hpp"
@@ -47,17 +49,30 @@ TEST(SpadenWide, SameRowsPerWarpAsPairedKernel) {
 
 TEST(SpadenWide, FewerMmasOnClusteredStructure) {
   // Wider blocks merge neighbours: on a banded matrix the 16x16 grid has
-  // fewer non-empty blocks than half the 8x8 count, so Spaden-16 issues
-  // fewer MMAs than the paired kernel's ceil-paired stream.
+  // fewer non-empty blocks than half the 8x8 count, so Spaden-16's one MMA
+  // per block is fewer than the paper's Fig. 5 pairing, max(len1, len2)
+  // per block-row pair. The paired kernel holds two blocks of each
+  // block-row per MMA, ceil(max(len1, len2) / 2), which on this matrix
+  // ties Spaden-16.
   const mat::Csr a = mat::Csr::from_coo(mat::banded(2048, 12, 0.8, 5));
   const mat::BitBsr b8 = mat::BitBsr::from_csr(a);
   const mat::BitBsr16 b16 = mat::BitBsr16::from_csr(a);
   ASSERT_LT(2 * b16.num_blocks(), b8.num_blocks());
+  std::uint64_t fig5_mmas = 0;
+  std::uint64_t four_slot_mmas = 0;
+  for (mat::Index br = 0; br < b8.brows; br += 2) {
+    const mat::Index longest = std::max(b8.block_row_ptr[br + 1] - b8.block_row_ptr[br],
+                                        b8.block_row_ptr[br + 2] - b8.block_row_ptr[br + 1]);
+    fig5_mmas += longest;
+    four_slot_mmas += (longest + 1) / 2;
+  }
   sim::Device d1(sim::l40());
   sim::Device d2(sim::l40());
   const auto wide = run_once(Method::SpadenWide, a, d1);
   const auto paired = run_once(Method::Spaden, a, d2);
-  EXPECT_LT(wide.stats.tc_mma_m16n16k16, paired.stats.tc_mma_m16n16k16);
+  EXPECT_EQ(wide.stats.tc_mma_m16n16k16, b16.num_blocks());
+  EXPECT_EQ(paired.stats.tc_mma_m16n16k16, four_slot_mmas);
+  EXPECT_LT(wide.stats.tc_mma_m16n16k16, fig5_mmas);
 }
 
 TEST(SpadenWide, LoadsOnlyNonzeroValues) {

@@ -2,9 +2,12 @@
 // fp64 reference and the tensor-core utilization improvement over SpMV.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "kernels/kernel.hpp"
 #include "kernels/spmm.hpp"
+#include "matrix/bitbsr.hpp"
 #include "matrix/dataset.hpp"
 #include "matrix/generate.hpp"
 
@@ -84,14 +87,29 @@ TEST(Spmm, TensorCoreUtilizationBeatsSpmv) {
 }
 
 TEST(Spmm, WideBScalesTilesLinearly) {
-  // One MMA multiplies 16 RHS columns, so the MMA count grows with
-  // ceil(k/16): k=32 is 2 tiles against k=8's 1.
+  // Past 8 RHS columns one MMA multiplies a 16-column tile of one block of
+  // each block-row, so the MMA count is max(len1, len2) per block-row pair
+  // times ceil(k/16): k=32 is 2 tiles against k=16's 1. Up to 8 columns
+  // one MMA holds two blocks of each block-row: ceil(max(len1, len2) / 2).
   const mat::Csr a = mat::Csr::from_coo(mat::random_uniform(128, 128, 2000, 7));
+  const mat::BitBsr bb = mat::BitBsr::from_csr(a);
+  std::uint64_t iterations = 0;
+  std::uint64_t four_slot_mmas = 0;
+  for (mat::Index br = 0; br < bb.brows; br += 2) {
+    const mat::Index longest = std::max(bb.block_row_ptr[br + 1] - bb.block_row_ptr[br],
+                                        bb.block_row_ptr[br + 2] - bb.block_row_ptr[br + 1]);
+    iterations += longest;
+    four_slot_mmas += (longest + 1) / 2;
+  }
   sim::Device d1(sim::l40());
   sim::Device d2(sim::l40());
+  sim::Device d3(sim::l40());
   const auto k8 = spmm_spaden(d1, a, mat::random_dense(128, 8, 8));
-  const auto k32 = spmm_spaden(d2, a, mat::random_dense(128, 32, 8));
-  EXPECT_EQ(k32.launch.stats.tc_mma_m16n16k16, 2 * k8.launch.stats.tc_mma_m16n16k16);
+  const auto k16 = spmm_spaden(d2, a, mat::random_dense(128, 16, 8));
+  const auto k32 = spmm_spaden(d3, a, mat::random_dense(128, 32, 8));
+  EXPECT_EQ(k8.launch.stats.tc_mma_m16n16k16, four_slot_mmas);
+  EXPECT_EQ(k16.launch.stats.tc_mma_m16n16k16, iterations);
+  EXPECT_EQ(k32.launch.stats.tc_mma_m16n16k16, 2 * iterations);
 }
 
 }  // namespace
