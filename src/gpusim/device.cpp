@@ -56,6 +56,26 @@ std::size_t Device::cache_host_bytes() const {
 
 std::vector<std::uint64_t> Device::partition_bounds(std::string_view name,
                                                     std::uint64_t num_warps) const {
+  std::vector<std::uint64_t> bounds = weighted_bounds(name, num_warps);
+  for (const auto& [key, tied] : launch_ties_) {
+    if (key != name || tied.size() != num_warps) {
+      continue;
+    }
+    // Move each cut forward past the warps tied to the one before them;
+    // the cuts stay ascending because each starts no earlier than the last.
+    for (std::size_t t = 1; t + 1 < bounds.size(); ++t) {
+      std::uint64_t cut = std::max(bounds[t], bounds[t - 1]);
+      while (cut < num_warps && tied[cut] != 0) {
+        ++cut;
+      }
+      bounds[t] = cut;
+    }
+  }
+  return bounds;
+}
+
+std::vector<std::uint64_t> Device::weighted_bounds(std::string_view name,
+                                                   std::uint64_t num_warps) const {
   const auto t_count = static_cast<std::uint64_t>(threads_);
   std::vector<std::uint64_t> bounds(t_count + 1, num_warps);
   bounds[0] = 0;

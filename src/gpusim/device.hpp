@@ -184,6 +184,23 @@ class Device {
     return kNone;
   }
 
+  /// Warps that must run on the same virtual SM as the warp before them
+  /// (`tied[w] != 0`) in launches named `name`: partition_bounds moves every
+  /// cut that would land on a tied warp forward past it. The segments of one
+  /// split block-row pair combine through an atomic hand-off whose last
+  /// arrival does the read-back; on one virtual SM that arrival, and so every
+  /// counter, follows the fixed schedule instead of host timing. Applies when
+  /// the vector's size matches the launch; an empty vector removes the ties.
+  void set_launch_warp_ties(std::string name, std::vector<std::uint8_t> tied) {
+    for (auto& [key, value] : launch_ties_) {
+      if (key == name) {
+        value = std::move(tied);
+        return;
+      }
+    }
+    launch_ties_.emplace_back(std::move(name), std::move(tied));
+  }
+
   /// Halo window for multi-device sharding (gpusim/multidevice): x sectors
   /// outside the owned slice count into KernelStats::remote_sectors and,
   /// under an interleaving scheduler, gate the touching warp on the modeled
@@ -349,10 +366,14 @@ class Device {
   void ensure_pool();
   /// Per-SM warp-range boundaries (t_count + 1 entries): contiguous chunks
   /// whose boundaries equalize the per-warp weight prefix sums, or
-  /// equal-count chunks when no weights match the launch. `name` selects
+  /// equal-count chunks when no weights match the launch, with no cut on a
+  /// warp tied to its predecessor (set_launch_warp_ties). `name` selects
   /// launch-keyed weights before the global vector.
   [[nodiscard]] std::vector<std::uint64_t> partition_bounds(std::string_view name,
                                                             std::uint64_t num_warps) const;
+  /// partition_bounds before the ties are applied.
+  [[nodiscard]] std::vector<std::uint64_t> weighted_bounds(std::string_view name,
+                                                           std::uint64_t num_warps) const;
   /// Print a non-clean per-launch report to stderr (out-of-line: keeps
   /// iostream machinery out of the hot launch template).
   static void report_findings(const SanitizerReport& report);
@@ -485,6 +506,8 @@ class Device {
   /// Launch-name-keyed weight sets (set_launch_warp_weights); linear scan —
   /// kernels install at most a couple of entries.
   std::vector<std::pair<std::string, std::vector<std::uint64_t>>> launch_weights_;
+  /// Launch-name-keyed ties (set_launch_warp_ties), scanned the same way.
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> launch_ties_;
   RemoteWindow remote_window_{};
   bool remote_on_ = false;
   double comm_ready_cycles_ = 0;

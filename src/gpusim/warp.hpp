@@ -238,13 +238,43 @@ class WarpCtx {
     maybe_yield();
   }
 
+  /// Per-lane atomic exchange (atomicExch): lane i stores v[i] to element
+  /// idx[i] and returns the value it replaced; inactive lanes return T{}.
+  /// Charged and recorded like atomic_add. Acquire-release on the host, so
+  /// a warp that exchanges a value back out sees what the warp that
+  /// exchanged it in wrote before.
+  template <typename T>
+  Lanes<T> atomic_exch(DSpan<T> dst, const Lanes<std::uint32_t>& idx, const Lanes<T>& v,
+                       std::uint32_t mask = kFullMask) {
+    std::array<std::uint64_t, kWarpSize> addrs{};
+    std::array<std::uint32_t, kWarpSize> sizes{};
+    Lanes<T> old{};
+    for (int lane = 0; lane < kWarpSize; ++lane) {
+      const auto l = static_cast<std::size_t>(lane);
+      if ((mask >> lane) & 1u) {
+        SPADEN_ASSERT(idx[l] < dst.size, "atomic lane %d out of bounds: %u >= %zu", lane,
+                      idx[l], dst.size);
+        old[l] = std::atomic_ref<T>(dst.data[idx[l]]).exchange(v[l], std::memory_order_acq_rel);
+        addrs[l] = dst.addr_of(idx[l]);
+        sizes[l] = sizeof(T);
+      }
+    }
+    mc_->access_atomic(addrs, sizes, mask);
+    if (san_ != nullptr) {
+      record_lanes(SanAccess::Atomic, addrs, sizes, mask);
+    }
+    maybe_yield();
+    return old;
+  }
+
   /// Single atomic fetch-add issued by one lane (dynamic work distribution:
-  /// LightSpMV's global row counter).
+  /// LightSpMV's global row counter; the ticket of a segment hand-off).
+  /// Acquire-release, like atomic_exch.
   std::uint32_t atomic_fetch_add(DSpan<std::uint32_t> counter, std::size_t idx,
                                  std::uint32_t delta) {
     SPADEN_ASSERT(idx < counter.size, "counter index out of bounds");
     const std::uint32_t old = std::atomic_ref<std::uint32_t>(counter.data[idx])
-                                  .fetch_add(delta, std::memory_order_relaxed);
+                                  .fetch_add(delta, std::memory_order_acq_rel);
     std::array<std::uint64_t, kWarpSize> addrs{};
     std::array<std::uint32_t, kWarpSize> sizes{};
     addrs[0] = counter.addr_of(idx);

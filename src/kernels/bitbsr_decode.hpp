@@ -183,13 +183,19 @@ struct PairSlot {
 /// portion is written straight into its registers ("mma"). After each
 /// group, `mma()` issues the MMA(s).
 ///
-/// A slot past the end of its block-row zeroes its A portion once: a slot
-/// that ran out stays out, so nothing writes the portion again. With four
-/// slots it also zeroes its B portion (k_half, row) of `b`. Otherwise the
-/// slot's last x segment would stay there and meet the zero A portion in
-/// the block-row's own output, where 0 * inf = NaN for an x entry outside
-/// binary16 range. With two slots every MMA multiplies each slot's x by
-/// the other slot's zero A portion anyway, so `b` is left alone.
+/// The walk covers the pair's four-slot iterations [first, last), blocks
+/// [2 * first, 2 * last) of each block-row (a segment of a split pair,
+/// kernels/segments.hpp); `last` may run past the pair's end (kWholeUnit).
+///
+/// A slot past the end of its block-row zeroes its A portion once, on the
+/// block-row's first iteration past its end or on the walk's first
+/// iteration, whichever comes later: a slot that ran out stays out, so
+/// nothing writes the portion again. With four slots it also zeroes its B
+/// portion (k_half, row) of `b`. Otherwise the slot's last x segment would
+/// stay there and meet the zero A portion in the block-row's own output,
+/// where 0 * inf = NaN for an x entry outside binary16 range. With two
+/// slots every MMA multiplies each slot's x by the other slot's zero A
+/// portion anyway, so `b` is left alone.
 ///
 /// Every row meets its blocks in ascending order in both layouts, so with
 /// an accumulator that starts at +0 (it never becomes -0, and x + (+-0)
@@ -197,18 +203,22 @@ struct PairSlot {
 template <typename LoadB, typename Mma>
 void walk_block_row_pair(sim::WarpCtx& ctx, const DeviceBitBsr& m,
                          const BitBsrDecodeCache* cache, const BlockRowPair& rows,
-                         bool four_slots, tc::FragA& a, tc::FragB& b, LoadB&& load_b,
-                         Mma&& mma) {
+                         mat::Index first, mat::Index last, bool four_slots, tc::FragA& a,
+                         tc::FragB& b, LoadB&& load_b, Mma&& mma) {
   const mat::Index per_mma = four_slots ? 2 : 1;
-  const mat::Index iterations = ceil_div(std::max(rows.len[0], rows.len[1]), per_mma);
-  for (mat::Index i = 0; i < iterations; ++i) {
+  const mat::Index blocks = static_cast<mat::Index>(std::min<std::uint64_t>(
+      std::max(rows.len[0], rows.len[1]), 2 * std::uint64_t{last}));
+  const mat::Index begin = 2 * first / per_mma;
+  const mat::Index iterations = ceil_div(blocks, per_mma);
+  for (mat::Index i = begin; i < iterations; ++i) {
     for (unsigned row = 0; row < 2; ++row) {
       for (unsigned c = 0; c < per_mma; ++c) {
         const PairSlot slot{row, four_slots ? c : row};
         const unsigned reg = slot.a_reg();
         const mat::Index j = i * per_mma + c;
         if (j >= rows.len[row]) {
-          if (j < rows.len[row] + per_mma) {  // the slot's first iteration past the end
+          // The slot's first iteration past the end, or the walk's first.
+          if (j < rows.len[row] + per_mma || i == begin) {
             // Zeros computed, not loaded (the register-level control
             // §4.3.3 credits for memory efficiency).
             const sim::ProfRange prof(ctx, "mma");

@@ -66,11 +66,13 @@ std::size_t Footprint::total_bytes() const {
   return total;
 }
 
-void SpmvKernel::prepare(sim::Device& device, const mat::Csr& a) {
+void SpmvKernel::prepare(sim::Device& device, const mat::Csr& a,
+                         std::optional<mat::Index> segment_length) {
   a.validate();
   nrows_ = a.nrows;
   ncols_ = a.ncols;
   nnz_ = a.nnz();
+  segment_length_ = segment_length;
   Timer timer;
   do_prepare(device, a);
   prep_seconds_ = timer.seconds();

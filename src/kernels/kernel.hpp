@@ -27,6 +27,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -112,7 +113,19 @@ class SpmvKernel {
 
   /// Convert the CSR matrix into this method's format and upload it.
   /// Measures host-side preprocessing time (paper Fig. 10a).
-  void prepare(sim::Device& device, const mat::Csr& a);
+  /// `segment_length` fixes the length at which a kernel with a segment
+  /// plan (kernels/segments.hpp) cuts its units, 0 for none; a row-sharded
+  /// caller passes the whole matrix's. Unset, the kernel derives it from `a`.
+  void prepare(sim::Device& device, const mat::Csr& a,
+               std::optional<mat::Index> segment_length = std::nullopt);
+
+  /// The segment length this kernel's plan derives from `a` (what prepare
+  /// uses when given none), 0 for a kernel without segments. A row-sharded
+  /// caller asks once on the whole matrix and passes the answer to every
+  /// shard's prepare.
+  [[nodiscard]] virtual mat::Index derive_segment_length(const mat::Csr& /*a*/) const {
+    return 0;
+  }
 
   /// One y = A*x. `x` must have ncols elements, `y` nrows. Overwrites y.
   [[nodiscard]] virtual sim::LaunchResult run(sim::Device& device, sim::DSpan<const float> x,
@@ -164,6 +177,7 @@ class SpmvKernel {
   mat::Index nrows_ = 0;
   mat::Index ncols_ = 0;
   std::size_t nnz_ = 0;
+  std::optional<mat::Index> segment_length_;  ///< prepare's argument
 
  private:
   double prep_seconds_ = 0;

@@ -92,6 +92,13 @@ void ShardedSpmv::prepare(const mat::Csr& a) {
   ncols_ = a.ncols;
   nnz_ = a.nnz();
   const std::vector<Shard> plan = plan_shards(a, n);
+  // One segment length for every shard, from the whole matrix: shards are
+  // cut at 32-row boundaries, so each gets exactly its pairs' segments of
+  // the single-device plan and y stays bit-identical across device counts.
+  // A single shard is the whole matrix and derives the same length itself.
+  const std::optional<mat::Index> segments =
+      n > 1 ? std::optional<mat::Index>(make_kernel(method_)->derive_segment_length(a))
+            : std::nullopt;
   shards_.assign(static_cast<std::size_t>(n), ShardInfo{});
   sub_.clear();
   kernels_.clear();
@@ -116,7 +123,7 @@ void ShardedSpmv::prepare(const mat::Csr& a) {
     sub_[i] = extract_rows(a, info.shard.row_begin, info.shard.row_end);
     if (!info.shard.empty() || d == 0) {
       kernels_[i] = make_kernel(method_);
-      kernels_[i]->prepare(group_->device(d), sub_[i]);
+      kernels_[i]->prepare(group_->device(d), sub_[i], segments);
     }
     if (n <= 1) {
       continue;  // one device owns all of x — no halo by construction

@@ -22,6 +22,13 @@
 // shares the decode but multiplies on CUDA cores, isolating the
 // bitBSR-format contribution from the tensor-core contribution in the
 // Fig. 8 breakdown.
+//
+// A matrix with fewer block-row pairs than it takes to fill the device
+// gets a segment plan (kernels/segments.hpp): each long pair (or, for the
+// unpaired variant, block-row) is cut into segments of consecutive
+// iterations on separate warps, and the last of a unit's warps to arrive
+// sums their partials in segment order before it stores y. With at least
+// kFillWarps units the launch is one warp per unit, as above.
 #include <algorithm>
 #include <utility>
 
@@ -29,6 +36,7 @@
 #include "kernels/bitbsr_decode.hpp"
 #include "kernels/formats_device.hpp"
 #include "kernels/internal.hpp"
+#include "kernels/segments.hpp"
 #include "kernels/spmm.hpp"
 #include "tensorcore/wmma.hpp"
 
@@ -55,26 +63,42 @@ class SpadenKernel final : public SpmvKernel {
     return Method::Spaden;
   }
 
+  [[nodiscard]] mat::Index derive_segment_length(const mat::Csr& a) const override {
+    return segment_length(a, paired());
+  }
+
   void do_prepare(sim::Device& device, const mat::Csr& a) override {
     const mat::BitBsr bb = mat::BitBsr::from_csr(a);
+    const SegmentPlan plan = plan_segments(unit_iterations(bb, paired()), segment_length_);
     // Per-warp balancing weights from the block-row bitmap popcounts
     // (val_offset is their exclusive scan): a warp's decode/MMA work scales
-    // with the nonzeros of the block-row(s) it owns, so the nnz-balanced
+    // with the nonzeros of the blocks it walks, so the nnz-balanced
     // partition equalizes real work per virtual SM on power-law matrices.
-    const bool paired = variant_ != SpadenVariant::Unpaired;
-    const auto brow_nnz = [&](mat::Index r) -> std::uint64_t {
-      return bb.val_offset[static_cast<std::size_t>(bb.block_row_ptr[r + 1])] -
-             bb.val_offset[static_cast<std::size_t>(bb.block_row_ptr[r])];
+    // A warp of a plan walks the blocks of its segment: [begin, end) of
+    // each block-row's iterations, two blocks per four-slot iteration.
+    const mat::Index per_iteration = paired() ? 2 : 1;
+    const auto brow_nnz = [&](mat::Index r, const Segment& seg) -> std::uint64_t {
+      const mat::Index row_begin = bb.block_row_ptr[r];
+      const mat::Index len = bb.block_row_ptr[r + 1] - row_begin;
+      const auto clip = [&](mat::Index it) {
+        return row_begin + static_cast<mat::Index>(
+                               std::min<std::uint64_t>(len, std::uint64_t{per_iteration} * it));
+      };
+      return bb.val_offset[clip(seg.end)] - bb.val_offset[clip(seg.begin)];
     };
-    const std::uint64_t warps =
-        paired ? (static_cast<std::uint64_t>(bb.brows) + 1) / 2
-               : static_cast<std::uint64_t>(bb.brows);
-    std::vector<std::uint64_t> weights(warps);
-    for (std::uint64_t w = 0; w < warps; ++w) {
-      const auto r1 = static_cast<mat::Index>(paired ? 2 * w : w);
-      weights[w] = brow_nnz(r1);
-      if (paired && r1 + 1 < bb.brows) {
-        weights[w] += brow_nnz(r1 + 1);
+    std::vector<Segment> warps = plan.segments;
+    if (warps.empty()) {
+      warps.resize(plan.units);
+      for (mat::Index u = 0; u < plan.units; ++u) {
+        warps[u].unit = u;
+      }
+    }
+    std::vector<std::uint64_t> weights(warps.size());
+    for (std::size_t w = 0; w < warps.size(); ++w) {
+      const auto r1 = static_cast<mat::Index>(paired() ? 2 * warps[w].unit : warps[w].unit);
+      weights[w] = brow_nnz(r1, warps[w]);
+      if (paired() && r1 + 1 < bb.brows) {
+        weights[w] += brow_nnz(r1 + 1, warps[w]);
       }
     }
     device.set_warp_weights(std::move(weights));
@@ -82,6 +106,14 @@ class SpadenKernel final : public SpmvKernel {
     // Prepare-time hint: share the bitmap decode tables across all warps
     // and launches (modeled work is unchanged; see BitBsrDecodeCache).
     decode_cache_.build(bb);
+    segments_ = DeviceSegments::upload(device.memory(), plan);
+    scratch_ = {};
+    tickets_ = {};
+    if (!segments_.empty()) {
+      scratch_ = device.memory().alloc<float>(std::size_t{plan.slots} * kRowsPerUnit,
+                                              "segment.scratch");
+      tickets_ = device.memory().alloc<std::uint32_t>(plan.units, "segment.tickets");
+    }
   }
 
   sim::LaunchResult run(sim::Device& device, sim::DSpan<const float> x,
@@ -91,17 +123,25 @@ class SpadenKernel final : public SpmvKernel {
     const mat::Index nrows = nrows_;
 
     // One warp per pair of block-rows; the Unpaired ablation uses one
-    // block-row per warp instead (top-left portion only).
-    const bool paired = variant_ != SpadenVariant::Unpaired;
-    const std::uint64_t warps = paired ? (brows + 1) / 2 : brows;
-    return device.launch(std::string(name()), warps,
-                         [&](sim::WarpCtx& ctx, std::uint64_t w) {
-      const auto r1 = static_cast<mat::Index>(paired ? 2 * w : w);
-      const auto r2 = static_cast<mat::Index>(paired ? 2 * w + 1 : brows);
+    // block-row per warp instead (top-left portion only). With a segment
+    // plan, one warp per segment of those units.
+    const bool paired = this->paired();
+    const bool split = !segments_.empty();
+    const std::uint64_t warps = split ? segments_.size() : paired ? (brows + 1) / 2 : brows;
+    std::string launch_name(name());
+    device.set_launch_warp_ties(launch_name, segments_.launch_ties(1));
+    return device.launch(launch_name, warps, [&](sim::WarpCtx& ctx, std::uint64_t w) {
+      Segment seg;
+      seg.unit = static_cast<mat::Index>(w);
+      if (split) {
+        seg = ctx.scalar_load(segments_.segments.cspan(), w);
+      }
+      const mat::Index r1 = paired ? 2 * seg.unit : seg.unit;
+      const mat::Index r2 = paired ? 2 * seg.unit + 1 : brows;
       const bool has_r2 = paired && r2 < brows;
-      const auto [out1, out2] =
-          use_tc_ && paired ? four_slot_pass(ctx, x, static_cast<mat::Index>(w))
-                            : ablation_pass(ctx, x, r1, r2, has_r2);
+      auto [out1, out2] = use_tc_ && paired
+                              ? four_slot_pass(ctx, x, seg.unit, seg.begin, seg.end)
+                              : ablation_pass(ctx, x, r1, r2, has_r2, seg.begin, seg.end);
 
       // Store 8 + 8 results from lanes 0, 4, ..., 28 (Algorithm 4 lines
       // 4-8: lid % 4 == 0, offset row*BLOCK_DIM + lid/4).
@@ -124,6 +164,29 @@ class SpadenKernel final : public SpmvKernel {
         }
       }
       ctx.charge(sim::OpClass::IntAlu, 16);
+      if (seg.count > 1) {
+        // Split unit: row r's partial is entry r of the segment's 16-float
+        // scratch block (r1's rows first); the last arrival stores y.
+        const sim::ProfRange prof(ctx, "extract");
+        const SegmentHandOff hand_off(seg, scratch_.span(), kRowsPerUnit, tickets_.span(),
+                                      seg.unit);
+        RowPartials p1{out1, {}, mask1};
+        RowPartials p2{out2, {}, mask2};
+        for (unsigned lane = 0; lane < sim::kWarpSize; lane += 4) {
+          p1.entry[lane] = lane / 4;
+          p2.entry[lane] = 8 + lane / 4;
+        }
+        hand_off.publish(ctx, p1);
+        hand_off.publish(ctx, p2);
+        if (!hand_off.last(ctx)) {
+          return;
+        }
+        hand_off.combine(ctx, p1);
+        hand_off.combine(ctx, p2);
+        hand_off.finish(ctx);
+        out1 = p1.value;
+        out2 = p2.value;
+      }
       ctx.scatter(y, yidx1, out1, mask1);
       if (mask2 != 0) {
         ctx.scatter(y, yidx2, out2, mask2);
@@ -170,8 +233,8 @@ class SpadenKernel final : public SpmvKernel {
       return SpmvKernel::run_multi(device, xs, ys);
     }
     device.set_batch_id(device.alloc_batch_id());
-    return spmm_spaden_strided(device, bitbsr_, &decode_cache_, xs.h16.cspan(), ys, xs.k,
-                               nrows_, ncols_);
+    return spmm_spaden_strided(device, bitbsr_, &decode_cache_, &segments_, xs.h16.cspan(), ys,
+                               xs.k, nrows_, ncols_);
   }
 
   [[nodiscard]] san::FormatReport check_format() const override {
@@ -193,13 +256,14 @@ class SpadenKernel final : public SpmvKernel {
   /// C's TL (r1) and BR (r2) portions. A slot past the end of its block-row
   /// has zero A and B portions, so it adds 0 * 0 products from then on,
   /// whatever x held.
-  RowOutputs four_slot_pass(sim::WarpCtx& ctx, sim::DSpan<const float> x, mat::Index pair) {
+  RowOutputs four_slot_pass(sim::WarpCtx& ctx, sim::DSpan<const float> x, mat::Index pair,
+                            mat::Index first, mat::Index last) {
     const BlockRowPair rows(ctx, bitbsr_.block_row_ptr.cspan(), pair, bitbsr_.brows);
     tc::FragA a_frag;
     tc::FragB b_frag;
     tc::FragAcc acc_frag;  // zero-initialized (wmma::fill_fragment(.., 0))
     walk_block_row_pair(
-        ctx, bitbsr_, &decode_cache_, rows, /*four_slots=*/true, a_frag, b_frag,
+        ctx, bitbsr_, &decode_cache_, rows, first, last, /*four_slots=*/true, a_frag, b_frag,
         [&](const PairSlot& slot, const DecodedBlock& block) {
           const auto [b1, b2] = load_x_segment(ctx, x, block.block_col);
           const unsigned reg = slot.b_reg(slot.row);
@@ -239,9 +303,12 @@ class SpadenKernel final : public SpmvKernel {
   /// The Fig. 8 ablation baselines, one block per slot per iteration:
   /// Spaden (unpaired) on tensor cores with block-row r1 alone in the TL
   /// portion, Spaden w/o TC on CUDA cores with lane l accumulating block
-  /// row l/4 of each slot.
+  /// row l/4 of each slot. The walk covers the unit's iterations
+  /// [first, last): blocks [2 * first, 2 * last) of a pair (Spaden w/o TC
+  /// shares Spaden's pair plan), blocks [first, last) of an unpaired
+  /// block-row.
   RowOutputs ablation_pass(sim::WarpCtx& ctx, sim::DSpan<const float> x, mat::Index r1,
-                           mat::Index r2, bool has_r2) {
+                           mat::Index r2, bool has_r2, mat::Index first, mat::Index last) {
     const auto block_row_ptr = bitbsr_.block_row_ptr.cspan();
     const mat::Index begin1 = ctx.scalar_load(block_row_ptr, r1);
     const mat::Index end1 = ctx.scalar_load(block_row_ptr, r1 + 1);
@@ -249,7 +316,9 @@ class SpadenKernel final : public SpmvKernel {
     const mat::Index end2 = has_r2 ? ctx.scalar_load(block_row_ptr, r2 + 1) : 0;
     const mat::Index len1 = end1 - begin1;
     const mat::Index len2 = end2 - begin2;
-    const mat::Index iterations = std::max(len1, len2);
+    const std::uint64_t per_iteration = paired() ? 2 : 1;
+    const auto iterations = static_cast<mat::Index>(
+        std::min<std::uint64_t>(std::max(len1, len2), per_iteration * last));
 
     tc::FragA a_frag;
     tc::FragB b_frag;
@@ -257,7 +326,7 @@ class SpadenKernel final : public SpmvKernel {
     sim::Lanes<float> cuda_acc1{};
     sim::Lanes<float> cuda_acc2{};
 
-    for (mat::Index j = 0; j < iterations; ++j) {
+    for (auto j = static_cast<mat::Index>(per_iteration * first); j < iterations; ++j) {
       // Slot 0: block j of block-row r1 -> top-left portion, regs x[0,1].
       // Slot 1: block j of block-row r2 -> bottom-right, regs x[6,7].
       for (int slot = 0; slot < 2; ++slot) {
@@ -365,10 +434,20 @@ class SpadenKernel final : public SpmvKernel {
     return {ctx.gather(x, xidx1, mask1), ctx.gather(x, xidx2, mask2)};
   }
 
+  /// Rows of a unit's scratch block: the 16 rows of a pair (8 of an
+  /// unpaired block-row, which leaves the upper 8 unused).
+  static constexpr std::uint32_t kRowsPerUnit = 16;
+
+  /// Units are block-row pairs (every variant but Spaden (unpaired)).
+  [[nodiscard]] bool paired() const { return variant_ != SpadenVariant::Unpaired; }
+
   SpadenVariant variant_;
   bool use_tc_;
   DeviceBitBsr bitbsr_;
   BitBsrDecodeCache decode_cache_;
+  DeviceSegments segments_;
+  sim::Buffer<float> scratch_;           ///< kRowsPerUnit floats per segment slot
+  sim::Buffer<std::uint32_t> tickets_;  ///< one ticket per unit
 };
 
 }  // namespace

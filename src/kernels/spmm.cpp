@@ -8,6 +8,7 @@
 #include "kernels/formats_device.hpp"
 #include "kernels/internal.hpp"
 #include "kernels/kernel.hpp"
+#include "kernels/segments.hpp"
 #include "tensorcore/wmma.hpp"
 
 namespace spaden::kern {
@@ -82,6 +83,8 @@ SpmmResult spmm_spaden(sim::Device& device, const mat::Csr& a, const mat::Dense&
   const DeviceBitBsr bb = DeviceBitBsr::upload(device.memory(), bb_host);
   BitBsrDecodeCache decode_cache;
   decode_cache.build(bb_host);
+  const DeviceSegments segments = DeviceSegments::upload(
+      device.memory(), plan_segments(unit_iterations(bb_host, true)));
   const mat::Index k = b.ncols;
   auto b_dev = device.memory().upload(
       pack_fragment_stack(k, b.nrows, [&](mat::Index c, mat::Index i) { return b.at(i, c); })
@@ -90,7 +93,7 @@ SpmmResult spmm_spaden(sim::Device& device, const mat::Csr& a, const mat::Dense&
   auto c_dev = device.memory().alloc<float>(k * column_stride(a.nrows), "spmm.c");
 
   SpmmResult result;
-  result.launch = spmm_spaden_strided(device, bb, &decode_cache, b_dev.cspan(),
+  result.launch = spmm_spaden_strided(device, bb, &decode_cache, &segments, b_dev.cspan(),
                                       c_dev.span(), k, a.nrows, a.ncols);
   const std::vector<float> c_stack = c_dev.host();
   result.c = mat::Dense(a.nrows, k);
@@ -105,6 +108,7 @@ SpmmResult spmm_spaden(sim::Device& device, const mat::Csr& a, const mat::Dense&
 
 sim::LaunchResult spmm_spaden_strided(sim::Device& device, const DeviceBitBsr& a,
                                       const BitBsrDecodeCache* cache,
+                                      const DeviceSegments* segments,
                                       sim::DSpan<const HalfPair> xs, sim::DSpan<float> ys,
                                       mat::Index k, mat::Index nrows, mat::Index ncols) {
   SPADEN_REQUIRE(k >= 1, "spmm_spaden_strided needs at least one right-hand side");
@@ -132,11 +136,35 @@ sim::LaunchResult spmm_spaden_strided(sim::Device& device, const DeviceBitBsr& a
   const std::uint64_t pairs = (brows + 1) / 2;
   const mat::Index warps_per_pair = ceil_div(k, kSpmmRhsPerWarp);
 
-  const std::uint64_t warps = pairs * warps_per_pair;
+  // With a segment plan, warps_per_pair warps per segment. Segment slot s
+  // hands column c's row r off at scratch entry (s * k + c) * 16 + r, and
+  // the warps of column group g of pair p draw ticket p * warps_per_pair + g.
+  const bool split = segments != nullptr && !segments->empty();
+  sim::Buffer<float> scratch;
+  sim::Buffer<std::uint32_t> tickets;
+  if (split) {
+    const std::uint64_t entries = std::uint64_t{segments->slots} * k * 16;
+    SPADEN_REQUIRE(entries <= UINT32_MAX,
+                   "segment scratch of %llu entries overflows 32-bit lane indices",
+                   static_cast<unsigned long long>(entries));
+    scratch = device.memory().alloc<float>(entries, "segment.scratch");
+    tickets = device.memory().alloc<std::uint32_t>(
+        std::size_t{segments->units} * warps_per_pair, "segment.tickets");
+  }
+  device.set_launch_warp_ties("spmm_spaden_strided",
+                              split ? segments->launch_ties(warps_per_pair)
+                                    : std::vector<std::uint8_t>{});
+  const std::uint64_t warps = (split ? segments->size() : pairs) * warps_per_pair;
   return device.launch("spmm_spaden_strided", warps, [&](sim::WarpCtx& ctx,
                                                          std::uint64_t w) {
-    const auto pair = static_cast<mat::Index>(w / warps_per_pair);
-    const auto first = static_cast<mat::Index>(w % warps_per_pair) * kSpmmRhsPerWarp;
+    Segment seg;
+    seg.unit = static_cast<mat::Index>(w / warps_per_pair);
+    if (split) {
+      seg = ctx.scalar_load(segments->segments.cspan(), w / warps_per_pair);
+    }
+    const mat::Index pair = seg.unit;
+    const auto group = static_cast<mat::Index>(w % warps_per_pair);
+    const mat::Index first = group * kSpmmRhsPerWarp;
     const mat::Index live = std::min(kSpmmRhsPerWarp, k - first);
     const mat::Index tiles = ceil_div<mat::Index>(live, 16);
     // Portions (column halves) of 16-column tile t holding live RHS: a
@@ -159,7 +187,7 @@ sim::LaunchResult spmm_spaden_strided(sim::Device& device, const DeviceBitBsr& a
     std::array<tc::FragB, kSpmmRhsPerWarp / 16> b_frags;
     std::array<tc::FragAcc, kSpmmRhsPerWarp / 16> acc_frags;
     walk_block_row_pair(
-        ctx, a, cache, rows, four_slots, a_frag, b_frags[0],
+        ctx, a, cache, rows, seg.begin, seg.end, four_slots, a_frag, b_frags[0],
         [&](const PairSlot& slot, const DecodedBlock& dec) {
           // Per-column vector decode: in the B portion of (the slot's
           // k_half, column half h) of tile t, lane holds the column of RHS
@@ -199,40 +227,65 @@ sim::LaunchResult spmm_spaden_strided(sim::Device& device, const DeviceBitBsr& a
 
     // Extract every live portion into the column-major Y stack: in the
     // accumulator portion of (row half = slot, column half) of tile t,
-    // lane owns (row lane/4, RHS first + 16t + 8h + 2*(lane%4), +1).
+    // lane owns (row lane/4, RHS first + 16t + 8h + 2*(lane%4), +1). A
+    // warp of a split pair hands each register off first, and only the
+    // last arrival stores the sums.
     const sim::ProfRange prof_extract(ctx, "extract");
-    for (mat::Index t = 0; t < tiles; ++t) {
-      for (unsigned row = 0; row < (has_r2 ? 2u : 1u); ++row) {
-        const mat::Index br = row == 0 ? r1 : r2;
-        for (unsigned h = 0; h < halves(t); ++h) {
-          const unsigned reg0 = 2 * tc::portion_pair(row, col_half(row, h));
-          const mat::Index col0 = first + 16 * t + 8 * h;
-          sim::Lanes<std::uint32_t> yidx1{};
-          sim::Lanes<std::uint32_t> yidx2{};
-          sim::Lanes<float> yv1{};
-          sim::Lanes<float> yv2{};
-          std::uint32_t m1 = 0;
-          std::uint32_t m2 = 0;
-          for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
-            const std::uint32_t r = br * 8 + lane / 4;
-            const std::uint32_t c1 = col0 + 2 * (lane % 4);
-            if (r < nrows && c1 < k) {
-              yidx1[lane] = c1 * y_stride + r;
-              yv1[lane] = acc_frags[t].x(lane, reg0);
-              m1 |= 1u << lane;
+    const auto for_each_store = [&](auto&& store) {
+      for (mat::Index t = 0; t < tiles; ++t) {
+        for (unsigned row = 0; row < (has_r2 ? 2u : 1u); ++row) {
+          const mat::Index br = row == 0 ? r1 : r2;
+          for (unsigned h = 0; h < halves(t); ++h) {
+            const unsigned reg0 = 2 * tc::portion_pair(row, col_half(row, h));
+            const mat::Index col0 = first + 16 * t + 8 * h;
+            sim::Lanes<std::uint32_t> yidx1{};
+            sim::Lanes<std::uint32_t> yidx2{};
+            RowPartials p1;
+            RowPartials p2;
+            for (unsigned lane = 0; lane < sim::kWarpSize; ++lane) {
+              const std::uint32_t r = br * 8 + lane / 4;
+              const std::uint32_t c1 = col0 + 2 * (lane % 4);
+              const std::uint32_t entry = row * 8 + lane / 4;
+              if (r < nrows && c1 < k) {
+                yidx1[lane] = c1 * y_stride + r;
+                p1.value[lane] = acc_frags[t].x(lane, reg0);
+                p1.entry[lane] = c1 * 16 + entry;
+                p1.mask |= 1u << lane;
+              }
+              if (r < nrows && c1 + 1 < k) {
+                yidx2[lane] = (c1 + 1) * y_stride + r;
+                p2.value[lane] = acc_frags[t].x(lane, reg0 + 1);
+                p2.entry[lane] = (c1 + 1) * 16 + entry;
+                p2.mask |= 1u << lane;
+              }
             }
-            if (r < nrows && c1 + 1 < k) {
-              yidx2[lane] = (c1 + 1) * y_stride + r;
-              yv2[lane] = acc_frags[t].x(lane, reg0 + 1);
-              m2 |= 1u << lane;
-            }
+            ctx.charge(sim::OpClass::IntAlu, 2 * sim::kWarpSize);
+            store(yidx1, p1);
+            store(yidx2, p2);
           }
-          ctx.charge(sim::OpClass::IntAlu, 2 * sim::kWarpSize);
-          ctx.scatter(ys, yidx1, yv1, m1);
-          ctx.scatter(ys, yidx2, yv2, m2);
         }
       }
+    };
+    const auto store_y = [&](const sim::Lanes<std::uint32_t>& yidx, const RowPartials& p) {
+      ctx.scatter(ys, yidx, p.value, p.mask);
+    };
+    if (seg.count == 1) {
+      for_each_store(store_y);
+      return;
     }
+    const SegmentHandOff hand_off(seg, scratch.span(), k * 16, tickets.span(),
+                                  pair * warps_per_pair + group);
+    for_each_store([&](const sim::Lanes<std::uint32_t>&, const RowPartials& p) {
+      hand_off.publish(ctx, p);
+    });
+    if (!hand_off.last(ctx)) {
+      return;
+    }
+    for_each_store([&](const sim::Lanes<std::uint32_t>& yidx, RowPartials& p) {
+      hand_off.combine(ctx, p);
+      store_y(yidx, p);
+    });
+    hand_off.finish(ctx);
   });
 }
 

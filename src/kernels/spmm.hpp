@@ -30,6 +30,7 @@ namespace spaden::kern {
 
 struct DeviceBitBsr;
 class BitBsrDecodeCache;
+struct DeviceSegments;
 
 struct SpmmResult {
   mat::Dense c;
@@ -124,6 +125,12 @@ template <typename At>
 /// Each warp covers one block-row pair and up to kSpmmRhsPerWarp RHS
 /// columns, so the launch has pairs * ceil(k / kSpmmRhsPerWarp) warps. It
 /// decodes each block once and keeps the A fragment for every tile's MMA.
+/// With a non-empty segment plan (`segments`, nullable; the SpMV kernel's
+/// plan, kernels/segments.hpp) each warp covers one segment instead, the
+/// two-slot walk blocks [2 * begin, 2 * end), and the segments of a pair
+/// hand 16 x live partials per column group off through a per-launch
+/// scratch of 16 * k floats per segment slot; every column still sums its
+/// segments in segment order, exactly as run() does.
 ///
 /// Per column the arithmetic mirrors the Spaden SpMV kernel — same decode,
 /// same half(float) x values (converted by the pack instead of the load),
@@ -137,6 +144,7 @@ template <typename At>
 /// packing: in the wide layout the other slot's x meets a zero A portion.
 sim::LaunchResult spmm_spaden_strided(sim::Device& device, const DeviceBitBsr& a,
                                       const BitBsrDecodeCache* cache,
+                                      const DeviceSegments* segments,
                                       sim::DSpan<const HalfPair> xs, sim::DSpan<float> ys,
                                       mat::Index k, mat::Index nrows, mat::Index ncols);
 

@@ -38,13 +38,37 @@ bool uses_float_atomics(Method m) {
   return m == Method::Gunrock || m == Method::CsrAdaptive || m == Method::Dasp;
 }
 
+/// 96 x 1024 with about 160 nonzeros per row: 6 block-row pairs of about
+/// 64 iterations each, so the Spaden family's segment plan cuts every pair
+/// and its segments hand off through scratch.
+mat::Csr long_pair_matrix() {
+  return mat::Csr::from_coo(mat::random_uniform(96, 1024, 15360, 14));
+}
+
 class DeterminismTest : public ::testing::TestWithParam<Method> {};
 
 TEST_P(DeterminismTest, NumericsIdenticalAcrossDevices) {
   // The device spec only affects the *timing model*; the computed y must be
-  // bit-identical between L40 and V100.
+  // bit-identical between L40 and V100. A segment plan depends on the
+  // matrix alone, so split pairs too.
   const mat::Csr a = mat::Csr::from_coo(mat::random_uniform(300, 300, 6000, 77));
   EXPECT_EQ(run_y(GetParam(), sim::l40(), a), run_y(GetParam(), sim::v100(), a));
+  // The long-pair rows (about 160 nonzeros) make CSR-Adaptive combine row
+  // chunks through float atomics, whose order under the interleaving
+  // scheduler follows the spec's latencies; like the thread-count test
+  // below, those methods are held to the tolerance instead.
+  const mat::Csr long_pairs = long_pair_matrix();
+  const std::vector<float> l40 = run_y(GetParam(), sim::l40(), long_pairs);
+  const std::vector<float> v100 = run_y(GetParam(), sim::v100(), long_pairs);
+  if (!uses_float_atomics(GetParam())) {
+    EXPECT_EQ(l40, v100);
+    return;
+  }
+  ASSERT_EQ(l40.size(), v100.size());
+  const double tol = spmv_tolerance(long_pairs, /*half_precision_values=*/true);
+  for (std::size_t i = 0; i < l40.size(); ++i) {
+    EXPECT_NEAR(l40[i], v100[i], tol) << "row " << i;
+  }
 }
 
 TEST_P(DeterminismTest, BitIdenticalAcrossRuns) {
@@ -57,17 +81,21 @@ TEST_P(DeterminismTest, NumericsStableAcrossSimThreads) {
   // only write their own output rows must produce bit-identical y. Kernels
   // that accumulate through float atomics see a different add order, bounded
   // by the usual nnz-scaled mixed-precision tolerance.
-  const mat::Csr a = mat::Csr::from_coo(mat::random_uniform(400, 400, 9000, 13));
-  const std::vector<float> serial = run_y(GetParam(), sim::l40(), a, 1);
-  const std::vector<float> threaded = run_y(GetParam(), sim::l40(), a, 4);
-  ASSERT_EQ(serial.size(), threaded.size());
-  if (!uses_float_atomics(GetParam())) {
-    EXPECT_EQ(serial, threaded);
-    return;
-  }
-  const double tol = spmv_tolerance(a, /*half_precision_values=*/true);
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_NEAR(serial[i], threaded[i], tol) << "row " << i;
+  // The segments of a split pair stay on one virtual SM and sum in segment
+  // order, so the long-pair matrix is bit-identical too.
+  for (const mat::Csr& a : {mat::Csr::from_coo(mat::random_uniform(400, 400, 9000, 13)),
+                            long_pair_matrix()}) {
+    const std::vector<float> serial = run_y(GetParam(), sim::l40(), a, 1);
+    const std::vector<float> threaded = run_y(GetParam(), sim::l40(), a, 4);
+    ASSERT_EQ(serial.size(), threaded.size());
+    if (!uses_float_atomics(GetParam())) {
+      EXPECT_EQ(serial, threaded);
+      continue;
+    }
+    const double tol = spmv_tolerance(a, /*half_precision_values=*/true);
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_NEAR(serial[i], threaded[i], tol) << "row " << i;
+    }
   }
 }
 
@@ -160,10 +188,9 @@ TEST(Determinism, ModeledCountersStableAcrossRuns) {
   EXPECT_EQ(s1.tc_mma_m16n16k16, s2.tc_mma_m16n16k16);
 }
 
-TEST(Determinism, EngineDefaultsRepeatAtFourThreads) {
-  // Engine defaults at T=4: every virtual SM probes its own L2 slice, so two
-  // engines give byte-equal counters and profiles.
-  const mat::Csr a = mat::load_dataset("conf5", 0.01);
+/// Two engines with the defaults at T = 4 give byte-equal counters and
+/// profile JSON for Spaden and cuSPARSE CSR on `a`.
+void expect_engine_repeats_at_four_threads(const mat::Csr& a) {
   auto run = [&](Method m) {
     EngineOptions options;
     options.method = m;
@@ -187,6 +214,53 @@ TEST(Determinism, EngineDefaultsRepeatAtFourThreads) {
     EXPECT_EQ(first.first, second.first) << method_name(m);
     EXPECT_EQ(first.second, second.second) << method_name(m);
     EXPECT_NE(first.second.find("\"sms\""), std::string::npos);
+  }
+}
+
+TEST(Determinism, EngineDefaultsRepeatAtFourThreads) {
+  // Engine defaults at T=4: every virtual SM probes its own L2 slice, so two
+  // engines give byte-equal counters and profiles. On the long-pair matrix
+  // all segments of a pair share a virtual SM, so which of them does the
+  // hand-off's read-back follows the schedule, not host timing.
+  for (const mat::Csr& a : {mat::load_dataset("conf5", 0.01), long_pair_matrix()}) {
+    expect_engine_repeats_at_four_threads(a);
+  }
+}
+
+TEST(Determinism, SplitPairsSameYUnderSerialAndRoundRobin) {
+  // Whichever segment draws the last ticket sums the partials in segment
+  // order, so the schedule cannot move y: serial and rr, at T = 1 and 4,
+  // for SpMV and for the fused batch.
+  const mat::Csr a = long_pair_matrix();
+  std::vector<std::vector<float>> xs;
+  for (int c = 0; c < 5; ++c) {
+    std::vector<float> x(a.ncols);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = 0.5f - 0.003f * static_cast<float>((i * (c + 3)) % 397);
+    }
+    xs.push_back(std::move(x));
+  }
+  for (const Method m : {Method::Spaden, Method::SpadenConventional, Method::SpadenNoTc,
+                         Method::SpadenUnpaired}) {
+    SCOPED_TRACE(std::string(method_name(m)));
+    const auto run = [&](sim::SchedPolicy policy, int threads) {
+      EngineOptions options;
+      options.method = m;
+      options.sim_threads = threads;
+      options.sched = sim::SchedConfig{policy, 0};
+      SpmvEngine engine(a, options);
+      std::vector<float> y;
+      (void)engine.multiply(xs[0], y);
+      std::vector<std::vector<float>> ys;
+      (void)engine.multiply_batch(xs, ys);
+      ys.push_back(std::move(y));
+      return ys;
+    };
+    const auto serial = run(sim::SchedPolicy::Serial, 1);
+    EXPECT_EQ(serial.back(), serial.front());  // batch column 0 is run()
+    EXPECT_EQ(serial, run(sim::SchedPolicy::RoundRobin, 1));
+    EXPECT_EQ(serial, run(sim::SchedPolicy::RoundRobin, 4));
+    EXPECT_EQ(serial, run(sim::SchedPolicy::Serial, 4));
   }
 }
 

@@ -10,9 +10,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "core/spaden.hpp"
+#include "kernels/segments.hpp"
+#include "matrix/bitbsr.hpp"
 #include "matrix/dataset.hpp"
 #include "matrix/generate.hpp"
 
@@ -45,7 +46,12 @@ TEST(Engine, MultiplyMatchesReference) {
   }
   EXPECT_GT(r.gflops, 0.0);
   EXPECT_GT(r.modeled_seconds, 0.0);
-  EXPECT_EQ(r.stats.warps_launched, (spaden::ceil_div<mat::Index>(a.nrows, 8) + 1) / 2);
+  // 25 block-row pairs leave the device underfilled, so the segment plan
+  // cuts them: one warp per segment.
+  const mat::BitBsr bb = mat::BitBsr::from_csr(a);
+  EXPECT_EQ(r.stats.warps_launched,
+            kern::plan_segments(kern::unit_iterations(bb, true)).segments.size());
+  EXPECT_EQ(r.stats.warps_launched, 97u);
 }
 
 TEST(Engine, DefaultsToAutoAndL40) {

@@ -6,12 +6,14 @@
 
 #include "common/error.hpp"
 
+#include <atomic>
 #include <cctype>
 #include <cstring>
 #include <utility>
 
 #include "kernels/internal.hpp"
 #include "kernels/kernel.hpp"
+#include "kernels/segments.hpp"
 #include "matrix/dataset.hpp"
 #include "matrix/generate.hpp"
 
@@ -77,6 +79,9 @@ const std::vector<Case>& cases() {
     c.push_back({"empty_rows", empty_rows_matrix()});
     c.push_back({"single_entry", single_entry_matrix()});
     c.push_back({"wide_row", wide_row_matrix()});
+    // 6 block-row pairs of about 64 iterations: the Spaden family's
+    // segment plan cuts every pair.
+    c.push_back({"long_pairs", mat::Csr::from_coo(mat::random_uniform(96, 1024, 15360, 14))});
     return c;
   }();
   return kCases;
@@ -246,6 +251,110 @@ TEST(Kernels, TensorCoreMethodsActuallyUseTensorCores) {
                         m == Method::SpadenWide;
     EXPECT_EQ(uses_tc, should) << method_name(m);
   }
+}
+
+// ---- the segment hand-off --------------------------------------------------
+
+/// Runs one unit cut into 4 segments through SegmentHandOff: warp w
+/// publishes partial[w] for two rows, preceded by `busy[w]` loads, so under
+/// the interleaving scheduler the busiest warp draws the last ticket. With
+/// `plain_publish` the partials go out as plain stores instead.
+struct HandOffRun {
+  std::vector<float> y;
+  int last_warp = -1;
+  sim::SanitizerReport sanitizer;
+  std::vector<float> scratch;
+  std::vector<std::uint32_t> tickets;
+};
+
+HandOffRun run_hand_off(const sim::SchedConfig& sched, int threads, int busy_warp,
+                        bool plain_publish) {
+  constexpr std::uint16_t kSegments = 4;
+  // Added in any order but segment order these round differently.
+  constexpr float kPartials[kSegments] = {1e8f, 1.0f, -1e8f, 1.0f};
+  sim::Device device(sim::l40());
+  device.set_sim_threads(threads);
+  device.set_sched(sched);
+  device.set_sanitize(true);
+  auto scratch = device.memory().alloc<float>(2 * kSegments, "segment.scratch");
+  auto tickets = device.memory().alloc<std::uint32_t>(1, "segment.tickets");
+  auto filler = device.memory().alloc<float>(sim::kWarpSize, "filler");
+  auto y = device.memory().alloc<float>(2, "y");
+  device.set_launch_warp_ties("hand_off", {0, 1, 1, 1});
+  std::atomic<int> last_warp{-1};
+  HandOffRun run;
+  run.sanitizer = device
+                      .launch("hand_off", kSegments,
+                              [&](sim::WarpCtx& ctx, std::uint64_t w) {
+                                Segment seg;
+                                seg.index = static_cast<std::uint16_t>(w);
+                                seg.count = kSegments;
+                                const int loads = static_cast<int>(w) == busy_warp ? 16 : 1;
+                                for (int i = 0; i < loads; ++i) {
+                                  (void)ctx.gather(filler.cspan(), sim::lane_ids());
+                                }
+                                const SegmentHandOff hand_off(seg, scratch.span(), 2,
+                                                              tickets.span(), 0);
+                                RowPartials p;
+                                p.mask = 0x3u;
+                                p.entry[1] = 1;
+                                p.value[0] = kPartials[w];
+                                p.value[1] = -kPartials[w];
+                                if (plain_publish) {
+                                  sim::Lanes<std::uint32_t> idx{};
+                                  idx[0] = 2 * static_cast<std::uint32_t>(w);
+                                  idx[1] = idx[0] + 1;
+                                  ctx.scatter(scratch.span(), idx, p.value, p.mask);
+                                } else {
+                                  hand_off.publish(ctx, p);
+                                }
+                                if (!hand_off.last(ctx)) {
+                                  return;
+                                }
+                                last_warp = static_cast<int>(w);
+                                hand_off.combine(ctx, p);
+                                hand_off.finish(ctx);
+                                ctx.scatter(y.span(), sim::lane_ids(), p.value, p.mask);
+                              })
+                      .sanitizer;
+  run.y = y.host();
+  run.last_warp = last_warp;
+  run.scratch = scratch.host();
+  run.tickets = tickets.host();
+  return run;
+}
+
+TEST(SegmentHandOff, CleanWhicheverWarpDrawsTheLastTicket) {
+  const sim::SchedConfig serial{sim::SchedPolicy::Serial, 0};
+  const sim::SchedConfig rr{sim::SchedPolicy::RoundRobin, 8};
+  for (int busy = 0; busy < 4; ++busy) {
+    for (const auto& [sched, threads] :
+         {std::pair{serial, 1}, std::pair{rr, 1}, std::pair{rr, 4}}) {
+      SCOPED_TRACE(testing::Message() << sim::sched_policy_name(sched.policy) << " T="
+                                      << threads << " busy warp " << busy);
+      const HandOffRun run = run_hand_off(sched, threads, busy, /*plain_publish=*/false);
+      // Serial runs warps in id order; interleaved, the busy warp arrives
+      // last.
+      EXPECT_EQ(run.last_warp, sched.policy == sim::SchedPolicy::Serial ? 3 : busy);
+      EXPECT_TRUE(run.sanitizer.clean()) << run.sanitizer.summary();
+      // Segment order: ((1e8 + 1) - 1e8) + 1 == 1 in float, whoever sums.
+      EXPECT_EQ(run.y, (std::vector<float>{1.0f, -1.0f}));
+      // The read-back leaves the scratch and the ticket zero.
+      EXPECT_EQ(run.scratch, std::vector<float>(8, 0.0f));
+      EXPECT_EQ(run.tickets, std::vector<std::uint32_t>{0});
+    }
+  }
+}
+
+TEST(SegmentHandOff, PlainPublishIsAnInterWarpRace) {
+  // Why every scratch access is atomic: when a lower warp draws the last
+  // ticket, racecheck's warp-major replay puts its read-back before the
+  // higher warps' plain publishes, which no release/acquire edge orders.
+  const HandOffRun run =
+      run_hand_off(sim::SchedConfig{sim::SchedPolicy::RoundRobin, 8}, 1, 0, true);
+  ASSERT_EQ(run.last_warp, 0);
+  EXPECT_GE(run.sanitizer.count(sim::SanKind::InterWarpRace), 1u) << run.sanitizer.summary();
+  EXPECT_NE(run.sanitizer.summary().find("racecheck.inter-warp"), std::string::npos);
 }
 
 }  // namespace

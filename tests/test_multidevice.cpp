@@ -206,6 +206,27 @@ TEST(ShardedSpmv, BitIdenticalToSingleDeviceAcrossMethods) {
   }
 }
 
+TEST(ShardedSpmv, SplitPairsBitIdenticalAcrossDeviceCounts) {
+  // 6 block-row pairs of about 1020 iterations: the whole matrix's segment
+  // length is ceil(6130 / 568) = 11 (6 x 93 = 558 warps fit the device),
+  // while a shard of 2 or 4 pairs would derive the minimum, 8. Every shard
+  // is prepared with the whole matrix's length, so it runs exactly the
+  // single-device segments and their segment-order sums.
+  const mat::Csr a = test_matrix(96, 16384, 144000, 15);
+  ASSERT_EQ(kern::make_kernel(kern::Method::Spaden)->derive_segment_length(a), 11u);
+  const std::vector<float> x = dense_x(a.ncols);
+  for (const kern::Method method : {kern::Method::Spaden, kern::Method::SpadenNoTc,
+                                    kern::Method::SpadenConventional,
+                                    kern::Method::SpadenUnpaired}) {
+    SCOPED_TRACE(std::string(kern::method_name(method)));
+    const std::vector<float> y1 = run_single(method, a, x);
+    for (const int n : {2, 4}) {
+      SCOPED_TRACE(n);
+      expect_bit_identical(y1, run_sharded(method, a, x, n).y);
+    }
+  }
+}
+
 TEST(ShardedSpmv, EmptyShardsStillProduceFullY) {
   const mat::Csr a = test_matrix(40, 64, 300, 6);
   const std::vector<float> x = dense_x(a.ncols);

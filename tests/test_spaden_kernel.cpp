@@ -6,14 +6,17 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "kernels/bitbsr_decode.hpp"
 #include "kernels/formats_device.hpp"
 #include "kernels/kernel.hpp"
+#include "kernels/segments.hpp"
 #include "kernels/spmm.hpp"
 #include "matrix/bitbsr.hpp"
 #include "matrix/dataset.hpp"
@@ -65,14 +68,47 @@ TEST(SpadenKernel, OneMmaPerBlockRowPairIteration) {
             bb.num_blocks());
 }
 
+/// Warps of a segment plan over units of `iterations`: one per unit at
+/// kFillWarps units or more; otherwise, at the smallest segment length
+/// L >= max(kMinSegmentIterations, ceil(sum / kFillWarps)) whose plan fits
+/// kFillWarps warps, ceil(iterations / L) per unit longer than L and 1 per
+/// other.
+std::uint64_t plan_warps(const std::vector<mat::Index>& iterations) {
+  if (iterations.size() >= kFillWarps) {
+    return iterations.size();
+  }
+  std::uint64_t total = 0;
+  for (const mat::Index it : iterations) {
+    total += it;
+  }
+  const auto warps_at = [&](std::uint64_t length) {
+    std::uint64_t warps = 0;
+    for (const mat::Index it : iterations) {
+      warps += it > length ? (it + length - 1) / length : 1;
+    }
+    return warps;
+  };
+  std::uint64_t length =
+      std::max<std::uint64_t>(kMinSegmentIterations, (total + kFillWarps - 1) / kFillWarps);
+  while (warps_at(length) > kFillWarps) {
+    ++length;
+  }
+  return warps_at(length);
+}
+
 TEST(SpadenKernel, SixteenRowsPerWarp) {
   // "16 rows from the original matrix are processed in parallel by every
-  // tensor core" — warp count is ceil(brows/2) = ceil(nrows/16).
+  // tensor core": one warp per block-row pair, ceil(brows/2) =
+  // ceil(nrows/16), on a device the pairs fill. conf5 at 0.02 has 62 pairs
+  // of up to 16 iterations, so its segment plan cuts the long pairs and
+  // launches 124 warps, each still over the 16 rows of one pair.
   const mat::Csr a = mat::load_dataset("conf5", 0.02);
   sim::Device device(sim::l40());
   const auto result = run_once(Method::Spaden, a, device);
   const mat::BitBsr bb = mat::BitBsr::from_csr(a);
-  EXPECT_EQ(result.stats.warps_launched, (bb.brows + 1) / 2);
+  ASSERT_EQ((bb.brows + 1) / 2, 62u);
+  EXPECT_EQ(result.stats.warps_launched, plan_warps(unit_iterations(bb, true)));
+  EXPECT_EQ(result.stats.warps_launched, 124u);
 }
 
 TEST(SpadenKernel, LoadsOnlyNonzeroValues) {
@@ -346,8 +382,8 @@ BatchedRun run_batched(const mat::Csr& a, mat::Index k) {
                           })
           .words);
   auto ys = device.memory().alloc<float>(k * column_stride(a.nrows));
-  run.batch = spmm_spaden_strided(device, dev_bb, nullptr, xs.cspan(), ys.span(), k, a.nrows,
-                                  a.ncols);
+  run.batch = spmm_spaden_strided(device, dev_bb, nullptr, nullptr, xs.cspan(), ys.span(), k,
+                                  a.nrows, a.ncols);
   run.decode = device.launch("decode_only", 1, [&](sim::WarpCtx& ctx, std::uint64_t) {
     for (std::size_t b = 0; b < run.bb.num_blocks(); ++b) {
       (void)decode_bitbsr_block(ctx, dev_bb, static_cast<mat::Index>(b), nullptr);
@@ -596,7 +632,7 @@ TEST(SpadenKernel, FinishedSlotNeverMultipliesItsStaleSegment) {
   ASSERT_FALSE(stack.finite);
   auto xs = device.memory().upload(stack.words);
   auto ys = device.memory().alloc<float>(column_stride(a.nrows));
-  (void)spmm_spaden_strided(device, dev_bb, nullptr, xs.cspan(), ys.span(), 1, a.nrows,
+  (void)spmm_spaden_strided(device, dev_bb, nullptr, nullptr, xs.cspan(), ys.span(), 1, a.nrows,
                             a.ncols);
   check(std::vector<float>(ys.host().begin(), ys.host().begin() + a.nrows));
 }
@@ -615,7 +651,7 @@ TEST(SpadenKernel, BatchedStackPastThirtyTwoBitIndicesRejected) {
   const auto attempt = [&](mat::Index n) -> std::string {
     const sim::DSpan<const HalfPair> xs{nullptr, 0, 0};
     try {
-      (void)spmm_spaden_strided(device, dev_bb, nullptr, xs, ys, k, a.nrows, n);
+      (void)spmm_spaden_strided(device, dev_bb, nullptr, nullptr, xs, ys, k, a.nrows, n);
     } catch (const Error& e) {
       return e.what();
     }
@@ -628,6 +664,173 @@ TEST(SpadenKernel, BatchedStackPastThirtyTwoBitIndicesRejected) {
   const std::string fits = attempt(ncols - 8);
   EXPECT_EQ(fits.find("32-bit"), std::string::npos) << fits;
   EXPECT_NE(fits.find("fragment stack"), std::string::npos) << fits;
+}
+
+// ----- segment plans (kernels/segments.hpp) --------------------------------
+
+TEST(SegmentPlan, EmptyAtFillWarpsUnits) {
+  // At kFillWarps units the launch fills the L40 however long its units.
+  std::vector<mat::Index> iterations(kFillWarps, 100);
+  iterations[7] = 1000;
+  EXPECT_EQ(segment_length(iterations), 0u);
+  EXPECT_TRUE(plan_segments(iterations).segments.empty());
+  // One unit fewer: ceil((566 * 100 + 1000) / 568) = 102 would cut the
+  // long unit into 10 segments, 576 warps. The plan stops at kFillWarps,
+  // so L = 500 cuts it in two.
+  iterations.pop_back();
+  EXPECT_EQ(segment_length(iterations), 500u);
+  const SegmentPlan plan = plan_segments(iterations);
+  EXPECT_EQ(plan.segments.size(), kFillWarps);
+  EXPECT_EQ(plan.slots, 2u);
+  EXPECT_EQ(plan.segments.size(), plan_warps(iterations));
+}
+
+TEST(SegmentPlan, NeverLaunchesPastFillWarps) {
+  // 244 pairs of 12 iterations (cant at 1/16): L = 8 cuts each in two,
+  // 488 warps.
+  EXPECT_EQ(segment_length(std::vector<mat::Index>(244, 12)), 8u);
+  EXPECT_EQ(plan_segments(std::vector<mat::Index>(244, 12)).segments.size(), 488u);
+  // 488 pairs of 12 (cant at 1/8): ceil(5856 / 568) = 11 would cut every
+  // pair in two, 976 warps where 568 fill the device. The smallest length
+  // that fits is 12, which cuts nothing.
+  EXPECT_EQ(segment_length(std::vector<mat::Index>(488, 12)), 12u);
+  EXPECT_TRUE(plan_segments(std::vector<mat::Index>(488, 12)).segments.empty());
+  // 149 pairs of 31 (TSOPF at 1/16): 9 and 10 cut each pair in four, 596
+  // warps; 11 cuts each in three, 447.
+  EXPECT_EQ(segment_length(std::vector<mat::Index>(149, 31)), 11u);
+  EXPECT_EQ(plan_segments(std::vector<mat::Index>(149, 31)).segments.size(), 447u);
+  // Units of no iterations still run a warp each.
+  std::vector<mat::Index> iterations(500, 0);
+  iterations[0] = 1000;
+  EXPECT_EQ(segment_length(iterations), 15u);  // 499 + ceil(1000 / 15) = 566
+  EXPECT_EQ(plan_segments(iterations).segments.size(), 566u);
+  EXPECT_EQ(plan_warps(iterations), 566u);
+}
+
+TEST(SegmentPlan, EmptyWhenNoUnitExceedsTheMinimumLength) {
+  EXPECT_EQ(segment_length(std::vector<mat::Index>{8, 8, 3, 0, 8}), kMinSegmentIterations);
+  EXPECT_TRUE(plan_segments(std::vector<mat::Index>{8, 8, 3, 0, 8}).segments.empty());
+  const SegmentPlan plan = plan_segments(std::vector<mat::Index>{8, 9});
+  ASSERT_EQ(plan.segments.size(), 3u);
+  EXPECT_EQ(plan.segments[0].count, 1u);
+  EXPECT_EQ(plan.segments[2].begin, 4u);
+  EXPECT_EQ(plan.segments[2].end, 9u);
+  // A length of 0 never splits; a row-sharded caller passes it when the
+  // whole matrix fills the device.
+  EXPECT_TRUE(plan_segments(std::vector<mat::Index>{8, 900}, 0).segments.empty());
+}
+
+TEST(SegmentPlan, SegmentsAreBalancedAndContiguous) {
+  const std::vector<mat::Index> iterations{100, 3, 17, 0};
+  const SegmentPlan plan = plan_segments(iterations);
+  EXPECT_EQ(plan.units, 4u);
+  ASSERT_EQ(plan.segments.size(), 13u + 1 + 3 + 1);
+  EXPECT_EQ(plan.slots, 16u);
+  std::size_t w = 0;
+  mat::Index slot = 0;
+  for (mat::Index u = 0; u < plan.units; ++u) {
+    const mat::Index count = plan.segments[w].count;
+    EXPECT_EQ(count, iterations[u] > 8 ? (iterations[u] + 7) / 8 : 1) << "unit " << u;
+    mat::Index next = 0;
+    for (mat::Index s = 0; s < count; ++s, ++w) {
+      const Segment& seg = plan.segments[w];
+      EXPECT_EQ(seg.unit, u);
+      EXPECT_EQ(seg.index, s);
+      EXPECT_EQ(seg.begin, next);
+      EXPECT_EQ(seg.scratch, count > 1 ? slot : 0);
+      const mat::Index len = seg.end - seg.begin;
+      EXPECT_GE(len, iterations[u] / count);
+      EXPECT_LE(len, (iterations[u] + count - 1) / count);
+      next = seg.end;
+    }
+    EXPECT_EQ(next, iterations[u]);
+    slot += count > 1 ? count : 0;
+  }
+  sim::DeviceMemory mem;
+  const DeviceSegments dev = DeviceSegments::upload(mem, plan);
+  EXPECT_EQ(dev.size(), plan.segments.size());
+  // Two warps per segment: every warp of a unit but its first is tied.
+  const std::vector<std::uint8_t> ties = dev.launch_ties(2);
+  ASSERT_EQ(ties.size(), 2 * plan.segments.size());
+  EXPECT_EQ(ties[0], 0);
+  EXPECT_EQ(ties[1], 1);
+  EXPECT_EQ(ties[2], 1);       // unit 0, segment 1
+  EXPECT_EQ(ties[2 * 13], 0);  // unit 1
+}
+
+TEST(SegmentPlan, LaunchThatSplitsNothingIsUnchanged) {
+  // A matrix of kFillWarps pairs or more, and one whose pairs are all
+  // within kMinSegmentIterations: the derived plan is empty, and the
+  // launch is the one a caller gets by ruling splits out (length 0), down
+  // to every counter and the profile JSON.
+  const mat::Csr filled = mat::Csr::from_coo(mat::random_uniform(9100, 9100, 30000, 3));
+  const mat::Csr short_pairs = mat::Csr::from_coo(mat::banded(512, 4, 0.5, 1));
+  for (const mat::Csr* a : {&filled, &short_pairs}) {
+    const mat::BitBsr bb = mat::BitBsr::from_csr(*a);
+    ASSERT_TRUE(plan_segments(unit_iterations(bb, true)).segments.empty());
+    const auto run = [&](std::optional<mat::Index> length) {
+      sim::Device device(sim::l40());
+      device.set_sim_threads(1);
+      device.set_profile(true);
+      auto kernel = make_kernel(Method::Spaden);
+      kernel->prepare(device, *a, length);
+      const std::vector<float> x(a->ncols, 0.5f);
+      auto xb = device.memory().upload(x);
+      auto y = device.memory().alloc<float>(a->nrows);
+      const sim::LaunchResult r = kernel->run(device, xb.cspan(), y.span());
+      JsonWriter w;
+      r.profile.to_json(w);
+      return std::make_pair(r.stats, w.take());
+    };
+    const auto derived = run(std::nullopt);
+    const auto unsplit = run(0);
+    EXPECT_EQ(derived.first.warps_launched, (bb.brows + 1) / 2);
+    EXPECT_EQ(derived.first, unsplit.first);
+    EXPECT_EQ(derived.second, unsplit.second);
+  }
+}
+
+/// 96 x 1024 with about 160 nonzeros per row: 6 block-row pairs of about
+/// 64 iterations, so the segment plan cuts every pair.
+mat::Csr long_pairs() {
+  return mat::Csr::from_coo(mat::random_uniform(96, 1024, 15360, 14));
+}
+
+TEST(SegmentPlan, SplitPairsKeepTheirMmasAndHandOffInExtract) {
+  // A segment plan changes warps, not MMAs: the segments of a pair cover
+  // its iterations exactly once. Every split warp hands off in the
+  // "extract" range, all through atomics, and the launch stays clean.
+  const mat::Csr a = long_pairs();
+  const mat::BitBsr bb = mat::BitBsr::from_csr(a);
+  for (const std::uint64_t it : unit_iterations(bb, true)) {
+    ASSERT_GT(it, kMinSegmentIterations);
+  }
+  for (const Method m : {Method::Spaden, Method::SpadenConventional, Method::SpadenNoTc,
+                         Method::SpadenUnpaired}) {
+    SCOPED_TRACE(std::string(method_name(m)));
+    sim::Device device(sim::l40());
+    device.set_profile(true);
+    device.set_sanitize(true);
+    auto kernel = make_kernel(m);
+    kernel->prepare(device, a);
+    EXPECT_TRUE(verify_kernel(*kernel, device, a).ok());
+    const auto r = run_once(m, a, device);
+    EXPECT_TRUE(r.sanitizer.clean()) << r.sanitizer.summary();
+    const bool paired = m != Method::SpadenUnpaired;
+    EXPECT_EQ(r.stats.warps_launched,
+              plan_warps(unit_iterations(bb, paired)));
+    EXPECT_GT(r.stats.warps_launched, paired ? 6u : 12u);
+    const std::uint64_t mmas = m == Method::SpadenNoTc       ? 0
+                               : m == Method::SpadenUnpaired ? bb.num_blocks()
+                                                             : pair_mmas(bb, 2);
+    EXPECT_EQ(r.stats.tc_mma_m16n16k16, mmas);
+    const auto extract =
+        std::find_if(r.profile.ranges.begin(), r.profile.ranges.end(),
+                     [](const sim::RangeProfile& range) { return range.name == "extract"; });
+    ASSERT_NE(extract, r.profile.ranges.end());
+    EXPECT_GT(r.stats.atomic_lane_ops, 0u);
+    EXPECT_EQ(extract->stats.atomic_lane_ops, r.stats.atomic_lane_ops);
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "kernels/kernel.hpp"
+#include "kernels/segments.hpp"
 #include "matrix/bitbsr.hpp"
 #include "matrix/bitbsr_wide.hpp"
 #include "matrix/dataset.hpp"
@@ -37,14 +38,20 @@ TEST(SpadenWide, OneWarpPer16RowBlockRowOneMmaPerBlock) {
 }
 
 TEST(SpadenWide, SameRowsPerWarpAsPairedKernel) {
-  // Both kernels output 16 rows per warp: warp counts agree (up to the odd
-  // block-row the paired kernel pads).
+  // Both kernels output 16 rows per warp: Spaden-16's warp count is the
+  // paired kernel's pair count (up to the odd block-row the paired kernel
+  // pads). The paired kernel's segment plan then cuts conf5's long pairs
+  // at 0.02 across more warps; Spaden-16 has no plan.
   const mat::Csr a = mat::load_dataset("conf5", 0.02);
   sim::Device d1(sim::l40());
   sim::Device d2(sim::l40());
   const auto wide = run_once(Method::SpadenWide, a, d1);
   const auto paired = run_once(Method::Spaden, a, d2);
-  EXPECT_EQ(wide.stats.warps_launched, paired.stats.warps_launched);
+  const mat::BitBsr bb = mat::BitBsr::from_csr(a);
+  EXPECT_EQ(wide.stats.warps_launched, (bb.brows + 1) / 2);
+  EXPECT_EQ(paired.stats.warps_launched,
+            plan_segments(unit_iterations(bb, true)).segments.size());
+  EXPECT_EQ(paired.stats.warps_launched, 2 * wide.stats.warps_launched);
 }
 
 TEST(SpadenWide, FewerMmasOnClusteredStructure) {

@@ -147,6 +147,89 @@ TEST(Warp, AtomicAddAccumulatesCollidingLanes) {
   EXPECT_EQ(y.host()[2], 32.0f);
 }
 
+TEST(Warp, AtomicExchReturnsReplacedValues) {
+  Device dev(tiny_spec());
+  auto cells = dev.memory().upload(std::vector<float>{1.0f, 2.0f, 3.0f, 4.0f});
+  Lanes<float> old{};
+  dev.launch("t", 1, [&](WarpCtx& ctx, std::uint64_t) {
+    Lanes<std::uint32_t> idx{};
+    Lanes<float> v{};
+    for (unsigned lane = 0; lane < 4; ++lane) {
+      idx[lane] = 3 - lane;
+      v[lane] = 10.0f + static_cast<float>(lane);
+    }
+    old = ctx.atomic_exch(cells.span(), idx, v, 0xFu);
+  });
+  EXPECT_EQ(old[0], 4.0f);
+  EXPECT_EQ(old[3], 1.0f);
+  EXPECT_EQ(old[4], 0.0f);  // inactive lanes return T{}
+  EXPECT_EQ(cells.host(), (std::vector<float>{13.0f, 12.0f, 11.0f, 10.0f}));
+}
+
+TEST(Warp, AtomicExchOutOfBoundsThrows) {
+  Device dev(tiny_spec());
+  auto cells = dev.memory().alloc<std::uint32_t>(4);
+  EXPECT_THROW(dev.launch("t", 1,
+                          [&](WarpCtx& ctx, std::uint64_t) {
+                            (void)ctx.atomic_exch(cells.span(), make_lanes<std::uint32_t>(4),
+                                                  make_lanes<std::uint32_t>(1), 0x1u);
+                          }),
+               spaden::Error);
+}
+
+TEST(Warp, AtomicExchChargesAsAnAtomic) {
+  // Every active lane is one atomic lane op and pays its own sector at the
+  // L2 atomic unit, exactly like atomic_add on the same lanes.
+  const auto stats_of = [](bool exch) {
+    Device dev(tiny_spec());
+    auto cells = dev.memory().alloc<float>(64);
+    return dev
+        .launch("t", 1,
+                [&](WarpCtx& ctx, std::uint64_t) {
+                  if (exch) {
+                    (void)ctx.atomic_exch(cells.span(), lane_ids(), make_lanes(1.0f),
+                                          0x0000'FFFFu);
+                  } else {
+                    ctx.atomic_add(cells.span(), lane_ids(), make_lanes(1.0f), 0x0000'FFFFu);
+                  }
+                })
+        .stats;
+  };
+  const KernelStats exch = stats_of(true);
+  EXPECT_EQ(exch.atomic_lane_ops, 16u);
+  EXPECT_EQ(exch.mem_instructions, 1u);
+  EXPECT_EQ(exch, stats_of(false));
+}
+
+TEST(Warp, AtomicExchIsRecordedAsAtomic) {
+  // Two warps exchanging the same element never race (atomic vs atomic);
+  // a plain store by one of them does, and racecheck names the other side
+  // as an atomic.
+  const auto run = [](bool plain_store) {
+    Device dev(tiny_spec());
+    dev.set_sim_threads(1);
+    dev.set_sanitize(true);
+    auto cell = dev.memory().alloc<float>(1, "cell");
+    return dev
+        .launch("t", 2,
+                [&](WarpCtx& ctx, std::uint64_t w) {
+                  if (w == 1 && plain_store) {
+                    ctx.scalar_store(cell.span(), 0, 2.0f);
+                  } else {
+                    (void)ctx.atomic_exch(cell.span(), make_lanes<std::uint32_t>(0),
+                                          make_lanes(1.0f), 0x1u);
+                  }
+                })
+        .sanitizer;
+  };
+  const SanitizerReport clean = run(false);
+  EXPECT_TRUE(clean.clean()) << clean.summary();
+  const SanitizerReport racy = run(true);
+  ASSERT_EQ(racy.count(SanKind::InterWarpRace), 1u);
+  EXPECT_NE(racy.diagnostics.front().message.find("atomic by warp 0"), std::string::npos)
+      << racy.summary();
+}
+
 TEST(Warp, AtomicFetchAddSerializesAcrossWarps) {
   Device dev(tiny_spec());
   dev.set_sim_threads(1);  // grid-order claims: a serial-launcher property

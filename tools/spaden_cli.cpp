@@ -13,8 +13,11 @@
 //
 // <matrix> is either a path to a Matrix Market file or the name of a
 // Table 1 dataset (synthesized at --scale, default 0.25).
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -137,6 +140,32 @@ kern::Method method_by_name(const std::string& name) {
   throw Error(strfmt("unknown method '%s'", name.c_str()));
 }
 
+/// Fails before any work when an output flag names a file that cannot be
+/// written: its directory must exist and be writable, and the path itself
+/// must not be a directory. Otherwise a run would generate, convert and
+/// multiply first and only then fail to open the file.
+void require_writable_outputs(const Args& args) {
+  const std::pair<const char*, const std::string*> outputs[] = {
+      {"--profile", &args.profile_out},
+      {"--trace", &args.trace_out},
+      {"--metrics", &args.metrics_out},
+      {"--metrics-json", &args.metrics_json_out},
+  };
+  for (const auto& [flag, path] : outputs) {
+    if (path->empty()) {
+      continue;
+    }
+    const std::filesystem::path file(*path);
+    const std::filesystem::path dir = file.has_parent_path() ? file.parent_path() : ".";
+    std::error_code ec;
+    SPADEN_REQUIRE(std::filesystem::is_directory(dir, ec) && ::access(dir.c_str(), W_OK) == 0,
+                   "%s '%s' cannot be written: '%s' is not a writable directory", flag,
+                   path->c_str(), dir.c_str());
+    SPADEN_REQUIRE(!std::filesystem::is_directory(file, ec),
+                   "%s '%s' cannot be written: it is a directory", flag, path->c_str());
+  }
+}
+
 int cmd_info(const Args& args) {
   SPADEN_REQUIRE(args.positional.size() >= 2, "usage: spaden info <matrix>");
   const mat::Csr a = load_matrix(args.positional[1], args.scale);
@@ -155,6 +184,7 @@ int cmd_info(const Args& args) {
 
 int cmd_spmv(const Args& args) {
   SPADEN_REQUIRE(args.positional.size() >= 2, "usage: spaden spmv <matrix> [--method M]");
+  require_writable_outputs(args);
   const mat::Csr a = load_matrix(args.positional[1], args.scale);
   EngineOptions options;
   options.device = sim::device_by_name(args.device);
@@ -294,6 +324,7 @@ int cmd_datasets() {
 }
 
 int cmd_serve(const Args& args) {
+  require_writable_outputs(args);
   serve::ReplaySpec spec;
   if (!args.replay_spec.empty()) {
     std::ifstream in(args.replay_spec);
