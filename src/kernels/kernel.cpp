@@ -67,12 +67,15 @@ std::size_t Footprint::total_bytes() const {
 }
 
 void SpmvKernel::prepare(sim::Device& device, const mat::Csr& a,
-                         std::optional<mat::Index> segment_length) {
+                         std::optional<std::span<const mat::Index>> segment_counts) {
   a.validate();
   nrows_ = a.nrows;
   ncols_ = a.ncols;
   nnz_ = a.nnz();
-  segment_length_ = segment_length;
+  segment_counts_.reset();
+  if (segment_counts) {
+    segment_counts_.emplace(segment_counts->begin(), segment_counts->end());
+  }
   Timer timer;
   do_prepare(device, a);
   prep_seconds_ = timer.seconds();

@@ -113,19 +113,25 @@ class SpmvKernel {
 
   /// Convert the CSR matrix into this method's format and upload it.
   /// Measures host-side preprocessing time (paper Fig. 10a).
-  /// `segment_length` fixes the length at which a kernel with a segment
-  /// plan (kernels/segments.hpp) cuts its units, 0 for none; a row-sharded
-  /// caller passes the whole matrix's. Unset, the kernel derives it from `a`.
+  /// `segment_counts` fixes how many segments a kernel with a segment plan
+  /// (kernels/segments.hpp) cuts each of its units into, one count per
+  /// unit; a row-sharded caller passes its shard's slice of the whole
+  /// matrix's. Unset, the kernel derives them from `a`.
   void prepare(sim::Device& device, const mat::Csr& a,
-               std::optional<mat::Index> segment_length = std::nullopt);
+               std::optional<std::span<const mat::Index>> segment_counts = std::nullopt);
 
-  /// The segment length this kernel's plan derives from `a` (what prepare
-  /// uses when given none), 0 for a kernel without segments. A row-sharded
-  /// caller asks once on the whole matrix and passes the answer to every
-  /// shard's prepare.
-  [[nodiscard]] virtual mat::Index derive_segment_length(const mat::Csr& /*a*/) const {
-    return 0;
+  /// The per-unit segment counts this kernel's plan derives from `a` (what
+  /// prepare uses when given none), empty for a kernel without segments. A
+  /// row-sharded caller asks once on the whole matrix and passes each shard
+  /// its slice.
+  [[nodiscard]] virtual std::vector<mat::Index> derive_segment_counts(
+      const mat::Csr& /*a*/) const {
+    return {};
   }
+
+  /// Rows each unit of derive_segment_counts covers: 16 for a block-row
+  /// pair, 8 for a block-row, 0 for a kernel without segments.
+  [[nodiscard]] virtual mat::Index rows_per_segment_unit() const { return 0; }
 
   /// One y = A*x. `x` must have ncols elements, `y` nrows. Overwrites y.
   [[nodiscard]] virtual sim::LaunchResult run(sim::Device& device, sim::DSpan<const float> x,
@@ -177,7 +183,7 @@ class SpmvKernel {
   mat::Index nrows_ = 0;
   mat::Index ncols_ = 0;
   std::size_t nnz_ = 0;
-  std::optional<mat::Index> segment_length_;  ///< prepare's argument
+  std::optional<std::vector<mat::Index>> segment_counts_;  ///< prepare's argument
 
  private:
   double prep_seconds_ = 0;

@@ -1,6 +1,7 @@
 #include "kernels/segments.hpp"
 
 #include <algorithm>
+#include <queue>
 
 #include "common/bitops.hpp"
 #include "common/error.hpp"
@@ -32,65 +33,70 @@ std::vector<mat::Index> unit_iterations(const mat::BitBsr& bb, bool paired) {
   return iterations;
 }
 
-mat::Index segment_length(std::span<const mat::Index> iterations) {
-  if (iterations.size() >= kFillWarps) {
-    return 0;
+std::vector<mat::Index> segment_counts(std::span<const mat::Index> iterations) {
+  std::vector<mat::Index> counts(iterations.size(), 1);
+  if (counts.size() >= kFillWarps) {
+    return counts;
   }
-  std::uint64_t total = 0;
-  mat::Index longest = 0;
-  for (const mat::Index it : iterations) {
-    total += it;
-    longest = std::max(longest, it);
-  }
-  // Warps of the plan at `length`: every unit runs at least one.
-  const auto warps = [&](std::uint64_t length) {
-    std::uint64_t n = 0;
-    for (const mat::Index it : iterations) {
-      n += std::max<std::uint64_t>(1, ceil_div<std::uint64_t>(it, length));
+  // Longest current segment first, then the lowest unit.
+  struct Candidate {
+    std::uint64_t longest;
+    mat::Index unit;
+    bool operator<(const Candidate& o) const {
+      return longest != o.longest ? longest < o.longest : unit > o.unit;
     }
-    return n;
   };
-  // warps() does not rise with the length, and at the longest unit's
-  // length it is the unit count, below kFillWarps: bisect.
-  std::uint64_t lo = std::max<std::uint64_t>(kMinSegmentIterations,
-                                             ceil_div<std::uint64_t>(total, kFillWarps));
-  std::uint64_t hi = std::max<std::uint64_t>(lo, longest);
-  while (lo < hi) {
-    const std::uint64_t mid = lo + (hi - lo) / 2;
-    if (warps(mid) <= kFillWarps) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
+  // One more segment for unit u keeps every segment at least
+  // kShortestSegment long.
+  const auto can_split = [&](mat::Index u) {
+    return iterations[u] > kMinSegmentIterations &&
+           iterations[u] / (std::uint64_t{counts[u]} + 1) >= kShortestSegment;
+  };
+  std::priority_queue<Candidate> queue;
+  for (mat::Index u = 0; u < counts.size(); ++u) {
+    if (can_split(u)) {
+      queue.push({iterations[u], u});
     }
   }
-  return static_cast<mat::Index>(lo);
+  for (std::uint64_t warps = counts.size(); warps < kFillWarps && !queue.empty(); ++warps) {
+    const mat::Index u = queue.top().unit;
+    queue.pop();
+    ++counts[u];
+    if (can_split(u)) {
+      queue.push({ceil_div<std::uint64_t>(iterations[u], counts[u]), u});
+    }
+  }
+  return counts;
 }
 
-mat::Index segment_length(const mat::Csr& a, bool paired) {
+std::vector<mat::Index> segment_counts(const mat::Csr& a, bool paired) {
   const std::uint64_t brows = ceil_div<std::uint64_t>(a.nrows, 8);
-  if ((paired ? (brows + 1) / 2 : brows) >= kFillWarps) {
-    return 0;
+  const std::uint64_t units = paired ? (brows + 1) / 2 : brows;
+  if (units >= kFillWarps) {
+    return std::vector<mat::Index>(units, 1);
   }
-  return segment_length(unit_iterations(mat::BitBsr::from_csr(a), paired));
+  return segment_counts(unit_iterations(mat::BitBsr::from_csr(a), paired));
 }
 
 SegmentPlan plan_segments(std::span<const mat::Index> iterations,
-                          std::optional<mat::Index> given_length) {
-  const mat::Index length = given_length ? *given_length : segment_length(iterations);
+                          std::optional<std::span<const mat::Index>> given_counts) {
+  const std::vector<mat::Index> derived =
+      given_counts ? std::vector<mat::Index>{} : segment_counts(iterations);
+  const std::span<const mat::Index> counts = given_counts ? *given_counts : derived;
+  SPADEN_REQUIRE(counts.size() == iterations.size(), "%zu segment counts for %zu units",
+                 counts.size(), iterations.size());
   SegmentPlan plan;
   plan.units = static_cast<mat::Index>(iterations.size());
-  if (length == 0 ||
-      std::none_of(iterations.begin(), iterations.end(),
-                   [&](mat::Index it) { return it > length; })) {
+  if (std::all_of(counts.begin(), counts.end(), [](mat::Index c) { return c == 1; })) {
     return plan;
   }
   for (mat::Index u = 0; u < plan.units; ++u) {
     const std::uint64_t its = iterations[u];
-    const std::uint64_t count = its > length ? ceil_div<std::uint64_t>(its, length) : 1;
-    SPADEN_REQUIRE(count <= UINT16_MAX, "unit %u of %llu iterations needs %llu segments", u,
-                   static_cast<unsigned long long>(its),
-                   static_cast<unsigned long long>(count));
-    for (std::uint64_t s = 0; s < count; ++s) {
+    const mat::Index count = counts[u];
+    SPADEN_REQUIRE(count >= 1 && count <= UINT16_MAX,
+                   "unit %u of %llu iterations cannot run in %u segments", u,
+                   static_cast<unsigned long long>(its), count);
+    for (mat::Index s = 0; s < count; ++s) {
       Segment seg;
       seg.unit = u;
       seg.begin = static_cast<mat::Index>(its * s / count);
@@ -101,7 +107,7 @@ SegmentPlan plan_segments(std::span<const mat::Index> iterations,
       plan.segments.push_back(seg);
     }
     if (count > 1) {
-      plan.slots += static_cast<mat::Index>(count);
+      plan.slots += count;
     }
   }
   return plan;

@@ -14,10 +14,11 @@
 // segment 0. So y depends neither on which warp arrives last nor on the
 // device spec, the schedule or the thread count.
 //
-// The plan is a function of the matrix alone. A launch over at least
-// kFillWarps units gets an empty plan and runs one warp per unit with no
-// descriptor load, exactly the unsplit kernel; a plan never launches more
-// than kFillWarps warps.
+// The plan is a function of the matrix alone: per-unit segment counts
+// (segment_counts) that fill the device to kFillWarps warps, cutting the
+// longest units first. A launch over at least kFillWarps units gets an
+// empty plan and runs one warp per unit with no descriptor load, exactly
+// the unsplit kernel; a plan never launches more than kFillWarps warps.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +49,11 @@ inline constexpr std::uint64_t kFillWarps = 568;
 /// device".
 inline constexpr mat::Index kMinSegmentIterations = 8;
 
+/// Shortest segment a plan cuts: the shorter half of the shortest unit
+/// that splits (9 -> 5 + 4). Without it the fill would cut a lone long unit
+/// into segments of one iteration, each paying a whole hand-off.
+inline constexpr mat::Index kShortestSegment = kMinSegmentIterations / 2;
+
 /// Iterations past the end of any unit: a Segment that covers its whole
 /// unit without a plan.
 inline constexpr mat::Index kWholeUnit = ~mat::Index{0};
@@ -71,18 +77,20 @@ static_assert(sizeof(Segment) == 32, "one segment per 32-byte load");
 /// (unpaired)), a unit is a block-row and its iterations are its blocks.
 [[nodiscard]] std::vector<mat::Index> unit_iterations(const mat::BitBsr& bb, bool paired);
 
-/// Segment length of a launch over units of `iterations[u]` iterations:
-/// 0 (no split) when there are at least kFillWarps units, otherwise the
-/// smallest L >= max(kMinSegmentIterations, ceil(sum / kFillWarps)) whose
-/// plan, sum of ceil(iterations[u] / L), launches at most kFillWarps
-/// warps. A launch that already nearly fills the device therefore splits
-/// few units or none: past kFillWarps warps a further segment adds a
-/// hand-off and no occupancy.
-[[nodiscard]] mat::Index segment_length(std::span<const mat::Index> iterations);
+/// Segment counts of a launch over units of `iterations[u]` iterations,
+/// one per unit: a greedy fill. Every unit starts at one segment; while the
+/// launch holds fewer than kFillWarps warps, the unit whose segments are
+/// longest, ceil(iterations / count), gets one more (ties: the lowest
+/// unit). A unit of at most kMinSegmentIterations never splits, and no cut
+/// leaves a segment shorter than kShortestSegment; the fill stops early
+/// when no unit can split further. A launch of at least kFillWarps units
+/// is all ones. So a launch that nearly fills the device splits only as
+/// many of its longest units as it takes to fill it.
+[[nodiscard]] std::vector<mat::Index> segment_counts(std::span<const mat::Index> iterations);
 
-/// segment_length over the units of `a` (see unit_iterations), decided by
-/// the unit count before any conversion when there are kFillWarps or more.
-[[nodiscard]] mat::Index segment_length(const mat::Csr& a, bool paired);
+/// segment_counts over the units of `a` (see unit_iterations), all ones
+/// without any conversion when there are kFillWarps units or more.
+[[nodiscard]] std::vector<mat::Index> segment_counts(const mat::Csr& a, bool paired);
 
 /// A launch's segments, one per warp, units in order.
 struct SegmentPlan {
@@ -91,14 +99,13 @@ struct SegmentPlan {
   mat::Index slots = 0;  ///< scratch slots: the segments of split units
 };
 
-/// Cuts every unit of more than `length` iterations into
-/// ceil(iterations / length) segments of balanced length: segment s of c
-/// covers [iterations * s / c, iterations * (s + 1) / c). `length` is
-/// segment_length(iterations) unless given (a row-sharded caller's
-/// whole-matrix length). The plan is empty when the length is 0 or no unit
-/// is longer than it.
-[[nodiscard]] SegmentPlan plan_segments(std::span<const mat::Index> iterations,
-                                        std::optional<mat::Index> length = std::nullopt);
+/// Cuts unit u into `counts[u]` segments of balanced length: segment s of
+/// c covers [iterations * s / c, iterations * (s + 1) / c). `counts` is
+/// segment_counts(iterations) unless given (a row-sharded caller's slice of
+/// the whole matrix's counts). The plan is empty when every count is 1.
+[[nodiscard]] SegmentPlan plan_segments(
+    std::span<const mat::Index> iterations,
+    std::optional<std::span<const mat::Index>> counts = std::nullopt);
 
 /// A segment plan uploaded for launches.
 struct DeviceSegments {

@@ -92,13 +92,27 @@ void ShardedSpmv::prepare(const mat::Csr& a) {
   ncols_ = a.ncols;
   nnz_ = a.nnz();
   const std::vector<Shard> plan = plan_shards(a, n);
-  // One segment length for every shard, from the whole matrix: shards are
-  // cut at 32-row boundaries, so each gets exactly its pairs' segments of
-  // the single-device plan and y stays bit-identical across device counts.
-  // A single shard is the whole matrix and derives the same length itself.
-  const std::optional<mat::Index> segments =
-      n > 1 ? std::optional<mat::Index>(make_kernel(method_)->derive_segment_length(a))
-            : std::nullopt;
+  // Segment counts for every shard, sliced from the whole matrix's: shards
+  // are cut at 32-row boundaries, so each starts on a unit and gets exactly
+  // its units' segments of the single-device plan, and y stays
+  // bit-identical across device counts. A single shard is the whole matrix
+  // and derives the same counts itself.
+  std::vector<mat::Index> counts;
+  mat::Index unit_rows = 0;
+  if (n > 1) {
+    const std::unique_ptr<SpmvKernel> whole = make_kernel(method_);
+    counts = whole->derive_segment_counts(a);
+    unit_rows = whole->rows_per_segment_unit();
+  }
+  const auto shard_counts = [&](const Shard& s) -> std::optional<std::span<const mat::Index>> {
+    if (unit_rows == 0) {
+      return std::nullopt;
+    }
+    assert(s.row_begin % unit_rows == 0);
+    const mat::Index first = s.row_begin / unit_rows;
+    const mat::Index last = (s.row_end + unit_rows - 1) / unit_rows;
+    return std::span<const mat::Index>(counts).subspan(first, last - first);
+  };
   shards_.assign(static_cast<std::size_t>(n), ShardInfo{});
   sub_.clear();
   kernels_.clear();
@@ -123,7 +137,7 @@ void ShardedSpmv::prepare(const mat::Csr& a) {
     sub_[i] = extract_rows(a, info.shard.row_begin, info.shard.row_end);
     if (!info.shard.empty() || d == 0) {
       kernels_[i] = make_kernel(method_);
-      kernels_[i]->prepare(group_->device(d), sub_[i], segments);
+      kernels_[i]->prepare(group_->device(d), sub_[i], shard_counts(info.shard));
     }
     if (n <= 1) {
       continue;  // one device owns all of x — no halo by construction

@@ -63,13 +63,18 @@ class SpadenKernel final : public SpmvKernel {
     return Method::Spaden;
   }
 
-  [[nodiscard]] mat::Index derive_segment_length(const mat::Csr& a) const override {
-    return segment_length(a, paired());
+  [[nodiscard]] std::vector<mat::Index> derive_segment_counts(
+      const mat::Csr& a) const override {
+    return segment_counts(a, paired());
+  }
+
+  [[nodiscard]] mat::Index rows_per_segment_unit() const override {
+    return paired() ? kRowsPerUnit : kRowsPerUnit / 2;
   }
 
   void do_prepare(sim::Device& device, const mat::Csr& a) override {
     const mat::BitBsr bb = mat::BitBsr::from_csr(a);
-    const SegmentPlan plan = plan_segments(unit_iterations(bb, paired()), segment_length_);
+    const SegmentPlan plan = plan_segments(unit_iterations(bb, paired()), segment_counts_);
     // Per-warp balancing weights from the block-row bitmap popcounts
     // (val_offset is their exclusive scan): a warp's decode/MMA work scales
     // with the nonzeros of the blocks it walks, so the nnz-balanced

@@ -7,6 +7,12 @@
 
 namespace spaden::mat {
 
+void require_index_count(std::uint64_t count, const char* what, const char* who) {
+  SPADEN_REQUIRE(count <= kMaxIndexCount, "%s: %llu %s are above the index limit %llu", who,
+                 static_cast<unsigned long long>(count), what,
+                 static_cast<unsigned long long>(kMaxIndexCount));
+}
+
 void Coo::sort() {
   std::vector<std::size_t> perm(nnz());
   std::iota(perm.begin(), perm.end(), std::size_t{0});

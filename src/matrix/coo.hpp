@@ -6,11 +6,21 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace spaden::mat {
 
 using Index = std::uint32_t;
+
+/// Most nonzeros a matrix may hold: row_ptr, block_row_ptr and val_offset
+/// store offsets as Index, so one more would wrap them.
+inline constexpr std::uint64_t kMaxIndexCount = std::numeric_limits<Index>::max();
+
+/// Throws a named spaden::Error when `count` `what` (e.g. "nonzeros") of
+/// `who` (e.g. "rmat") is above kMaxIndexCount. Callers check before they
+/// size anything from the count.
+void require_index_count(std::uint64_t count, const char* what, const char* who);
 
 struct Coo {
   Index nrows = 0;

@@ -26,6 +26,7 @@ void Csr::validate() const {
 }
 
 Csr Csr::from_coo(const Coo& coo) {
+  require_index_count(coo.nnz(), "nonzeros", "Csr::from_coo");
   coo.validate();
   Coo sorted = coo;
   sorted.combine_duplicates();

@@ -25,6 +25,7 @@ float random_value(Rng& rng) {
 Coo random_uniform(Index nrows, Index ncols, std::size_t nnz, std::uint64_t seed) {
   SPADEN_REQUIRE(nnz <= static_cast<std::size_t>(nrows) * ncols,
                  "nnz %zu exceeds matrix capacity", nnz);
+  require_index_count(nnz, "nonzeros", "random_uniform");
   Rng rng(seed);
   Coo out;
   out.nrows = nrows;
@@ -48,9 +49,14 @@ Coo rmat(unsigned scale, double edge_factor, std::uint64_t seed, double a, doubl
   SPADEN_REQUIRE(scale >= 1 && scale <= 30, "rmat scale %u out of range", scale);
   const double sum = a + b + c + d;
   SPADEN_REQUIRE(std::abs(sum - 1.0) < 1e-9, "rmat partition must sum to 1 (got %g)", sum);
-  Rng rng(seed);
   const Index n = Index{1} << scale;
-  const auto edges = static_cast<std::size_t>(edge_factor * static_cast<double>(n));
+  const double want = edge_factor * static_cast<double>(n);
+  SPADEN_REQUIRE(std::isfinite(want) && want >= 0.0,
+                 "rmat edge factor %g must be finite and non-negative", edge_factor);
+  // Duplicates combine only after generation, so every edge is stored first.
+  require_index_count(static_cast<std::uint64_t>(std::min(want, 0x1p63)), "edges", "rmat");
+  Rng rng(seed);
+  const auto edges = static_cast<std::size_t>(want);
   Coo out;
   out.nrows = n;
   out.ncols = n;

@@ -1,6 +1,8 @@
 // CSR format: conversion, validation, transpose, reference SpMV.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 
 #include "common/rng.hpp"
@@ -20,6 +22,22 @@ Csr small() {
   coo.col = {0, 2, 1, 0, 1, 2};
   coo.val = {1, 2, 3, 4, 5, 6};
   return Csr::from_coo(coo);
+}
+
+TEST(Csr, IndexCountLimitIsNamed) {
+  // Csr::from_coo, random_uniform and rmat check their nonzero count with
+  // this before they size anything from it; a COO past the limit would
+  // take 48 GiB to build, so the check is tested on its own.
+  EXPECT_NO_THROW(require_index_count(kMaxIndexCount, "nonzeros", "Csr::from_coo"));
+  try {
+    require_index_count(kMaxIndexCount + 1, "nonzeros", "Csr::from_coo");
+    ADD_FAILURE() << "accepted 2^32 nonzeros";
+  } catch (const spaden::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "Csr::from_coo: 4294967296 nonzeros are above the index limit 4294967295"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Csr, FromCooBuildsRowPointers) {

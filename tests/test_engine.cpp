@@ -47,11 +47,12 @@ TEST(Engine, MultiplyMatchesReference) {
   EXPECT_GT(r.gflops, 0.0);
   EXPECT_GT(r.modeled_seconds, 0.0);
   // 25 block-row pairs leave the device underfilled, so the segment plan
-  // cuts them: one warp per segment.
+  // cuts them, each down to segments of at least kShortestSegment
+  // iterations: one warp per segment.
   const mat::BitBsr bb = mat::BitBsr::from_csr(a);
   EXPECT_EQ(r.stats.warps_launched,
             kern::plan_segments(kern::unit_iterations(bb, true)).segments.size());
-  EXPECT_EQ(r.stats.warps_launched, 97u);
+  EXPECT_EQ(r.stats.warps_launched, 150u);
 }
 
 TEST(Engine, DefaultsToAutoAndL40) {

@@ -2,6 +2,8 @@
 // in for the SuiteSparse downloads (see DESIGN.md §2).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 
 #include "matrix/block_stats.hpp"
@@ -34,6 +36,26 @@ TEST(RandomUniform, RejectsOverfull) {
   EXPECT_THROW((void)random_uniform(4, 4, 17, 1), spaden::Error);
 }
 
+/// The message of the spaden::Error `f` throws, or "no error".
+template <typename F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const spaden::Error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(RandomUniform, RejectsMoreNonzerosThanTheIndexHolds) {
+  // Checked before the position set is sized from the count.
+  const std::string msg = error_of(
+      [] { (void)random_uniform(Index{1} << 20, Index{1} << 20, kMaxIndexCount + 1, 1); });
+  EXPECT_NE(msg.find("random_uniform: 4294967296 nonzeros are above the index limit"),
+            std::string::npos)
+      << msg;
+}
+
 TEST(Rmat, PowerLawDegreesAndDims) {
   const Coo m = rmat(10, 8.0, 3);
   EXPECT_EQ(m.nrows, 1024u);
@@ -50,6 +72,19 @@ TEST(Rmat, PowerLawDegreesAndDims) {
 TEST(Rmat, ValidatesPartition) {
   EXPECT_THROW((void)rmat(5, 2.0, 1, 0.5, 0.5, 0.5, 0.5), spaden::Error);
   EXPECT_THROW((void)rmat(0, 2.0, 1), spaden::Error);
+}
+
+TEST(Rmat, RejectsMoreEdgesThanTheIndexHolds) {
+  // 2^30 vertices at 8 edges each would wrap row_ptr. Checked before the
+  // edge arrays are reserved; 4 edges each is exactly one past the limit.
+  std::string msg = error_of([] { (void)rmat(30, 8.0, 1); });
+  EXPECT_NE(msg.find("rmat: 8589934592 edges are above the index limit 4294967295"),
+            std::string::npos)
+      << msg;
+  msg = error_of([] { (void)rmat(30, 4.0, 1); });
+  EXPECT_NE(msg.find("rmat: 4294967296 edges"), std::string::npos) << msg;
+  msg = error_of([] { (void)rmat(10, -1.0, 1); });
+  EXPECT_NE(msg.find("edge factor -1 must be finite"), std::string::npos) << msg;
 }
 
 TEST(Banded, EntriesWithinBandDiagonalAlwaysPresent) {

@@ -9,6 +9,7 @@
 // modeled comm accounting, and the launch-keyed warp-weight fix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 
@@ -16,6 +17,7 @@
 #include "core/spaden.hpp"
 #include "gpusim/multidevice.hpp"
 #include "kernels/kernel.hpp"
+#include "kernels/segments.hpp"
 #include "kernels/sharded.hpp"
 #include "matrix/generate.hpp"
 
@@ -207,22 +209,38 @@ TEST(ShardedSpmv, BitIdenticalToSingleDeviceAcrossMethods) {
 }
 
 TEST(ShardedSpmv, SplitPairsBitIdenticalAcrossDeviceCounts) {
-  // 6 block-row pairs of about 1020 iterations: the whole matrix's segment
-  // length is ceil(6130 / 568) = 11 (6 x 93 = 558 warps fit the device),
-  // while a shard of 2 or 4 pairs would derive the minimum, 8. Every shard
-  // is prepared with the whole matrix's length, so it runs exactly the
-  // single-device segments and their segment-order sums.
+  // 6 block-row pairs of about 1020 iterations: the whole matrix's plan
+  // fills 568 warps, so the pairs get unequal counts (94 or 95), while a
+  // shard of 2 or 4 pairs alone would fill 568 warps itself. Every shard is
+  // prepared with its slice of the whole matrix's counts, so it runs
+  // exactly the single-device segments and their segment-order sums.
   const mat::Csr a = test_matrix(96, 16384, 144000, 15);
-  ASSERT_EQ(kern::make_kernel(kern::Method::Spaden)->derive_segment_length(a), 11u);
+  for (const kern::Method method : {kern::Method::Spaden, kern::Method::SpadenUnpaired}) {
+    const std::vector<mat::Index> counts = kern::make_kernel(method)->derive_segment_counts(a);
+    ASSERT_EQ(counts.size(), method == kern::Method::Spaden ? 6u : 12u);
+    EXPECT_NE(*std::min_element(counts.begin(), counts.end()),
+              *std::max_element(counts.begin(), counts.end()));
+    std::uint64_t warps = 0;
+    for (const mat::Index c : counts) {
+      warps += c;
+    }
+    EXPECT_EQ(warps, kern::kFillWarps);
+  }
   const std::vector<float> x = dense_x(a.ncols);
   for (const kern::Method method : {kern::Method::Spaden, kern::Method::SpadenNoTc,
                                     kern::Method::SpadenConventional,
                                     kern::Method::SpadenUnpaired}) {
     SCOPED_TRACE(std::string(kern::method_name(method)));
     const std::vector<float> y1 = run_single(method, a, x);
-    for (const int n : {2, 4}) {
+    for (const int n : {1, 2, 4}) {
       SCOPED_TRACE(n);
-      expect_bit_identical(y1, run_sharded(method, a, x, n).y);
+      const ShardedRun r = run_sharded(method, a, x, n);
+      expect_bit_identical(y1, r.y);
+      std::uint64_t warps = 0;
+      for (const sim::LaunchResult& launch : r.result.launches) {
+        warps += launch.stats.warps_launched;
+      }
+      EXPECT_EQ(warps, kern::kFillWarps);
     }
   }
 }

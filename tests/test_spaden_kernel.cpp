@@ -68,40 +68,50 @@ TEST(SpadenKernel, OneMmaPerBlockRowPairIteration) {
             bb.num_blocks());
 }
 
-/// Warps of a segment plan over units of `iterations`: one per unit at
-/// kFillWarps units or more; otherwise, at the smallest segment length
-/// L >= max(kMinSegmentIterations, ceil(sum / kFillWarps)) whose plan fits
-/// kFillWarps warps, ceil(iterations / L) per unit longer than L and 1 per
-/// other.
-std::uint64_t plan_warps(const std::vector<mat::Index>& iterations) {
-  if (iterations.size() >= kFillWarps) {
-    return iterations.size();
-  }
-  std::uint64_t total = 0;
-  for (const mat::Index it : iterations) {
-    total += it;
-  }
-  const auto warps_at = [&](std::uint64_t length) {
-    std::uint64_t warps = 0;
-    for (const mat::Index it : iterations) {
-      warps += it > length ? (it + length - 1) / length : 1;
+/// Segment counts of a plan over units of `iterations`, by a plain
+/// scan: one per unit; below kFillWarps warps, one more for the unit whose
+/// segments are longest (the lowest on a tie) among those over
+/// kMinSegmentIterations that one more segment leaves at least
+/// kShortestSegment long, until the launch holds kFillWarps warps or no
+/// unit qualifies.
+std::vector<mat::Index> reference_counts(const std::vector<mat::Index>& iterations) {
+  std::vector<mat::Index> counts(iterations.size(), 1);
+  for (std::uint64_t warps = counts.size(); warps < kFillWarps; ++warps) {
+    std::optional<std::size_t> best;
+    std::uint64_t longest = 0;
+    for (std::size_t u = 0; u < counts.size(); ++u) {
+      const std::uint64_t it = iterations[u];
+      const std::uint64_t seg = (it + counts[u] - 1) / counts[u];
+      if (it > kMinSegmentIterations && it / (counts[u] + 1) >= kShortestSegment &&
+          (!best || seg > longest)) {
+        best = u;
+        longest = seg;
+      }
     }
-    return warps;
-  };
-  std::uint64_t length =
-      std::max<std::uint64_t>(kMinSegmentIterations, (total + kFillWarps - 1) / kFillWarps);
-  while (warps_at(length) > kFillWarps) {
-    ++length;
+    if (!best) {
+      break;
+    }
+    ++counts[*best];
   }
-  return warps_at(length);
+  return counts;
+}
+
+/// Warps of a segment plan over units of `iterations`.
+std::uint64_t plan_warps(const std::vector<mat::Index>& iterations) {
+  std::uint64_t warps = 0;
+  for (const mat::Index c : reference_counts(iterations)) {
+    warps += c;
+  }
+  return warps;
 }
 
 TEST(SpadenKernel, SixteenRowsPerWarp) {
   // "16 rows from the original matrix are processed in parallel by every
   // tensor core": one warp per block-row pair, ceil(brows/2) =
   // ceil(nrows/16), on a device the pairs fill. conf5 at 0.02 has 62 pairs
-  // of up to 16 iterations, so its segment plan cuts the long pairs and
-  // launches 124 warps, each still over the 16 rows of one pair.
+  // of 9 iterations, so its segment plan cuts each in two (4 + 5; a third
+  // segment would be shorter than kShortestSegment) and launches 124
+  // warps, each still over the 16 rows of one pair.
   const mat::Csr a = mat::load_dataset("conf5", 0.02);
   sim::Device device(sim::l40());
   const auto result = run_once(Method::Spaden, a, device);
@@ -672,13 +682,14 @@ TEST(SegmentPlan, EmptyAtFillWarpsUnits) {
   // At kFillWarps units the launch fills the L40 however long its units.
   std::vector<mat::Index> iterations(kFillWarps, 100);
   iterations[7] = 1000;
-  EXPECT_EQ(segment_length(iterations), 0u);
+  EXPECT_EQ(segment_counts(iterations), std::vector<mat::Index>(kFillWarps, 1));
   EXPECT_TRUE(plan_segments(iterations).segments.empty());
-  // One unit fewer: ceil((566 * 100 + 1000) / 568) = 102 would cut the
-  // long unit into 10 segments, 576 warps. The plan stops at kFillWarps,
-  // so L = 500 cuts it in two.
+  // One unit fewer: one more warp fills the device, and it goes to the
+  // longest unit.
   iterations.pop_back();
-  EXPECT_EQ(segment_length(iterations), 500u);
+  const std::vector<mat::Index> counts = segment_counts(iterations);
+  EXPECT_EQ(counts[7], 2u);
+  EXPECT_EQ(std::count(counts.begin(), counts.end(), 1u), kFillWarps - 2);
   const SegmentPlan plan = plan_segments(iterations);
   EXPECT_EQ(plan.segments.size(), kFillWarps);
   EXPECT_EQ(plan.slots, 2u);
@@ -686,51 +697,69 @@ TEST(SegmentPlan, EmptyAtFillWarpsUnits) {
 }
 
 TEST(SegmentPlan, NeverLaunchesPastFillWarps) {
-  // 244 pairs of 12 iterations (cant at 1/16): L = 8 cuts each in two,
-  // 488 warps.
-  EXPECT_EQ(segment_length(std::vector<mat::Index>(244, 12)), 8u);
-  EXPECT_EQ(plan_segments(std::vector<mat::Index>(244, 12)).segments.size(), 488u);
-  // 488 pairs of 12 (cant at 1/8): ceil(5856 / 568) = 11 would cut every
-  // pair in two, 976 warps where 568 fill the device. The smallest length
-  // that fits is 12, which cuts nothing.
-  EXPECT_EQ(segment_length(std::vector<mat::Index>(488, 12)), 12u);
-  EXPECT_TRUE(plan_segments(std::vector<mat::Index>(488, 12)).segments.empty());
-  // 149 pairs of 31 (TSOPF at 1/16): 9 and 10 cut each pair in four, 596
-  // warps; 11 cuts each in three, 447.
-  EXPECT_EQ(segment_length(std::vector<mat::Index>(149, 31)), 11u);
-  EXPECT_EQ(plan_segments(std::vector<mat::Index>(149, 31)).segments.size(), 447u);
-  // Units of no iterations still run a warp each.
+  // 244 pairs of 12 iterations (cant at 1/16): every pair in two, 488
+  // warps, then the first 80 pairs in three, 568.
+  std::vector<mat::Index> counts = segment_counts(std::vector<mat::Index>(244, 12));
+  EXPECT_EQ(std::count(counts.begin(), counts.begin() + 80, 3u), 80);
+  EXPECT_EQ(std::count(counts.begin() + 80, counts.end(), 2u), 244 - 80);
+  EXPECT_EQ(plan_segments(std::vector<mat::Index>(244, 12)).segments.size(), kFillWarps);
+  // 488 pairs of 12 (cant at 1/8): cutting every pair in two would launch
+  // 976 warps where 568 fill the device; only the first 80 are cut.
+  counts = segment_counts(std::vector<mat::Index>(488, 12));
+  EXPECT_EQ(std::count(counts.begin(), counts.begin() + 80, 2u), 80);
+  EXPECT_EQ(std::count(counts.begin() + 80, counts.end(), 1u), 488 - 80);
+  EXPECT_EQ(plan_segments(std::vector<mat::Index>(488, 12)).segments.size(), kFillWarps);
+  // 149 pairs of 31 (TSOPF at 1/16): every pair in three, 447 warps, then
+  // the first 121 in four, 568.
+  counts = segment_counts(std::vector<mat::Index>(149, 31));
+  EXPECT_EQ(std::count(counts.begin(), counts.begin() + 121, 4u), 121);
+  EXPECT_EQ(std::count(counts.begin() + 121, counts.end(), 3u), 149 - 121);
+  // 298 pairs of 31 (TSOPF at 1/8): the first 270 in two, 28 whole.
+  counts = segment_counts(std::vector<mat::Index>(298, 31));
+  EXPECT_EQ(std::count(counts.begin(), counts.begin() + 270, 2u), 270);
+  EXPECT_EQ(std::count(counts.begin() + 270, counts.end(), 1u), 28);
+  EXPECT_EQ(plan_segments(std::vector<mat::Index>(298, 31)).segments.size(), kFillWarps);
+  // Units of no iterations still run a warp each; the long unit takes the
+  // other 69.
   std::vector<mat::Index> iterations(500, 0);
   iterations[0] = 1000;
-  EXPECT_EQ(segment_length(iterations), 15u);  // 499 + ceil(1000 / 15) = 566
-  EXPECT_EQ(plan_segments(iterations).segments.size(), 566u);
-  EXPECT_EQ(plan_warps(iterations), 566u);
+  EXPECT_EQ(segment_counts(iterations)[0], 69u);
+  EXPECT_EQ(plan_segments(iterations).segments.size(), kFillWarps);
+  EXPECT_EQ(plan_warps(iterations), kFillWarps);
 }
 
 TEST(SegmentPlan, EmptyWhenNoUnitExceedsTheMinimumLength) {
-  EXPECT_EQ(segment_length(std::vector<mat::Index>{8, 8, 3, 0, 8}), kMinSegmentIterations);
+  EXPECT_EQ(segment_counts(std::vector<mat::Index>{8, 8, 3, 0, 8}),
+            (std::vector<mat::Index>{1, 1, 1, 1, 1}));
   EXPECT_TRUE(plan_segments(std::vector<mat::Index>{8, 8, 3, 0, 8}).segments.empty());
+  // 9 iterations split once, into 4 + 5: a third segment would be 3 long.
+  EXPECT_EQ(segment_counts(std::vector<mat::Index>{8, 9}), (std::vector<mat::Index>{1, 2}));
   const SegmentPlan plan = plan_segments(std::vector<mat::Index>{8, 9});
   ASSERT_EQ(plan.segments.size(), 3u);
   EXPECT_EQ(plan.segments[0].count, 1u);
   EXPECT_EQ(plan.segments[2].begin, 4u);
   EXPECT_EQ(plan.segments[2].end, 9u);
-  // A length of 0 never splits; a row-sharded caller passes it when the
+  // Counts of 1 never split; a row-sharded caller passes them when the
   // whole matrix fills the device.
-  EXPECT_TRUE(plan_segments(std::vector<mat::Index>{8, 900}, 0).segments.empty());
+  const std::vector<mat::Index> ones{1, 1};
+  EXPECT_TRUE(plan_segments(std::vector<mat::Index>{8, 900}, ones).segments.empty());
 }
 
 TEST(SegmentPlan, SegmentsAreBalancedAndContiguous) {
+  // 100 iterations stop at 25 segments of 4 and 17 at 4 segments (4 or 5
+  // long): one more would leave a segment of 3. 3 and 0 never split.
   const std::vector<mat::Index> iterations{100, 3, 17, 0};
+  const std::vector<mat::Index> expected{25, 1, 4, 1};
+  EXPECT_EQ(segment_counts(iterations), expected);
   const SegmentPlan plan = plan_segments(iterations);
   EXPECT_EQ(plan.units, 4u);
-  ASSERT_EQ(plan.segments.size(), 13u + 1 + 3 + 1);
-  EXPECT_EQ(plan.slots, 16u);
+  ASSERT_EQ(plan.segments.size(), 25u + 1 + 4 + 1);
+  EXPECT_EQ(plan.slots, 29u);
   std::size_t w = 0;
   mat::Index slot = 0;
   for (mat::Index u = 0; u < plan.units; ++u) {
     const mat::Index count = plan.segments[w].count;
-    EXPECT_EQ(count, iterations[u] > 8 ? (iterations[u] + 7) / 8 : 1) << "unit " << u;
+    EXPECT_EQ(count, expected[u]) << "unit " << u;
     mat::Index next = 0;
     for (mat::Index s = 0; s < count; ++s, ++w) {
       const Segment& seg = plan.segments[w];
@@ -755,25 +784,158 @@ TEST(SegmentPlan, SegmentsAreBalancedAndContiguous) {
   EXPECT_EQ(ties[0], 0);
   EXPECT_EQ(ties[1], 1);
   EXPECT_EQ(ties[2], 1);       // unit 0, segment 1
-  EXPECT_EQ(ties[2 * 13], 0);  // unit 1
+  EXPECT_EQ(ties[2 * 25], 0);  // unit 1
+}
+
+TEST(SegmentPlan, CountsRejectAMismatchedUnitCount) {
+  const std::vector<mat::Index> iterations{20, 20};
+  const std::vector<mat::Index> one{2};
+  EXPECT_THROW((void)plan_segments(iterations, one), Error);
+  const std::vector<mat::Index> none{2, 0};
+  EXPECT_THROW((void)plan_segments(iterations, none), Error);
+}
+
+TEST(SegmentPlan, TiesGoToTheLowestUnit) {
+  // 563 empty units and three of 20 iterations: two warps are left to
+  // fill, and the three long units tie on 20; the first two take them.
+  std::vector<mat::Index> iterations(563, 0);
+  iterations.insert(iterations.end(), {20, 20, 20});
+  std::vector<mat::Index> counts = segment_counts(iterations);
+  EXPECT_EQ(counts[563], 2u);
+  EXPECT_EQ(counts[564], 2u);
+  EXPECT_EQ(counts[565], 1u);
+  // A longer unit goes first whatever its index; cut in two its segments
+  // are 11 long, so the second warp goes to the lowest unit of 20.
+  iterations.back() = 21;
+  counts = segment_counts(iterations);
+  EXPECT_EQ(counts[563], 2u);
+  EXPECT_EQ(counts[564], 1u);
+  EXPECT_EQ(counts[565], 2u);
+}
+
+/// The one-length plan: the smallest L >= max(kMinSegmentIterations,
+/// ceil(sum / kFillWarps)) at which cutting every unit longer than L into
+/// ceil(iterations / L) segments launches at most kFillWarps warps.
+std::uint64_t one_length(const std::vector<mat::Index>& iterations) {
+  std::uint64_t total = 0;
+  for (const mat::Index it : iterations) {
+    total += it;
+  }
+  const auto warps_at = [&](std::uint64_t length) {
+    std::uint64_t warps = 0;
+    for (const mat::Index it : iterations) {
+      warps += it > length ? (it + length - 1) / length : 1;
+    }
+    return warps;
+  };
+  std::uint64_t length =
+      std::max<std::uint64_t>(kMinSegmentIterations, (total + kFillWarps - 1) / kFillWarps);
+  while (warps_at(length) > kFillWarps) {
+    ++length;
+  }
+  return length;
+}
+
+/// Unit lengths that exercise the fill: equal long units, mixed short and
+/// long, a lone long unit among empty ones, units just over the minimum,
+/// and seeded random mixes of every size class.
+std::vector<std::vector<mat::Index>> fill_cases() {
+  std::vector<std::vector<mat::Index>> cases = {
+      std::vector<mat::Index>(244, 12), std::vector<mat::Index>(488, 12),
+      std::vector<mat::Index>(149, 31), std::vector<mat::Index>(298, 16),
+      std::vector<mat::Index>(83, 8),   std::vector<mat::Index>(1, 100000),
+      std::vector<mat::Index>(567, 9),  {9, 10, 11, 12, 13, 500, 0, 3},
+  };
+  std::vector<mat::Index> lone(300, 0);
+  lone[150] = 5000;
+  cases.push_back(lone);
+  std::uint64_t state = 42;
+  const auto next = [&]() {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<mat::Index>(state >> 33);
+  };
+  for (int c = 0; c < 40; ++c) {
+    std::vector<mat::Index> iterations(1 + next() % 600);
+    const mat::Index scale = std::vector<mat::Index>{4, 16, 64, 2000}[c % 4];
+    for (mat::Index& it : iterations) {
+      it = next() % (scale + 1);
+    }
+    cases.push_back(std::move(iterations));
+  }
+  return cases;
+}
+
+TEST(SegmentPlan, FillsToExactlyFillWarpsWhileAUnitCanSplit) {
+  for (const std::vector<mat::Index>& iterations : fill_cases()) {
+    SCOPED_TRACE(iterations.size());
+    const std::vector<mat::Index> counts = segment_counts(iterations);
+    ASSERT_EQ(counts, reference_counts(iterations));
+    std::uint64_t warps = 0;
+    bool eligible = false;
+    for (std::size_t u = 0; u < counts.size(); ++u) {
+      warps += counts[u];
+      eligible = eligible || (iterations[u] > kMinSegmentIterations &&
+                              iterations[u] / (counts[u] + 1) >= kShortestSegment);
+    }
+    if (iterations.size() >= kFillWarps) {
+      EXPECT_EQ(warps, iterations.size());
+    } else {
+      EXPECT_LE(warps, kFillWarps);
+      EXPECT_TRUE(warps == kFillWarps || !eligible);
+    }
+    EXPECT_EQ(plan_segments(iterations).segments.size(),
+              warps == iterations.size() ? 0 : warps);
+  }
+}
+
+TEST(SegmentPlan, SegmentsNoLongerThanTheOneLengthPlan) {
+  // Cutting the longest units first never leaves a segment longer than
+  // cutting every unit at one length L would.
+  for (const std::vector<mat::Index>& iterations : fill_cases()) {
+    if (iterations.size() >= kFillWarps) {
+      continue;
+    }
+    SCOPED_TRACE(iterations.size());
+    const std::vector<mat::Index> counts = segment_counts(iterations);
+    const std::uint64_t length = one_length(iterations);
+    for (std::size_t u = 0; u < counts.size(); ++u) {
+      EXPECT_LE((iterations[u] + counts[u] - 1) / counts[u], length) << "unit " << u;
+    }
+  }
+}
+
+TEST(SegmentPlan, NeverCutsShortSegmentsOrShortUnits) {
+  for (const std::vector<mat::Index>& iterations : fill_cases()) {
+    SCOPED_TRACE(iterations.size());
+    const SegmentPlan plan = plan_segments(iterations);
+    for (const Segment& seg : plan.segments) {
+      if (seg.count > 1) {
+        EXPECT_GT(iterations[seg.unit], kMinSegmentIterations) << "unit " << seg.unit;
+        EXPECT_GE(seg.end - seg.begin, kShortestSegment) << "unit " << seg.unit;
+      }
+    }
+  }
+  // A lone long unit stops at segments of kShortestSegment, not of 1.
+  EXPECT_EQ(segment_counts(std::vector<mat::Index>{400}), std::vector<mat::Index>{100});
 }
 
 TEST(SegmentPlan, LaunchThatSplitsNothingIsUnchanged) {
   // A matrix of kFillWarps pairs or more, and one whose pairs are all
   // within kMinSegmentIterations: the derived plan is empty, and the
-  // launch is the one a caller gets by ruling splits out (length 0), down
-  // to every counter and the profile JSON.
+  // launch is the one a caller gets by ruling splits out (every count 1),
+  // down to every counter and the profile JSON.
   const mat::Csr filled = mat::Csr::from_coo(mat::random_uniform(9100, 9100, 30000, 3));
   const mat::Csr short_pairs = mat::Csr::from_coo(mat::banded(512, 4, 0.5, 1));
   for (const mat::Csr* a : {&filled, &short_pairs}) {
     const mat::BitBsr bb = mat::BitBsr::from_csr(*a);
     ASSERT_TRUE(plan_segments(unit_iterations(bb, true)).segments.empty());
-    const auto run = [&](std::optional<mat::Index> length) {
+    const std::vector<mat::Index> ones(unit_iterations(bb, true).size(), 1);
+    const auto run = [&](std::optional<std::span<const mat::Index>> counts) {
       sim::Device device(sim::l40());
       device.set_sim_threads(1);
       device.set_profile(true);
       auto kernel = make_kernel(Method::Spaden);
-      kernel->prepare(device, *a, length);
+      kernel->prepare(device, *a, counts);
       const std::vector<float> x(a->ncols, 0.5f);
       auto xb = device.memory().upload(x);
       auto y = device.memory().alloc<float>(a->nrows);
@@ -783,7 +945,7 @@ TEST(SegmentPlan, LaunchThatSplitsNothingIsUnchanged) {
       return std::make_pair(r.stats, w.take());
     };
     const auto derived = run(std::nullopt);
-    const auto unsplit = run(0);
+    const auto unsplit = run(ones);
     EXPECT_EQ(derived.first.warps_launched, (bb.brows + 1) / 2);
     EXPECT_EQ(derived.first, unsplit.first);
     EXPECT_EQ(derived.second, unsplit.second);
